@@ -36,8 +36,16 @@ class Filling:
             if len(row) != want:
                 raise ValueError(f"row {r} of {self.shape} needs {want} entries, got {len(row)}")
             for v in row:
-                if not isinstance(v, int) or v < 1:
+                if not isinstance(v, int) or isinstance(v, bool) or v < 1:
                     raise ValueError(f"entries must be positive integers, got {v!r}")
+
+    @classmethod
+    def _trusted(cls, shape: SkewShape, rows: tuple[tuple[int, ...], ...]) -> "Filling":
+        # internal: rows already a tuple of int tuples, positive, lengths matching shape
+        filling = object.__new__(cls)
+        object.__setattr__(filling, "shape", shape)
+        object.__setattr__(filling, "rows", rows)
+        return filling
 
     @classmethod
     def from_rows(
@@ -113,7 +121,7 @@ def enumerate_ssyt(shape: Partition | SkewShape, bound: int) -> Iterator[Filling
 
     def fill(k: int) -> Iterator[Filling]:
         if k == len(boxes):
-            yield Filling(skew, tuple(tuple(row) for row in grid))
+            yield Filling._trusted(skew, tuple(tuple(row) for row in grid))
             return
         r, c = boxes[k]
         off = inner.part(r)
@@ -139,6 +147,7 @@ def enumerate_syt(shape: Partition, *, max_boxes: int = 24) -> Iterator[Filling]
     if shape.size > max_boxes:
         raise GuardExceededError(f"{shape} has {shape.size} boxes; enumeration guard is {max_boxes}")
     n = shape.size
+    skew = shape.as_skew()
     boxes = list(shape.boxes())
     conj = shape.conjugate().parts
     grid = [[0] * p for p in shape.parts]
@@ -146,7 +155,7 @@ def enumerate_syt(shape: Partition, *, max_boxes: int = 24) -> Iterator[Filling]
 
     def fill(k: int) -> Iterator[Filling]:
         if k == n:
-            yield Filling(shape.as_skew(), tuple(tuple(row) for row in grid))
+            yield Filling._trusted(skew, tuple(tuple(row) for row in grid))
             return
         r, c = boxes[k]
         low = 1 if c == 0 else grid[r][c - 1] + 1

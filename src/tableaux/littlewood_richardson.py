@@ -63,7 +63,7 @@ def enumerate_lr_fillings(
 
     def fill(k: int) -> Iterator[LrWitness]:
         if k == len(boxes):
-            filling = Filling(skew, tuple(tuple(row) for row in grid))
+            filling = Filling._trusted(skew, tuple(tuple(row) for row in grid))
             yield LrWitness(filling, tuple(mu))
             return
         r, c = boxes[k]

@@ -40,7 +40,7 @@ class Partition:
     def __post_init__(self):
         parts = tuple(self.parts)
         for p in parts:
-            if not isinstance(p, int):
+            if not isinstance(p, int) or isinstance(p, bool):
                 raise TypeError(f"parts must be integers, got {p!r}")
             if p < 0:
                 raise ValueError(f"parts must be nonnegative, got {p}")

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import deque
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .fillings import Filling
 from .partitions import Partition
@@ -65,6 +66,19 @@ class RskPair:
         return self.insertion.shape.outer
 
 
+def _insert(rows: list[list[int]], value: int) -> int:
+    """Row-insert ``value`` into ``rows`` in place; return the row of the new box."""
+    v = value
+    for r, row in enumerate(rows):
+        idx = bisect_left(row, v)
+        if idx == len(row):
+            row.append(v)
+            return r
+        row[idx], v = v, row[idx]
+    rows.append([v])
+    return len(rows) - 1
+
+
 def row_insert(tableau: Filling, value: int) -> tuple[Filling, tuple[int, int]]:
     """Bump ``value`` into the first row and cascade displacements downward.
 
@@ -75,15 +89,25 @@ def row_insert(tableau: Filling, value: int) -> tuple[Filling, tuple[int, int]]:
     the grown tableau and the coordinate of the created box.
     """
     rows = [list(row) for row in tableau.rows]
-    v = value
-    for r, row in enumerate(rows):
-        idx = bisect_left(row, v)
-        if idx == len(row):
-            row.append(v)
-            return Filling.from_rows(rows), (r, len(row) - 1)
-        row[idx], v = v, row[idx]
-    rows.append([v])
-    return Filling.from_rows(rows), (len(rows) - 1, 0)
+    r = _insert(rows, value)
+    return Filling.from_rows(rows), (r, len(rows[r]) - 1)
+
+
+def _steps(perm: Permutation) -> Iterator[tuple[list[list[int]], list[list[int]]]]:
+    """Live (insertion rows, recording rows) after 0, 1, ..., n insertions.
+
+    The same two lists are yielded every time and mutated in place: copy
+    a state to keep it.
+    """
+    insertion: list[list[int]] = []
+    recording: list[list[int]] = []
+    yield insertion, recording
+    for step, value in enumerate(perm.images, start=1):
+        r = _insert(insertion, value)
+        if r == len(recording):
+            recording.append([])
+        recording[r].append(step)
+        yield insertion, recording
 
 
 def rsk(perm: Permutation | Sequence[int]) -> RskPair:
@@ -91,32 +115,19 @@ def rsk(perm: Permutation | Sequence[int]) -> RskPair:
 
     Step i row-inserts the i-th value into the insertion tableau and
     writes i into the recording tableau at the coordinate of the box the
-    insertion created, so the two always share a shape.
+    insertion created, so the two always share a shape. The steps run on
+    plain lists; the two tableaux are built and validated once, at the end.
     """
-    perm = _as_permutation(perm)
-    insertion = Filling.from_rows(())
-    recording_rows: list[list[int]] = []
-    for step, value in enumerate(perm.images, start=1):
-        insertion, (r, _) = row_insert(insertion, value)
-        if r == len(recording_rows):
-            recording_rows.append([])
-        recording_rows[r].append(step)
-    return RskPair(insertion, Filling.from_rows(recording_rows))
+    insertion, recording = deque(_steps(_as_permutation(perm)), maxlen=1)[0]
+    return RskPair(Filling.from_rows(insertion), Filling.from_rows(recording))
 
 
 def rsk_trace(perm: Permutation | Sequence[int]) -> list[tuple[Filling, Filling]]:
     """(insertion, recording) snapshots after 0, 1, ..., n insertions."""
-    perm = _as_permutation(perm)
-    insertion = Filling.from_rows(())
-    recording_rows: list[list[int]] = []
-    steps = [(insertion, insertion)]
-    for step, value in enumerate(perm.images, start=1):
-        insertion, (r, _) = row_insert(insertion, value)
-        if r == len(recording_rows):
-            recording_rows.append([])
-        recording_rows[r].append(step)
-        steps.append((insertion, Filling.from_rows(recording_rows)))
-    return steps
+    return [
+        (Filling.from_rows(insertion), Filling.from_rows(recording))
+        for insertion, recording in _steps(_as_permutation(perm))
+    ]
 
 
 def inverse_rsk(pair: RskPair) -> Permutation:
@@ -129,21 +140,20 @@ def inverse_rsk(pair: RskPair) -> Permutation:
     at step k.
     """
     t_rows = [list(row) for row in pair.insertion.rows]
-    u_rows = [list(row) for row in pair.recording.rows]
     n = pair.shape.size
+    row_of = [0] * (n + 1)  # row_of[k]: row of the recording box holding k
+    for r, row in enumerate(pair.recording.rows):
+        for step in row:
+            row_of[step] = r
     images = [0] * n
     for step in range(n, 0, -1):
-        r = next(i for i, row in enumerate(u_rows) if row and row[-1] == step)
-        u_rows[r].pop()
+        r = row_of[step]
         v = t_rows[r].pop()
         for q in range(r - 1, -1, -1):
             row = t_rows[q]
             j = bisect_left(row, v) - 1  # rightmost entry below v; exists in valid pairs
             row[j], v = v, row[j]
         images[step - 1] = v
-        while t_rows and not t_rows[-1]:
-            t_rows.pop()
-            u_rows.pop()
     return Permutation(tuple(images))
 
 

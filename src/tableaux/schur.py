@@ -17,7 +17,7 @@ class NotHomogeneousError(ValueError):
     """Schur-basis expansion met mixed total degrees."""
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def schur_polynomial(shape: Partition, width: int) -> Polynomial:
     """Generating polynomial of the semistandard fillings of ``shape``.
 

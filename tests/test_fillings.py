@@ -11,6 +11,7 @@ from tableaux import (
     SkewShape,
     bender_knuth,
     count_standard_tableaux,
+    enumerate_lr_fillings,
     enumerate_ssyt,
     enumerate_syt,
     partitions_of,
@@ -46,6 +47,18 @@ def brute_force_ssyt(shape, bound):
     return survivors
 
 
+def subpartitions(shape):
+    """Every partition whose diagram fits inside ``shape``."""
+    return [inner for k in range(shape.size + 1) for inner in partitions_of(k) if shape.contains(inner)]
+
+
+def assert_rebuilds(filling):
+    """An enumerated filling equals itself rebuilt through the validating constructor."""
+    assert Filling(filling.shape, filling.rows) == filling
+    assert all(type(v) is int for row in filling.rows for v in row)
+    assert filling.is_semistandard()
+
+
 class TestStructure:
     def test_row_lengths_must_match_shape(self):
         with pytest.raises(ValueError):
@@ -56,6 +69,12 @@ class TestStructure:
     def test_entries_must_be_positive(self):
         with pytest.raises(ValueError):
             Filling.from_rows([[1, 0]])
+
+    def test_entries_must_not_be_bools(self):
+        with pytest.raises(ValueError):
+            Filling.from_rows([[True]])
+        with pytest.raises(ValueError):
+            Filling(Partition((2,)).as_skew(), ((1, True),))
 
     def test_from_rows_infers_skew_outer(self):
         filling = Filling.from_rows([[1], [1], [2]], inner=[2, 1])
@@ -256,3 +275,37 @@ class TestBenderKnuth:
                 image = bender_knuth(filling, i)
                 assert image.is_semistandard()
                 assert bender_knuth(image, i) == filling
+
+
+class TestTrustedEnumeration:
+    """Enumerators skip validation, so check their output against the validating path."""
+
+    def test_ssyt_straight(self):
+        for n in range(6):
+            for shape in partitions_of(n):
+                for bound in range(1, 4):
+                    for filling in enumerate_ssyt(shape, bound):
+                        assert_rebuilds(filling)
+
+    def test_ssyt_skew(self):
+        for n in range(6):
+            for outer in partitions_of(n):
+                for inner in subpartitions(outer):
+                    for filling in enumerate_ssyt(SkewShape(outer, inner), 3):
+                        assert_rebuilds(filling)
+
+    def test_syt(self):
+        for n in range(7):
+            for shape in partitions_of(n):
+                for filling in enumerate_syt(shape):
+                    assert_rebuilds(filling)
+                    assert filling.is_standard()
+
+    def test_lr_fillings(self):
+        for n in range(7):
+            for outer in partitions_of(n):
+                for inner in subpartitions(outer):
+                    for content in partitions_of(n - inner.size):
+                        for witness in enumerate_lr_fillings(outer, inner, content):
+                            assert_rebuilds(witness.filling)
+                            assert witness.filling.shape == SkewShape(outer, inner)

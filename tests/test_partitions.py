@@ -83,6 +83,12 @@ class TestConstruction:
         with pytest.raises(TypeError):
             Partition((2.5, 1))
 
+    def test_rejects_bools(self):
+        with pytest.raises(TypeError):
+            Partition((True,))
+        with pytest.raises(TypeError):
+            Partition((2, False))
+
     def test_hashable_value_semantics(self):
         assert {Partition((2, 1)), Partition([2, 1, 0])} == {Partition((2, 1))}
 

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -134,6 +135,45 @@ class TestRsk:
             assert len(seen) == len(list(itertools.permutations(range(1, n + 1))))
 
 
+def fold_row_insert(images):
+    """The pair built step by step through the public, validating ``row_insert``."""
+    insertion = Filling.from_rows(())
+    recording = []
+    for step, value in enumerate(images, start=1):
+        insertion, (r, c) = row_insert(insertion, value)
+        if r == len(recording):
+            recording.append([])
+        recording[r].append(step)
+        assert c == len(recording[r]) - 1
+    return RskPair(insertion, Filling.from_rows(recording))
+
+
+def seeded_permutations(sizes, seed=0):
+    rng = random.Random(seed)
+    return [Permutation(tuple(rng.sample(range(1, n + 1), n))) for n in sizes]
+
+
+class TestPlainListSteps:
+    """``rsk`` and ``rsk_trace`` run on plain lists; check them against ``row_insert``."""
+
+    def test_rsk_matches_row_insert_exhaustively(self):
+        for n in range(8):
+            for images in itertools.permutations(range(1, n + 1)):
+                assert rsk(images) == fold_row_insert(images)
+
+    def test_rsk_matches_row_insert_seeded(self):
+        for perm in seeded_permutations((10, 100, 500, 2000)):
+            assert rsk(perm) == fold_row_insert(perm.images)
+
+    def test_trace_ends_at_rsk(self):
+        perms = [Permutation(images) for n in range(6) for images in itertools.permutations(range(1, n + 1))]
+        for perm in perms + seeded_permutations((20, 60)):
+            pair = rsk(perm)
+            trace = rsk_trace(perm)
+            assert len(trace) == perm.n + 1
+            assert trace[-1] == (pair.insertion, pair.recording)
+
+
 class TestInverse:
     def test_worked_example(self):
         pair = rsk(SIGMA)
@@ -151,6 +191,10 @@ class TestInverse:
     @given(permutations())
     def test_round_trip_random(self, perm):
         assert inverse_rsk(rsk(perm)) == perm
+
+    def test_round_trip_seeded_large(self):
+        for perm in seeded_permutations((100, 2000), seed=1):
+            assert inverse_rsk(rsk(perm)) == perm
 
     def test_inverse_permutation_swaps_the_pair(self):
         for n in range(5):

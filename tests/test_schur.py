@@ -61,6 +61,10 @@ class TestSchurPolynomial:
                     assert sum(poly.terms.values()) == count
 
 
+    def test_cache_is_bounded(self):
+        assert schur_polynomial.cache_info().maxsize is not None
+
+
 class TestSchurExpand:
     def test_basis_element(self):
         poly = schur_polynomial(Partition((2, 1)), 3)
