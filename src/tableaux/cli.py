@@ -142,6 +142,17 @@ def _cmd_schur(args: argparse.Namespace) -> int:
     return 0
 
 
+def _product_expansion(lam: Partition, mu: Partition) -> dict[Partition, int]:
+    """Schur expansion of ``s_lam * s_mu``, the product taken in l(lam) + l(mu) variables.
+
+    That is min(|lam| + |mu|, l(lam) + l(mu)) and loses no coefficient:
+    c^nu_{lam mu} != 0 forces l(nu) <= l(lam) + l(mu), and the expansion in
+    w variables holds every nu of at most w rows.
+    """
+    width = lam.nrows + mu.nrows
+    return schur_expand(schur_polynomial(lam, width) * schur_polynomial(mu, width))
+
+
 def _cmd_lr(args: argparse.Namespace) -> int:
     lam, mu, nu = args.inner, args.content, args.outer
     payload: dict = {
@@ -162,9 +173,7 @@ def _cmd_lr(args: argparse.Namespace) -> int:
     payload["result"] = coeff
     head = str(coeff)
     if args.verify:
-        width = lam.size + mu.size
-        expansion = schur_expand(schur_polynomial(lam, width) * schur_polynomial(mu, width))
-        expected = expansion.get(nu, 0)
+        expected = _product_expansion(lam, mu).get(nu, 0)
         if expected != coeff:
             print(
                 f"error: rule gives {coeff} but the Schur expansion gives {expected} "
@@ -188,8 +197,7 @@ def _cmd_expand(args: argparse.Namespace) -> int:
     guard = _guard(args, ENUMERATION_GUARD)
     if total > guard:
         raise GuardExceededError(f"product has {total} boxes; guard is {guard}")
-    expansion = schur_expand(schur_polynomial(lam, total) * schur_polynomial(mu, total))
-    items = sorted(expansion.items(), key=lambda kv: kv[0].parts, reverse=True)
+    items = list(_product_expansion(lam, mu).items())  # lex-descending, from schur_expand
     payload = {
         "command": "expand",
         "inputs": {"lambda": list(lam.parts), "mu": list(mu.parts)},

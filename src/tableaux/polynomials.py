@@ -46,6 +46,20 @@ class Polynomial:
         return poly
 
     @classmethod
+    def _unpacked(cls, width: int, base: int, packed: dict[int, int]) -> "Polynomial":
+        # internal: keys are exponent vectors packed in base ``base`` with x1
+        # the most significant digit, as by ``_pack``; zero coefficients drop
+        # here. Digits are read one variable at a time across all keys, from xN up.
+        kept = [(key, c) for key, c in packed.items() if c]
+        keys = [key for key, _ in kept]
+        digits = []
+        for _ in range(width):
+            digits.append([key % base for key in keys])
+            keys = [key // base for key in keys]
+        exps = zip(*reversed(digits)) if width else [()] * len(kept)
+        return cls._raw(width, dict(zip(exps, [c for _, c in kept])))
+
+    @classmethod
     def zero(cls, width: int) -> "Polynomial":
         return cls(width)
 
@@ -149,16 +163,23 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_width(other)
-        terms: dict[tuple[int, ...], int] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                total = terms.get(key, 0) + c1 * c2
-                if total:
-                    terms[key] = total
-                else:
-                    del terms[key]
-        return Polynomial._raw(self._width, terms)
+        width = self._width
+        if not self._terms or not other._terms:
+            return Polynomial._raw(width, {})
+        # Exponent vectors become base-``base`` integers, x1 the most
+        # significant digit. No exponent of the product exceeds ``base - 1``,
+        # so adding keys never carries and multiplying monomials is adding
+        # integers; zero coefficients are dropped once, on unpacking.
+        base = _max_exponent(self._terms, width) + _max_exponent(other._terms, width) + 1
+        left = [(_pack(e, base), c) for e, c in self._terms.items()]
+        right = [(_pack(e, base), c) for e, c in other._terms.items()]
+        packed: dict[int, int] = {}
+        get = packed.get
+        for k1, c1 in left:
+            for k2, c2 in right:
+                key = k1 + k2
+                packed[key] = get(key, 0) + c1 * c2
+        return Polynomial._unpacked(width, base, packed)
 
     __rmul__ = __mul__
 
@@ -174,6 +195,17 @@ class Polynomial:
 
     def __str__(self):
         return format_polynomial(self)
+
+
+def _max_exponent(terms: dict[tuple[int, ...], int], width: int) -> int:
+    return max(map(max, terms)) if width else 0
+
+
+def _pack(exps: tuple[int, ...], base: int) -> int:
+    key = 0
+    for e in exps:
+        key = key * base + e
+    return key
 
 
 def format_polynomial(poly: Polynomial) -> str:

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
+from itertools import product
+from math import factorial, prod
+from typing import Iterator
 
-from .fillings import enumerate_ssyt
 from .partitions import Partition
 from .polynomials import Polynomial
 
@@ -24,39 +27,136 @@ def schur_polynomial(shape: Partition, width: int) -> Polynomial:
     Every filling with entries at most ``width`` contributes the
     monomial whose exponent vector is the filling's weight. Zero when
     the shape has more rows than ``width``; the empty shape gives the
-    constant 1.
+    constant 1. Terms are stored in lex-descending exponent order.
+
+    Built by the branching rule (Macdonald, I (5.11)): the entries equal
+    to ``k`` of a filling form a horizontal strip ``nu / mu``, so
+    ``s_nu(x1..xk) = sum over mu of s_mu(x1..x(k-1)) * xk^|nu / mu|``.
+    The shapes each width needs are listed top-down, then their
+    polynomials are built bottom-up over widths 1..``width``, keeping one
+    width at a time; :func:`enumerate_ssyt` stays an independent route.
     """
     if width < 0:
         raise ValueError(f"width must be nonnegative, got {width}")
-    if width == 0:
-        return Polynomial(0, {(): 1} if shape.size == 0 else None)
-    terms: dict[tuple[int, ...], int] = {}
-    for filling in enumerate_ssyt(shape, width):
-        exps = filling.weight(width)
-        terms[exps] = terms.get(exps, 0) + 1
-    return Polynomial(width, terms)
+    if shape.nrows > width:
+        return Polynomial._raw(width, {})
+    needed = [{shape.parts}]  # needed[j]: shapes wanted in width - j variables
+    for k in range(width, 0, -1):
+        needed.append({mu for nu in needed[-1] for mu in _strip_removals(nu, k)})
+    # exponent vectors packed as in Polynomial; no exponent exceeds the size
+    base = shape.size + 1
+    level: dict[tuple[int, ...], dict[int, int]] = {(): {0: 1}}
+    for k in range(1, width + 1):
+        level = {nu: _branch(nu, k, base, level) for nu in needed[width - k]}
+    # packed keys order like their exponent vectors, so this is lex-descending
+    terms = dict(sorted(level[shape.parts].items(), reverse=True))
+    return Polynomial._unpacked(width, base, terms)
+
+
+def _strip_removals(nu: tuple[int, ...], k: int) -> Iterator[tuple[int, ...]]:
+    """Shapes ``mu`` of at most ``k - 1`` rows with ``nu / mu`` a horizontal strip.
+
+    Those are the ``mu`` interlacing ``nu``: ``nu[i + 1] <= mu[i] <= nu[i]``.
+    """
+    rows = min(len(nu), k - 1)
+    below = nu[1:] + (0,)
+    for mu in product(*(range(below[i], nu[i] + 1) for i in range(rows))):
+        yield tuple(p for p in mu if p)
+
+
+def _branch(
+    nu: tuple[int, ...], k: int, base: int, lower: dict[tuple[int, ...], dict[int, int]]
+) -> dict[int, int]:
+    """Packed terms of ``s_nu(x1..xk)`` from the ``k - 1`` variable ones in ``lower``."""
+    terms: dict[int, int] = {}
+    get = terms.get
+    size = sum(nu)
+    for mu in _strip_removals(nu, k):
+        last = size - sum(mu)
+        for key, coeff in lower[mu].items():
+            key = key * base + last
+            terms[key] = get(key, 0) + coeff
+    return terms
 
 
 def schur_expand(poly: Polynomial) -> dict[Partition, int]:
     """Coefficients of ``poly`` written in the Schur basis of its width.
 
-    Peels the lexicographically leading term: for a symmetric
-    homogeneous polynomial the leading exponent vector is weakly
-    decreasing, hence a partition ``nu``; subtract ``coeff * s_nu`` and
-    repeat. The leading exponent strictly decreases each round, so the
-    loop terminates, and a leading exponent that fails to be weakly
-    decreasing exposes a non-symmetric input. Negative coefficients are
-    returned as data, never clamped.
+    Checks symmetry once, then peels leading terms: the leading exponent
+    vector ``nu`` of a symmetric homogeneous polynomial is weakly
+    decreasing, hence a partition; subtract ``coeff * s_nu`` and repeat.
+    A symmetric polynomial is fixed by its coefficients at weakly
+    decreasing exponents, so the elimination runs on those alone, and
+    the Kostka numbers it subtracts are read off the cached
+    ``schur_polynomial(nu, width)``. Partitions come out in lex-descending
+    order. Negative coefficients are returned as data, never clamped.
     """
     if not poly.is_homogeneous():
         raise NotHomogeneousError("expansion requires a homogeneous polynomial")
+    residual = _dominant_coefficients(poly)
+    if not residual:
+        return {}
+    candidates = list(_dominant_exponents_below(max(residual)))
     result: dict[Partition, int] = {}
-    residual = poly
-    while not residual.is_zero:
-        exps, coeff = residual.leading_term()
-        if any(exps[i] < exps[i + 1] for i in range(len(exps) - 1)):
-            raise NotSymmetricError(f"leading exponent {exps} is not weakly decreasing")
-        shape = Partition(exps)
+    for i, nu in enumerate(candidates):
+        coeff = residual.get(nu, 0)
+        if not coeff:
+            continue
+        shape = Partition(nu)
         result[shape] = coeff
-        residual = residual - schur_polynomial(shape, poly.width) * coeff
+        kostka = schur_polynomial(shape, poly.width).terms
+        for rho in candidates[i + 1 :]:
+            count = kostka.get(rho)
+            if count:
+                residual[rho] = residual.get(rho, 0) - coeff * count
     return result
+
+
+def _dominant_coefficients(poly: Polynomial) -> dict[tuple[int, ...], int]:
+    """The terms at weakly decreasing exponents, once ``poly`` is shown symmetric.
+
+    Symmetric means every term's coefficient equals the one at its sorted
+    exponent, and the stored exponents fill whole orbits under
+    permutations of the variables. Every term lies in the orbit of a
+    stored sorted exponent, so comparing counts shows the orbits whole.
+    """
+    terms = poly.terms
+    dominant: dict[tuple[int, ...], int] = {}
+    for exps, coeff in terms.items():
+        key = tuple(sorted(exps, reverse=True))
+        if key == exps:
+            dominant[exps] = coeff
+        elif terms.get(key) != coeff:
+            raise NotSymmetricError(f"coefficient of {exps} differs from that of {key}")
+    if sum(_orbit_size(exps) for exps in dominant) != len(terms):
+        raise NotSymmetricError("some permutation of a stored exponent vector is missing")
+    return dominant
+
+
+def _orbit_size(exps: tuple[int, ...]) -> int:
+    """Number of distinct rearrangements of ``exps``."""
+    return factorial(len(exps)) // prod(factorial(m) for m in Counter(exps).values())
+
+
+def _dominant_exponents_below(lead: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """Weakly decreasing vectors of ``lead``'s length and sum, lex-descending from ``lead``.
+
+    Each successor lowers by one the rightmost part whose lost box still
+    fits after it, then refills the parts after it as high as they go.
+    """
+    parts = list(lead)
+    width = len(parts)
+    while True:
+        yield tuple(parts)
+        rest = 0
+        for i in range(width - 1, -1, -1):
+            if parts[i] and rest < (width - 1 - i) * (parts[i] - 1):
+                break
+            rest += parts[i]
+        else:
+            return
+        parts[i] -= 1
+        rest += 1
+        for j in range(i + 1, width):
+            parts[j] = min(parts[i], rest)
+            rest -= parts[j]

@@ -122,6 +122,11 @@ class TestLr:
         code, out, _ = run(capsys, "lr", "[2,1]", "[2,1]", "[3,2,1]", "--verify")
         assert (code, out) == (0, "2 (verified)\n")
 
+    def test_verify_of_two_row_shapes_is_quick(self, capsys):
+        # the product is formed in l(lambda) + l(mu) = 4 variables, not 14
+        code, out, _ = run(capsys, "lr", "[4,3]", "[4,3]", "[8,6]", "--verify")
+        assert (code, out) == (0, "1 (verified)\n")
+
     def test_witnesses(self, capsys):
         code, out, _ = run(capsys, "lr", "[2,1]", "[2,1]", "[3,2,1]", "--witnesses")
         assert code == 0

@@ -105,8 +105,9 @@ class TestCoefficient:
         assert lr_coefficient(LAM, LAM, Partition((4, 2))) == expansion[Partition((4, 2))]
 
     def test_rule_matches_expansion_everywhere(self):
-        # the module's central cross-check: both routes, all coefficients
-        for total in range(7):
+        # the module's central cross-check: both routes, all coefficients,
+        # through degree 7 (110 pairs at that degree)
+        for total in range(8):
             for a in range(total + 1):
                 for lam in partitions_of(a):
                     for mu in partitions_of(total - a):

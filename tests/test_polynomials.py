@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from tableaux import Polynomial, WidthMismatchError, format_polynomial
 
@@ -94,6 +94,73 @@ class TestArithmetic:
         width = data.draw(st.integers(1, 3))
         p = data.draw(polynomials(width))
         assert (p + (-p)).is_zero
+
+
+def naive_product(p, q):
+    """Reference multiply: one tuple-add per term pair, zeros dropped at the end."""
+    terms = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            key = tuple(a + b for a, b in zip(e1, e2))
+            terms[key] = terms.get(key, 0) + c1 * c2
+    return Polynomial(p.width, terms)
+
+
+def wide_terms(width, max_exponent, max_terms=5):
+    exps = st.tuples(*[st.integers(0, max_exponent) for _ in range(width)])
+    coeffs = st.integers(-5, 5) | st.integers(-(2**70), 2**70)
+    return st.dictionaries(exps, coeffs, max_size=max_terms)
+
+
+class TestPackedMultiply:
+    @given(st.data())
+    def test_matches_naive_reference(self, data):
+        width = data.draw(st.integers(0, 4))
+        max_exponent = data.draw(st.sampled_from((1, 3, 12, 40)))
+        p = Polynomial(width, data.draw(wide_terms(width, max_exponent)))
+        q = Polynomial(width, data.draw(wide_terms(width, max_exponent)))
+        product = p * q
+        assert product == naive_product(p, q)
+        assert 0 not in product.terms.values()
+        assert all(len(e) == width for e in product.terms)
+
+    @settings(max_examples=30)
+    @given(st.data())
+    def test_width_thirty_keys_beyond_64_bits(self, data):
+        p = Polynomial(30, data.draw(wide_terms(30, 1000, max_terms=4)))
+        q = Polynomial(30, data.draw(wide_terms(30, 1000, max_terms=4)))
+        assert p * q == naive_product(p, q)
+
+    def test_large_exponents_do_not_carry(self):
+        # base 2 * 999 + 1: a digit of 1998 must not spill into x1
+        p = Polynomial(30, {(0,) * 29 + (999,): 1, (999,) + (0,) * 29: 2})
+        square = p * p
+        assert square == Polynomial(
+            30,
+            {(0,) * 29 + (1998,): 1, (999,) + (0,) * 28 + (999,): 4, (1998,) + (0,) * 29: 4},
+        )
+
+    def test_width_zero(self):
+        three = Polynomial(0, {(): 3})
+        assert three * Polynomial(0, {(): -2}) == Polynomial(0, {(): -6})
+        assert (three * Polynomial.zero(0)).is_zero
+
+    def test_cancellation_to_zero(self):
+        # (x1 + x2)(x1 - x2) = x1^2 - x2^2: the cross terms cancel
+        product = (X1 + X2) * (X1 - X2)
+        assert product == Polynomial(2, {(2, 0): 1, (0, 2): -1})
+        assert (1, 1) not in product.terms
+        assert ((X1 - X1) * (X1 + X2)).is_zero
+
+    def test_negative_coefficients(self):
+        p = Polynomial(2, {(1, 0): -3, (0, 12): 2})
+        assert p * p == Polynomial(2, {(2, 0): 9, (1, 12): -12, (0, 24): 4})
+
+    def test_width_mismatch_still_raised(self):
+        with pytest.raises(WidthMismatchError):
+            Polynomial.monomial(30, (1000,) * 30) * Polynomial.monomial(29, (1,) * 29)
+        with pytest.raises(WidthMismatchError):
+            Polynomial.zero(2) * Polynomial.zero(3)
 
 
 class TestStructure:

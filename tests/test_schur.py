@@ -3,6 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from tableaux import (
     EMPTY,
+    Filling,
     NotHomogeneousError,
     NotSymmetricError,
     Partition,
@@ -60,6 +61,37 @@ class TestSchurPolynomial:
                     count = sum(1 for _ in enumerate_ssyt(shape, width))
                     assert sum(poly.terms.values()) == count
 
+    def test_branching_rule_equals_tableau_enumeration(self):
+        # two routes: branching rule vs. the weight generating function of enumerate_ssyt
+        for n in range(8):
+            for shape in partitions_of(n):
+                for width in range(8):
+                    if width:
+                        fillings = enumerate_ssyt(shape, width)
+                    else:  # no entries allowed: only the empty shape has a filling
+                        fillings = [Filling.from_rows([])] if n == 0 else []
+                    terms = {}
+                    for filling in fillings:
+                        weight = filling.weight(width)
+                        terms[weight] = terms.get(weight, 0) + 1
+                    assert schur_polynomial(shape, width) == Polynomial(width, terms), (
+                        shape,
+                        width,
+                    )
+
+    def test_terms_stored_lex_descending(self):
+        poly = schur_polynomial(Partition((3, 2, 1)), 4)
+        assert list(poly.terms.items()) == poly.sorted_terms()
+
+    def test_long_row_in_one_variable(self):
+        # no recursion over the 1200 boxes
+        assert schur_polynomial(Partition((1200,)), 1) == Polynomial.monomial(1, (1200,))
+
+    def test_one_box_in_many_variables(self):
+        # no recursion over the 1500 widths
+        poly = schur_polynomial(Partition((1,)), 1500)
+        assert len(poly.terms) == 1500
+        assert set(poly.terms.values()) == {1}
 
     def test_cache_is_bounded(self):
         assert schur_polynomial.cache_info().maxsize is not None
@@ -94,6 +126,19 @@ class TestSchurExpand:
         with pytest.raises(NotSymmetricError):
             schur_expand(Polynomial(2, {(2, 0): 1, (1, 1): 1}))
 
+    def test_incomplete_orbit_is_not_symmetric(self):
+        # each present term agrees with its sorted exponent, but (0, 1, 1) is missing
+        with pytest.raises(NotSymmetricError):
+            schur_expand(Polynomial(3, {(1, 1, 0): 1, (1, 0, 1): 1}))
+
+    def test_elimination_reaches_partitions_absent_from_input(self):
+        # x1^2 + x2^2 = s_(2) - s_(1,1); (1, 1) has coefficient 0 in the input
+        power_sum = Polynomial(2, {(2, 0): 1, (0, 2): 1})
+        assert schur_expand(power_sum) == {Partition((2,)): 1, Partition((1, 1)): -1}
+
+    def test_width_zero_constant(self):
+        assert schur_expand(Polynomial(0, {(): 5})) == {EMPTY: 5}
+
     def test_not_homogeneous(self):
         with pytest.raises(NotHomogeneousError):
             schur_expand(Polynomial(2, {(1, 0): 1, (0, 0): 1}))
@@ -119,14 +164,13 @@ class TestSchurExpand:
         assert schur_expand(poly) == expected
 
     def test_coefficients_stable_in_width(self):
-        for total in range(1, 6):
+        # c^nu_{lam mu} != 0 forces l(nu) <= l(lam) + l(mu), so that many variables suffice
+        for total in range(1, 7):
             for a in range(total + 1):
                 for lam in partitions_of(a):
                     for mu in partitions_of(total - a):
-                        at_n = schur_expand(
-                            schur_polynomial(lam, total) * schur_polynomial(mu, total)
-                        )
-                        at_n1 = schur_expand(
-                            schur_polynomial(lam, total + 1) * schur_polynomial(mu, total + 1)
-                        )
-                        assert at_n == at_n1, (lam, mu)
+                        expansions = [
+                            schur_expand(schur_polynomial(lam, w) * schur_polynomial(mu, w))
+                            for w in (lam.nrows + mu.nrows, total, total + 1)
+                        ]
+                        assert expansions[0] == expansions[1] == expansions[2], (lam, mu)
