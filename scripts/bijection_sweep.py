@@ -15,7 +15,6 @@ import itertools
 import math
 import sys
 import time
-from dataclasses import dataclass
 
 from tableaux import (
     Permutation,
@@ -27,14 +26,9 @@ from tableaux import (
 )
 
 
-@dataclass
-class SweepConfig:
-    max_n: int = 7
-
-
-def sweep(config: SweepConfig) -> int:
+def sweep(max_n: int) -> int:
     failures = 0
-    for n in range(config.max_n + 1):
+    for n in range(max_n + 1):
         started = time.perf_counter()
         shapes = set()
         for images in itertools.permutations(range(1, n + 1)):
@@ -66,9 +60,9 @@ def sweep(config: SweepConfig) -> int:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--max-n", type=int, default=SweepConfig.max_n)
+    parser.add_argument("--max-n", type=int, default=7)
     args = parser.parse_args()
-    return sweep(SweepConfig(max_n=args.max_n))
+    return sweep(args.max_n)
 
 
 if __name__ == "__main__":

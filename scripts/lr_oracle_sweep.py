@@ -8,36 +8,27 @@ actual polynomial product. The sweep demands exact agreement on every
 coefficient, including the zeros, and exits nonzero on the first
 disagreement.
 
-Usage: python scripts/lr_oracle_sweep.py [--max-total 7] [--extra-width 1] [-v]
+Usage: python scripts/lr_oracle_sweep.py [--max-total 7] [-v]
 """
 
 import argparse
 import sys
 import time
-from dataclasses import dataclass
 
 from tableaux import lr_coefficient, partitions_of, schur_expand, schur_polynomial
 
 
-@dataclass
-class SweepConfig:
-    max_total: int = 6
-    extra_width: int = 0  # widen the ring beyond the minimum that sees every term
-    verbose: bool = False
-
-
-def sweep(config: SweepConfig) -> int:
+def sweep(max_total: int, verbose: bool) -> int:
     mismatches = 0
     grand_pairs = 0
-    for total in range(config.max_total + 1):
+    for total in range(max_total + 1):
         started = time.perf_counter()
-        width = total + config.extra_width
         pairs = 0
         nonzero = 0
         for a in range(total + 1):
             for lam in partitions_of(a):
                 for mu in partitions_of(total - a):
-                    product = schur_polynomial(lam, width) * schur_polynomial(mu, width)
+                    product = schur_polynomial(lam, total) * schur_polynomial(mu, total)
                     expansion = schur_expand(product)
                     pairs += 1
                     for nu in partitions_of(total):
@@ -50,30 +41,26 @@ def sweep(config: SweepConfig) -> int:
                                 f"rule={by_rule} expansion={by_expansion}",
                                 file=sys.stderr,
                             )
-                        elif by_rule and config.verbose:
+                        elif by_rule and verbose:
                             print(f"  {lam} * {mu} -> {nu}: {by_rule}")
                         nonzero += bool(by_rule)
         elapsed = time.perf_counter() - started
         print(
             f"degree {total}: {pairs} pairs, {nonzero} nonzero coefficients, "
-            f"width {width}, {elapsed:.2f}s"
+            f"width {total}, {elapsed:.2f}s"
         )
         grand_pairs += pairs
     verdict = "all coefficients agree" if mismatches == 0 else f"{mismatches} MISMATCHES"
-    print(f"checked {grand_pairs} pairs up to total size {config.max_total}: {verdict}")
+    print(f"checked {grand_pairs} pairs up to total size {max_total}: {verdict}")
     return 0 if mismatches == 0 else 1
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--max-total", type=int, default=SweepConfig.max_total)
-    parser.add_argument("--extra-width", type=int, default=SweepConfig.extra_width)
+    parser.add_argument("--max-total", type=int, default=6)
     parser.add_argument("-v", "--verbose", action="store_true")
     args = parser.parse_args()
-    config = SweepConfig(
-        max_total=args.max_total, extra_width=args.extra_width, verbose=args.verbose
-    )
-    return sweep(config)
+    return sweep(args.max_total, args.verbose)
 
 
 if __name__ == "__main__":

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .partitions import GuardExceededError, Partition, SkewShape
 
@@ -104,10 +104,58 @@ def _as_skew(shape: Partition | SkewShape) -> SkewShape:
     return shape if isinstance(shape, SkewShape) else shape.as_skew()
 
 
+def _search(
+    skew: SkewShape, candidates: Callable[[int, int, int], Iterator[int]], reverse: bool = False
+) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Rows of every filling of ``skew`` built from the values ``candidates`` offers.
+
+    Boxes are filled row by row from the top; within a row left to
+    right, or right to left with ``reverse``. Box ``k`` of that order
+    asks ``candidates(k, side, up)`` for an iterator of values to try,
+    where ``side`` is the value of the box filled just before it in its
+    row and ``up`` the value of the box above it, each 0 when that box
+    is absent. The search keeps one iterator per filled box on an
+    explicit stack, so its depth is not bounded by Python recursion.
+    A callback that keeps state updates it just before each value it
+    yields and restores it when resumed.
+    """
+    slots: dict[tuple[int, int], int] = {}
+    side: list[int] = []
+    up: list[int] = []
+    rows: list[slice] = []
+    for r in range(skew.nrows):
+        lo, hi = skew.row_span(r)
+        cols = range(hi - 1, lo - 1, -1) if reverse else range(lo, hi)
+        start, prev = len(side), 0
+        for c in cols:
+            side.append(prev)
+            up.append(slots.get((r - 1, c), 0))
+            slots[r, c] = prev = len(side)
+        end = len(side)
+        rows.append(slice(end, start, -1) if reverse else slice(start + 1, end + 1))
+    n = len(side)
+    values = [0] * (n + 1)  # box k is values[k + 1]; values[0] stays 0 for absent neighbors
+    stack: list[Iterator[int]] = []
+    while True:
+        k = len(stack)
+        if k < n:
+            stack.append(candidates(k, values[side[k]], values[up[k]]))
+        else:
+            yield tuple(tuple(values[s]) for s in rows)
+        while stack:
+            v = next(stack[-1], 0)
+            if v:
+                values[len(stack)] = v
+                break
+            stack.pop()
+        else:
+            return
+
+
 def enumerate_ssyt(shape: Partition | SkewShape, bound: int) -> Iterator[Filling]:
     """All semistandard fillings of ``shape`` with entries in 1..bound.
 
-    Backtracks over boxes in row-reading order with per-box lower bounds
+    Searches boxes in row-reading order with per-box lower bounds
     (left neighbor, upper neighbor plus one), so fillings arrive in
     lexicographic order of their reading word, the iterator is lazy, and
     memory stays proportional to the number of boxes.
@@ -115,62 +163,36 @@ def enumerate_ssyt(shape: Partition | SkewShape, bound: int) -> Iterator[Filling
     if bound < 1:
         raise ValueError(f"entry bound must be at least 1, got {bound}")
     skew = _as_skew(shape)
-    boxes = list(skew.boxes())
-    inner = skew.inner
-    grid = [[0] * (hi - lo) for lo, hi in (skew.row_span(r) for r in range(skew.nrows))]
 
-    def fill(k: int) -> Iterator[Filling]:
-        if k == len(boxes):
-            yield Filling._trusted(skew, tuple(tuple(row) for row in grid))
-            return
-        r, c = boxes[k]
-        off = inner.part(r)
-        low = 1
-        if c > off:
-            low = grid[r][c - 1 - off]
-        if skew.has_box(r - 1, c):
-            low = max(low, grid[r - 1][c - inner.part(r - 1)] + 1)
-        for v in range(low, bound + 1):
-            grid[r][c - off] = v
-            yield from fill(k + 1)
+    def candidates(k: int, left: int, up: int) -> Iterator[int]:
+        return iter(range(max(left, up + 1), bound + 1))
 
-    return fill(0)
+    return (Filling._trusted(skew, rows) for rows in _search(skew, candidates))
 
 
 def enumerate_syt(shape: Partition, *, max_boxes: int = 24) -> Iterator[Filling]:
     """All standard fillings of a straight shape, lexicographic by reading word.
 
-    Same reading-order backtracking as :func:`enumerate_ssyt`, with each
+    Same reading-order search as :func:`enumerate_ssyt`, with each
     value used exactly once and entries capped by how many larger values
     the boxes to the right and below still need.
     """
     if shape.size > max_boxes:
         raise GuardExceededError(f"{shape} has {shape.size} boxes; enumeration guard is {max_boxes}")
     n = shape.size
-    skew = shape.as_skew()
-    boxes = list(shape.boxes())
     conj = shape.conjugate().parts
-    grid = [[0] * p for p in shape.parts]
+    high = [n - (shape.parts[r] - 1 - c) - (conj[c] - 1 - r) for r, c in shape.boxes()]
     used = [False] * (n + 1)
 
-    def fill(k: int) -> Iterator[Filling]:
-        if k == n:
-            yield Filling._trusted(skew, tuple(tuple(row) for row in grid))
-            return
-        r, c = boxes[k]
-        low = 1 if c == 0 else grid[r][c - 1] + 1
-        if r > 0:
-            low = max(low, grid[r - 1][c] + 1)
-        high = n - (shape.parts[r] - 1 - c) - (conj[c] - 1 - r)
-        for v in range(low, high + 1):
-            if used[v]:
-                continue
-            used[v] = True
-            grid[r][c] = v
-            yield from fill(k + 1)
-            used[v] = False
+    def candidates(k: int, left: int, up: int) -> Iterator[int]:
+        for v in range(max(left, up) + 1, high[k] + 1):
+            if not used[v]:
+                used[v] = True
+                yield v
+                used[v] = False
 
-    return fill(0)
+    skew = shape.as_skew()
+    return (Filling._trusted(skew, rows) for rows in _search(skew, candidates))
 
 
 def bender_knuth(filling: Filling, index: int) -> Filling:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .fillings import Filling
+from .fillings import Filling, _search
 from .partitions import Partition, SkewShape
 
 
@@ -53,37 +53,20 @@ def enumerate_lr_fillings(
         return iter(())
     skew = SkewShape(outer, inner)
     mu = content.parts
-    bound = len(mu)
-    boxes: list[tuple[int, int]] = []
-    for r in range(skew.nrows):
-        lo, hi = skew.row_span(r)
-        boxes.extend((r, c) for c in range(hi - 1, lo - 1, -1))
-    grid = [[0] * (hi - lo) for lo, hi in (skew.row_span(r) for r in range(skew.nrows))]
-    counts = [0] * (bound + 1)
+    counts = [content.size] + [0] * len(mu)  # slot 0 never runs short, so 1 is always lattice
 
-    def fill(k: int) -> Iterator[LrWitness]:
-        if k == len(boxes):
-            filling = Filling._trusted(skew, tuple(tuple(row) for row in grid))
-            yield LrWitness(filling, tuple(mu))
-            return
-        r, c = boxes[k]
-        off = skew.inner.part(r)
-        low, high = 1, bound
-        if skew.has_box(r - 1, c):
-            low = grid[r - 1][c - skew.inner.part(r - 1)] + 1
-        if c + 1 < skew.outer.part(r):  # right neighbor is already assigned
-            high = min(high, grid[r][c + 1 - off])
-        for v in range(low, high + 1):
-            if counts[v] >= mu[v - 1]:  # content budget for v exhausted
-                continue
-            if v >= 2 and counts[v] >= counts[v - 1]:  # would break the lattice prefix
-                continue
-            counts[v] += 1
-            grid[r][c - off] = v
-            yield from fill(k + 1)
-            counts[v] -= 1
+    def candidates(k: int, right: int, up: int) -> Iterator[int]:
+        for v in range(up + 1, (right or len(mu)) + 1):
+            # content budget for v left, and one more v keeps the prefix lattice
+            if counts[v] < mu[v - 1] and counts[v] < counts[v - 1]:
+                counts[v] += 1
+                yield v
+                counts[v] -= 1
 
-    return fill(0)
+    return (
+        LrWitness(Filling._trusted(skew, rows), mu)
+        for rows in _search(skew, candidates, reverse=True)
+    )
 
 
 def lr_coefficient(inner: Partition, content: Partition, outer: Partition) -> int:

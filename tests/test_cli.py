@@ -81,6 +81,12 @@ class TestListCommands:
         assert code == 0
         assert out == ". 1\n1 2\n\n. 1\n2 2\n"
 
+    def test_long_rows_do_not_recurse(self, capsys):
+        result = run(capsys, "list-ssyt", "[1200]", "1", "--max-boxes", "1200")
+        assert result == (0, " ".join(["1"] * 1200) + "\n", "")
+        result = run(capsys, "list-syt", "[1000]", "--max-boxes", "1000")
+        assert result == (0, " ".join(str(i) for i in range(1, 1001)) + "\n", "")
+
     def test_list_ssyt_empty_result(self, capsys):
         code, out, _ = run(capsys, "list-ssyt", "[1,1,1,1]", "3")
         assert (code, out) == (0, "\n")
@@ -117,6 +123,9 @@ class TestLr:
 
     def test_size_mismatch(self, capsys):
         assert run(capsys, "lr", "[2,1]", "[1]", "[2]")[:2] == (0, "0\n")
+
+    def test_long_row_does_not_recurse(self, capsys):
+        assert run(capsys, "lr", "[]", "[1200]", "[1200]") == (0, "1\n", "")
 
     def test_verified(self, capsys):
         code, out, _ = run(capsys, "lr", "[2,1]", "[2,1]", "[3,2,1]", "--verify")

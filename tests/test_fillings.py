@@ -14,6 +14,7 @@ from tableaux import (
     enumerate_lr_fillings,
     enumerate_ssyt,
     enumerate_syt,
+    is_lattice,
     partitions_of,
 )
 
@@ -23,7 +24,15 @@ ARBITRARY_FILLING = Filling.from_rows([[2, 1, 1, 4], [6, 2], [4]])
 
 
 def reading_word(filling):
-    return tuple(v for row in filling.rows for v in row)
+    return flat(filling.rows)
+
+
+def flat(rows):
+    return tuple(v for row in rows for v in row)
+
+
+def reverse_flat(rows):
+    return tuple(v for row in rows for v in reversed(row))
 
 
 def brute_force_ssyt(shape, bound):
@@ -45,6 +54,21 @@ def brute_force_ssyt(shape, bound):
             k += hi - lo
         survivors.add(tuple(rows))
     return survivors
+
+
+def brute_force_syt(shape):
+    """Permutations of 1..n cut into the rows of ``shape``, kept when rows and columns increase."""
+    found = []
+    for perm in itertools.permutations(range(1, shape.size + 1)):
+        rows, k = [], 0
+        for part in shape.parts:
+            rows.append(perm[k : k + part])
+            k += part
+        if all(a < b for row in rows for a, b in zip(row, row[1:])) and all(
+            a < b for upper, lower in zip(rows, rows[1:]) for a, b in zip(upper, lower)
+        ):
+            found.append(tuple(rows))
+    return sorted(found, key=flat)
 
 
 def subpartitions(shape):
@@ -175,15 +199,17 @@ class TestEnumerateSsyt:
             for shape in partitions_of(n):
                 for bound in range(1, 5):
                     got = [f.rows for f in enumerate_ssyt(shape, bound)]
-                    assert len(got) == len(set(got)), (shape, bound)
-                    assert set(got) == brute_force_ssyt(shape, bound), (shape, bound)
+                    assert got == sorted(brute_force_ssyt(shape, bound), key=flat), (shape, bound)
 
     def test_matches_brute_force_seven_and_eight_boxes(self):
         for n in (7, 8):
             for shape in partitions_of(n):
                 for bound in (3, 4):
-                    got = {f.rows for f in enumerate_ssyt(shape, bound)}
-                    assert got == brute_force_ssyt(shape, bound), (shape, bound)
+                    got = [f.rows for f in enumerate_ssyt(shape, bound)]
+                    assert got == sorted(brute_force_ssyt(shape, bound), key=flat), (shape, bound)
+
+    def test_long_row_does_not_recurse(self):
+        assert [f.rows for f in enumerate_ssyt(Partition((1200,)), 1)] == [((1,) * 1200,)]
 
     def test_matches_brute_force_skew_shapes(self):
         cases = [
@@ -198,8 +224,7 @@ class TestEnumerateSsyt:
             shape = SkewShape(Partition(outer), Partition(inner))
             for bound in range(1, 5):
                 got = [f.rows for f in enumerate_ssyt(shape, bound)]
-                assert len(got) == len(set(got)), (shape, bound)
-                assert set(got) == brute_force_ssyt(shape, bound), (shape, bound)
+                assert got == sorted(brute_force_ssyt(shape, bound), key=flat), (shape, bound)
 
 
 class TestEnumerateSyt:
@@ -232,6 +257,40 @@ class TestEnumerateSyt:
         with pytest.raises(GuardExceededError):
             enumerate_syt(Partition((25,)))
         assert sum(1 for _ in enumerate_syt(Partition((25,)), max_boxes=25)) == 1
+
+    def test_long_row_does_not_recurse(self):
+        rows = [f.rows for f in enumerate_syt(Partition((1200,)), max_boxes=1200)]
+        assert rows == [(tuple(range(1, 1201)),)]
+
+    def test_matches_brute_force_up_to_seven(self):
+        for n in range(8):
+            for shape in partitions_of(n):
+                got = [f.rows for f in enumerate_syt(shape)]
+                assert got == brute_force_syt(shape), shape
+
+
+class TestEnumerateLrFillings:
+    def test_matches_brute_force_up_to_degree_six(self):
+        # semistandard fillings of outer/inner with entries <= len(content), kept
+        # when the weight is the content and the reverse reading word is lattice
+        for total in range(7):
+            for outer in partitions_of(total):
+                for inner in subpartitions(outer):
+                    skew = SkewShape(outer, inner)
+                    for content in partitions_of(total - inner.size):
+                        bound = len(content.parts)
+                        want = sorted(
+                            (
+                                rows
+                                for rows in brute_force_ssyt(skew, bound)
+                                if tuple(flat(rows).count(i) for i in range(1, bound + 1))
+                                == content.parts
+                                and is_lattice(reverse_flat(rows))
+                            ),
+                            key=reverse_flat,
+                        )
+                        got = [w.filling.rows for w in enumerate_lr_fillings(outer, inner, content)]
+                        assert got == want, (outer, inner, content)
 
 
 class TestBenderKnuth:

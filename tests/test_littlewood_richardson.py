@@ -96,6 +96,9 @@ class TestCoefficient:
     def test_size_mismatch_is_zero(self):
         assert lr_coefficient(LAM, Partition((1,)), Partition((2,))) == 0
 
+    def test_long_row_does_not_recurse(self):
+        assert lr_coefficient(EMPTY, Partition((1200,)), Partition((1200,))) == 1
+
     def test_not_contained_is_zero(self):
         assert lr_coefficient(Partition((3,)), Partition((1,)), Partition((2, 2))) == 0
 
