@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 from .fillings import Filling, bender_knuth, enumerate_ssyt, enumerate_syt
 from .littlewood_richardson import enumerate_lr_fillings, lr_coefficient
@@ -27,8 +27,6 @@ from .polynomials import format_polynomial
 from .rsk import RskPair, format_permutation, inverse_rsk, parse_permutation, rsk, rsk_trace
 from .schur import schur_expand, schur_polynomial
 
-ENUMERATION_GUARD = 20  # default box cap for enumeration-backed commands
-COUNT_GUARD = 100  # default box cap for hook-length counting
 EMPTY_MARK = "(empty)"
 
 
@@ -65,211 +63,142 @@ def _filling_payload(filling: Filling) -> dict:
     return data
 
 
-def _emit(args: argparse.Namespace, payload: dict, text: str) -> None:
-    if args.json:
-        print(json.dumps(payload))
-    else:
-        print(text)
+# A handler returns the JSON fields that follow "command", in output order, and the text form.
+Output = tuple[dict, str]
 
 
-def _guard(args: argparse.Namespace, default: int) -> int:
-    return args.max_boxes if args.max_boxes is not None else default
+def _listing(inputs: dict, fillings: Iterable[Filling]) -> Output:
+    fillings = list(fillings)
+    result = [_filling_payload(f) for f in fillings]
+    return {"inputs": inputs, "result": result}, "\n\n".join(_ascii_block(f) for f in fillings)
 
 
-def _cmd_count_syt(args: argparse.Namespace) -> int:
-    count = count_standard_tableaux(args.shape, max_size=_guard(args, COUNT_GUARD))
-    payload = {
-        "command": "count-syt",
-        "inputs": {"shape": list(args.shape.parts)},
-        "result": count,
-    }
-    _emit(args, payload, str(count))
-    return 0
+def _cmd_count_syt(args: argparse.Namespace) -> Output:
+    count = count_standard_tableaux(args.shape)
+    return {"inputs": {"shape": list(args.shape.parts)}, "result": count}, str(count)
 
 
-def _cmd_list_syt(args: argparse.Namespace) -> int:
-    fillings = list(enumerate_syt(args.shape, max_boxes=_guard(args, ENUMERATION_GUARD)))
-    payload = {
-        "command": "list-syt",
-        "inputs": {"shape": list(args.shape.parts)},
-        "result": [_filling_payload(f) for f in fillings],
-    }
-    _emit(args, payload, "\n\n".join(_ascii_block(f) for f in fillings))
-    return 0
+def _cmd_list_syt(args: argparse.Namespace) -> Output:
+    return _listing({"shape": list(args.shape.parts)}, enumerate_syt(args.shape))
 
 
-def _cmd_list_ssyt(args: argparse.Namespace) -> int:
-    shape = SkewShape(args.shape, args.inner)
-    guard = _guard(args, ENUMERATION_GUARD)
-    if shape.size > guard:
-        raise GuardExceededError(f"{shape} has {shape.size} boxes; guard is {guard}")
-    fillings = list(enumerate_ssyt(shape, args.bound))
-    payload = {
-        "command": "list-ssyt",
-        "inputs": {
-            "shape": list(args.shape.parts),
-            "inner": list(args.inner.parts),
-            "bound": args.bound,
-        },
-        "result": [_filling_payload(f) for f in fillings],
-    }
-    _emit(args, payload, "\n\n".join(_ascii_block(f) for f in fillings))
-    return 0
+def _cmd_list_ssyt(args: argparse.Namespace) -> Output:
+    inputs = {"shape": list(args.shape.parts), "inner": list(args.inner.parts), "bound": args.bound}
+    return _listing(inputs, enumerate_ssyt(SkewShape(args.shape, args.inner), args.bound))
 
 
-def _cmd_schur(args: argparse.Namespace) -> int:
-    guard = _guard(args, ENUMERATION_GUARD)
-    if args.shape.size > guard:
-        raise GuardExceededError(f"{args.shape} has {args.shape.size} boxes; guard is {guard}")
-    payload: dict = {
-        "command": "schur",
-        "inputs": {"shape": list(args.shape.parts), "bound": args.bound},
-    }
+def _cmd_schur(args: argparse.Namespace) -> Output:
+    inputs = {"shape": list(args.shape.parts), "bound": args.bound}
     if args.list_tableaux:
-        fillings = list(enumerate_ssyt(args.shape, args.bound))
-        payload["result"] = [_filling_payload(f) for f in fillings]
-        _emit(args, payload, "\n\n".join(_ascii_block(f) for f in fillings))
-    else:
-        poly = schur_polynomial(args.shape, args.bound)
-        payload["result"] = {
-            "width": args.bound,
-            "terms": [
-                {"exponents": list(exps), "coefficient": coeff}
-                for exps, coeff in poly.sorted_terms()
-            ],
-        }
-        _emit(args, payload, format_polynomial(poly))
-    return 0
+        return _listing(inputs, enumerate_ssyt(args.shape, args.bound))
+    poly = schur_polynomial(args.shape, args.bound)
+    terms = [{"exponents": list(exps), "coefficient": c} for exps, c in poly.sorted_terms()]
+    result = {"width": args.bound, "terms": terms}
+    return {"inputs": inputs, "result": result}, format_polynomial(poly)
 
 
 def _product_expansion(lam: Partition, mu: Partition) -> dict[Partition, int]:
-    """Schur expansion of ``s_lam * s_mu``, the product taken in l(lam) + l(mu) variables.
+    """Schur expansion of ``s_lam * s_mu``, lex-descending.
 
-    That is min(|lam| + |mu|, l(lam) + l(mu)) and loses no coefficient:
-    c^nu_{lam mu} != 0 forces l(nu) <= l(lam) + l(mu), and the expansion in
-    w variables holds every nu of at most w rows.
+    The product is taken in w = min(l(lam) + l(mu), lam_1 + mu_1)
+    variables and loses no coefficient: c^nu_{lam mu} != 0 forces
+    l(nu) <= l(lam) + l(mu) and nu_1 <= lam_1 + mu_1, and the expansion in
+    w variables holds every nu of at most w rows. When lam_1 + mu_1 is the
+    smaller, the conjugates are multiplied instead and each nu is
+    conjugated back: omega(s_lam) = s_lam' (Macdonald I (3.8)).
     """
     width = lam.nrows + mu.nrows
+    if lam.part(0) + mu.part(0) < width:
+        dual = _product_expansion(lam.conjugate(), mu.conjugate())
+        return dict(sorted(((nu.conjugate(), c) for nu, c in dual.items()),
+                           key=lambda item: item[0].parts, reverse=True))
     return schur_expand(schur_polynomial(lam, width) * schur_polynomial(mu, width))
 
 
-def _cmd_lr(args: argparse.Namespace) -> int:
+def _cmd_lr(args: argparse.Namespace) -> Output:
     lam, mu, nu = args.inner, args.content, args.outer
-    payload: dict = {
-        "command": "lr",
-        "inputs": {
-            "lambda": list(lam.parts),
-            "mu": list(mu.parts),
-            "nu": list(nu.parts),
-        },
-    }
+    inputs = {"lambda": list(lam.parts), "mu": list(mu.parts), "nu": list(nu.parts)}
+    fields: dict = {"inputs": inputs}
     if args.witnesses:
         witnesses = list(enumerate_lr_fillings(nu, lam, mu))
+        fields["witnesses"] = [_filling_payload(w.filling) for w in witnesses]
         coeff = len(witnesses)
-        payload["witnesses"] = [_filling_payload(w.filling) for w in witnesses]
     else:
-        witnesses = []
-        coeff = lr_coefficient(lam, mu, nu)
-    payload["result"] = coeff
+        witnesses, coeff = [], lr_coefficient(lam, mu, nu)
+    fields["result"] = coeff
     head = str(coeff)
     if args.verify:
         expected = _product_expansion(lam, mu).get(nu, 0)
         if expected != coeff:
-            print(
-                f"error: rule gives {coeff} but the Schur expansion gives {expected} "
-                f"for {nu}; this is an implementation bug",
-                file=sys.stderr,
-            )
-            return 1
-        payload["verified"] = True
+            raise ValueError(f"rule gives {coeff} but the Schur expansion gives {expected} "
+                             f"for {nu}; this is an implementation bug")
+        fields["verified"] = True
         head = f"{coeff} (verified)"
-    lines = [head]
-    for witness in witnesses:
-        lines.append("")
-        lines.append(_ascii_block(witness.filling))
-    _emit(args, payload, "\n".join(lines))
-    return 0
+    return fields, "\n\n".join([head, *(_ascii_block(w.filling) for w in witnesses)])
 
 
-def _cmd_expand(args: argparse.Namespace) -> int:
+def _cmd_expand(args: argparse.Namespace) -> Output:
     lam, mu = args.left, args.right
-    total = lam.size + mu.size
-    guard = _guard(args, ENUMERATION_GUARD)
-    if total > guard:
-        raise GuardExceededError(f"product has {total} boxes; guard is {guard}")
-    items = list(_product_expansion(lam, mu).items())  # lex-descending, from schur_expand
-    payload = {
-        "command": "expand",
+    items = _product_expansion(lam, mu).items()
+    fields = {
         "inputs": {"lambda": list(lam.parts), "mu": list(mu.parts)},
-        "result": [
-            {"partition": list(nu.parts), "coefficient": coeff} for nu, coeff in items
-        ],
+        "result": [{"partition": list(nu.parts), "coefficient": c} for nu, c in items],
     }
-    text = "\n".join(f"{format_partition(nu)}: {coeff}" for nu, coeff in items)
-    _emit(args, payload, text)
-    return 0
+    return fields, "\n".join(f"{format_partition(nu)}: {c}" for nu, c in items)
 
 
 def _pair_block(insertion: Filling, recording: Filling) -> str:
     return f"T:\n{_ascii_block(insertion)}\nU:\n{_ascii_block(recording)}"
 
 
-def _cmd_rsk(args: argparse.Namespace) -> int:
+def _pair_payload(insertion: Filling, recording: Filling) -> dict:
+    return {"insertion": _filling_payload(insertion), "recording": _filling_payload(recording)}
+
+
+def _cmd_rsk(args: argparse.Namespace) -> Output:
     if args.invert:
         if len(args.items) != 2:
             raise ValueError("--invert needs exactly two row strings: T U")
-        insertion = Filling.from_rows(_parse_rows(args.items[0]))
-        recording = Filling.from_rows(_parse_rows(args.items[1]))
+        insertion, recording = (Filling.from_rows(_parse_rows(item)) for item in args.items)
         perm = inverse_rsk(RskPair(insertion, recording))
-        payload = {
-            "command": "rsk",
-            "inputs": {
-                "insertion": _filling_payload(insertion),
-                "recording": _filling_payload(recording),
-            },
-            "result": list(perm.images),
-        }
-        _emit(args, payload, format_permutation(perm))
-        return 0
+        inputs = _pair_payload(insertion, recording)
+        return {"inputs": inputs, "result": list(perm.images)}, format_permutation(perm)
     if len(args.items) != 1:
         raise ValueError("expected exactly one permutation argument")
     perm = parse_permutation(args.items[0])
-    payload = {"command": "rsk", "inputs": {"permutation": list(perm.images)}}
-    if args.trace:
-        steps = rsk_trace(perm)
-        payload["trace"] = [
-            {"insertion": _filling_payload(t), "recording": _filling_payload(u)}
-            for t, u in steps
-        ]
-        payload["result"] = payload["trace"][-1]
-        text = "\n\n".join(
-            f"step {k}:\n{_pair_block(t, u)}" for k, (t, u) in enumerate(steps)
-        )
-        _emit(args, payload, text)
-    else:
+    fields: dict = {"inputs": {"permutation": list(perm.images)}}
+    if not args.trace:
         pair = rsk(perm)
-        payload["result"] = {
-            "insertion": _filling_payload(pair.insertion),
-            "recording": _filling_payload(pair.recording),
-        }
-        _emit(args, payload, _pair_block(pair.insertion, pair.recording))
-    return 0
+        fields["result"] = _pair_payload(pair.insertion, pair.recording)
+        return fields, _pair_block(pair.insertion, pair.recording)
+    steps = rsk_trace(perm)
+    fields["trace"] = [_pair_payload(t, u) for t, u in steps]
+    fields["result"] = fields["trace"][-1]
+    return fields, "\n\n".join(f"step {k}:\n{_pair_block(t, u)}" for k, (t, u) in enumerate(steps))
 
 
-def _cmd_bk(args: argparse.Namespace) -> int:
+def _cmd_bk(args: argparse.Namespace) -> Output:
     filling = Filling.from_rows(_parse_rows(args.rows), args.inner)
     result = bender_knuth(filling, args.index)
-    payload = {
-        "command": "bk",
-        "inputs": {
-            "rows": [list(row) for row in filling.rows],
-            "inner": list(args.inner.parts),
-            "index": args.index,
-        },
-        "result": _filling_payload(result),
+    inputs = {
+        "rows": [list(row) for row in filling.rows],
+        "inner": list(args.inner.parts),
+        "index": args.index,
     }
-    _emit(args, payload, _ascii_block(result))
-    return 0
+    return {"inputs": inputs, "result": _filling_payload(result)}, _ascii_block(result)
+
+
+# Subcommand -> (default box limit, boxes the request asks for, or None when unguarded).
+# main checks it once before dispatch; --max-boxes replaces the default. The library
+# itself carries no size policy.
+GUARDS: dict[str, tuple[int, Callable[[argparse.Namespace], int | None]]] = {
+    "count-syt": (100, lambda args: args.shape.size),
+    "list-syt": (20, lambda args: args.shape.size),
+    "list-ssyt": (20, lambda args: SkewShape(args.shape, args.inner).size),
+    "schur": (20, lambda args: args.shape.size),
+    "expand": (20, lambda args: args.left.size + args.right.size),
+    "lr": (20, lambda args: args.inner.size + args.content.size if args.verify else None),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -364,10 +293,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        if args.command in GUARDS:
+            default, boxes_of = GUARDS[args.command]
+            limit = default if args.max_boxes is None else args.max_boxes
+            boxes = boxes_of(args)
+            if boxes is not None and boxes > limit:
+                raise GuardExceededError(
+                    f"{args.command} asks for {boxes} boxes; guard is {limit} (see --max-boxes)"
+                )
+        fields, text = args.handler(args)
     except ValueError as exc:  # all library errors derive from ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    print(json.dumps({"command": args.command, **fields}) if args.json else text)
+    return 0

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
-from .partitions import GuardExceededError, Partition, SkewShape
+from .partitions import Partition, SkewShape
 
 
 class EntryExceedsBoundError(ValueError):
@@ -170,15 +170,13 @@ def enumerate_ssyt(shape: Partition | SkewShape, bound: int) -> Iterator[Filling
     return (Filling._trusted(skew, rows) for rows in _search(skew, candidates))
 
 
-def enumerate_syt(shape: Partition, *, max_boxes: int = 24) -> Iterator[Filling]:
+def enumerate_syt(shape: Partition) -> Iterator[Filling]:
     """All standard fillings of a straight shape, lexicographic by reading word.
 
     Same reading-order search as :func:`enumerate_ssyt`, with each
     value used exactly once and entries capped by how many larger values
     the boxes to the right and below still need.
     """
-    if shape.size > max_boxes:
-        raise GuardExceededError(f"{shape} has {shape.size} boxes; enumeration guard is {max_boxes}")
     n = shape.size
     conj = shape.conjugate().parts
     high = [n - (shape.parts[r] - 1 - c) - (conj[c] - 1 - r) for r, c in shape.boxes()]

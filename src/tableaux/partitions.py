@@ -20,7 +20,7 @@ class NotContainedError(ValueError):
 
 
 class GuardExceededError(ValueError):
-    """Operation would exceed its configured size guard."""
+    """Request exceeds the box guard of its ``tableaux`` subcommand (see ``--max-boxes``)."""
 
 
 Box = tuple[int, int]  # (row, col), 0-based, English notation: row 0 on top
@@ -148,7 +148,7 @@ class SkewShape:
                 yield (r, c)
 
 
-def count_standard_tableaux(shape: Partition, *, max_size: int = 100) -> int:
+def count_standard_tableaux(shape: Partition) -> int:
     """Number of standard fillings of ``shape``, via the hook-length product.
 
     Accumulates |shape|! / prod(hooks) one exact factor at a time so
@@ -156,8 +156,6 @@ def count_standard_tableaux(shape: Partition, *, max_size: int = 100) -> int:
     leftover denominator means the hook computation is broken and raises
     rather than returning garbage.
     """
-    if shape.size > max_size:
-        raise GuardExceededError(f"{shape} has {shape.size} boxes; counting guard is {max_size}")
     acc = Fraction(1)
     for k, hook in zip(range(1, shape.size + 1), shape.hooks()):
         acc *= Fraction(k, hook)

@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import tableaux.cli
+from tableaux import Partition, format_partition, partitions_of, schur_expand, schur_polynomial
 from tableaux.cli import main
 
 SCHUR_21_IN_THREE_VARS = (
@@ -141,6 +146,29 @@ class TestLr:
         assert code == 0
         assert out == "2\n\n. . 1\n. 1\n2\n\n. . 1\n. 2\n1\n"
 
+    def test_verify_is_guarded_and_plain_lr_is_not(self, capsys):
+        code, out, err = run(capsys, "lr", "[11]", "[10]", "[21]", "--verify")
+        assert (code, out) == (1, "") and err.startswith("error: ")
+        result = run(capsys, "lr", "[11]", "[10]", "[21]", "--verify", "--max-boxes", "21")
+        assert result == (0, "1 (verified)\n", "")
+        assert run(capsys, "lr", "[11]", "[10]", "[21]") == (0, "1\n", "")
+        assert run(capsys, "lr", "[]", "[1200]", "[1200]") == (0, "1\n", "")
+
+    def test_json_raw_text(self, capsys):
+        argv = ["lr", "[2,1]", "[2,1]", "[3,2,1]", "--witnesses", "--verify", "--json"]
+        assert run(capsys, *argv) == (0, (
+            '{"command": "lr", "inputs": {"lambda": [2, 1], "mu": [2, 1], "nu": [3, 2, 1]}, '
+            '"witnesses": [{"rows": [[1], [1], [2]], "outer": [3, 2, 1], "inner": [2, 1]}, '
+            '{"rows": [[1], [2], [1]], "outer": [3, 2, 1], "inner": [2, 1]}], '
+            '"result": 2, "verified": true}\n'
+        ), "")
+
+    def test_verify_mismatch_is_an_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(tableaux.cli, "lr_coefficient", lambda lam, mu, nu: 3)
+        code, out, err = run(capsys, "lr", "[2,1]", "[2,1]", "[3,2,1]", "--verify")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: rule gives 3 but the Schur expansion gives 2")
+
     def test_json_with_witnesses(self, capsys):
         _, out, _ = run(capsys, "lr", "[2,1]", "[2,1]", "[3,2,1]", "--witnesses", "--json")
         payload = json.loads(out)
@@ -179,6 +207,30 @@ class TestExpand:
         code, _, err = run(capsys, "expand", "[11]", "[10]")
         assert code == 1 and "error" in err
 
+    def test_tall_columns_are_quick(self, capsys):
+        # lam_1 + mu_1 = 2 < l(lam) + l(mu) = 16: expanded through the conjugates in 2 variables
+        column = "[" + ",".join(["1"] * 8) + "]"
+        code, out, _ = run(capsys, "expand", column, column)
+        assert code == 0
+        assert out.splitlines() == [
+            format_partition(Partition((2,) * k + (1,) * (16 - 2 * k))) + ": 1"
+            for k in range(8, -1, -1)
+        ]
+
+    def test_json_matches_full_width_expansion_up_to_six(self, capsys):
+        for n in range(7):
+            for k in range(n + 1):
+                for lam in partitions_of(k):
+                    for mu in partitions_of(n - k):
+                        _, out, _ = run(
+                            capsys, "expand", format_partition(lam), format_partition(mu), "--json"
+                        )
+                        full = schur_expand(schur_polynomial(lam, n) * schur_polynomial(mu, n))
+                        assert json.loads(out)["result"] == [
+                            {"partition": list(nu.parts), "coefficient": c}
+                            for nu, c in full.items()
+                        ], (lam, mu)
+
 
 class TestRsk:
     def test_worked_example(self, capsys):
@@ -215,6 +267,15 @@ class TestRsk:
     def test_invalid_notation(self, capsys):
         code, _, err = run(capsys, "rsk", "2145")
         assert code == 1 and "error" in err
+
+    def test_trace_json_raw_text(self, capsys):
+        assert run(capsys, "rsk", "21", "--trace", "--json") == (0, (
+            '{"command": "rsk", "inputs": {"permutation": [2, 1]}, "trace": ['
+            '{"insertion": {"rows": []}, "recording": {"rows": []}}, '
+            '{"insertion": {"rows": [[2]]}, "recording": {"rows": [[1]]}}, '
+            '{"insertion": {"rows": [[1], [2]]}, "recording": {"rows": [[1], [2]]}}], '
+            '"result": {"insertion": {"rows": [[1], [2]]}, "recording": {"rows": [[1], [2]]}}}\n'
+        ), "")
 
     def test_json(self, capsys):
         _, out, _ = run(capsys, "rsk", "21453", "--json")
@@ -266,3 +327,59 @@ class TestGlobalBehavior:
         assert code == 1
         assert out == ""
         assert err != ""
+
+
+def _word(strategy):
+    return strategy.map(lambda arg: [arg])
+
+
+def _maybe(*args):
+    return st.sampled_from([[], list(args)])
+
+
+def _argv(*chunks):
+    return st.tuples(*chunks).map(lambda parts: [arg for part in parts for arg in part])
+
+
+SHAPE = _word(st.sampled_from([format_partition(p) for n in range(9) for p in partitions_of(n)]))
+FACTOR = _word(st.sampled_from([format_partition(p) for n in range(5) for p in partitions_of(n)]))
+BOUND = _word(st.integers(0, 4).map(str))
+INNER = st.one_of(st.just([]), SHAPE.map(lambda shape: ["--inner", *shape]))
+ROWS = _word(st.lists(st.lists(st.integers(1, 4), min_size=1, max_size=3), max_size=3).map(
+    lambda rows: "/".join(",".join(map(str, row)) for row in rows)
+))
+PERMUTATION = _word(
+    st.integers(0, 8).flatmap(lambda n: st.permutations(range(1, n + 1))).map(
+        lambda perm: "".join(map(str, perm))
+    )
+    | st.text("0123456789,", max_size=6)
+)
+# Every subcommand with parseable arguments: shapes of at most 8 boxes (factors of at
+# most 4, so products stay within 8), bounds at most 4, filling rows mostly invalid.
+SMALL_ARGV = _argv(
+    st.one_of(
+        _argv(st.just(["count-syt"]), SHAPE),
+        _argv(st.just(["list-syt"]), SHAPE),
+        _argv(st.just(["list-ssyt"]), SHAPE, BOUND, INNER),
+        _argv(st.just(["schur"]), SHAPE, BOUND, _maybe("--list")),
+        _argv(st.just(["lr"]), FACTOR, FACTOR, SHAPE, _maybe("--witnesses"), _maybe("--verify")),
+        _argv(st.just(["expand"]), FACTOR, FACTOR),
+        _argv(st.just(["rsk"]), PERMUTATION, _maybe("--trace")),
+        _argv(st.just(["rsk", "--invert"]), ROWS, ROWS),
+        _argv(st.just(["bk"]), ROWS, BOUND, INNER),
+    ),
+    _maybe("--json"),
+    st.one_of(st.just([]), st.integers(0, 8).map(lambda n: ["--max-boxes", str(n)])),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(SMALL_ARGV)
+def test_every_command_answers_or_fails_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1)
+    if code == 1:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ")

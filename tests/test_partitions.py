@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 
 from tableaux import (
     EMPTY,
-    GuardExceededError,
     InvalidBoxError,
     NotContainedError,
     NotWeaklyDecreasingError,
@@ -180,10 +179,7 @@ class TestCountStandard:
             assert total == math.factorial(n)
 
     def test_size_guard(self):
-        big = Partition((101,))
-        with pytest.raises(GuardExceededError):
-            count_standard_tableaux(big)
-        assert count_standard_tableaux(big, max_size=101) == 1
+        assert count_standard_tableaux(Partition((101,))) == 1
 
 
 class TestPartitionsOf:
