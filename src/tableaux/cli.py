@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Callable, Iterable, Sequence
 
@@ -307,5 +308,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:  # all library errors derive from ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(json.dumps({"command": args.command, **fields}) if args.json else text)
+    try:
+        print(json.dumps({"command": args.command, **fields}) if args.json else text, flush=True)
+    except BrokenPipeError:  # the reader left early, as `| head` does
+        # stdout's buffer still holds the rest; send it to devnull so the flush at exit stays quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     return 0

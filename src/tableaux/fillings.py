@@ -119,35 +119,39 @@ def _search(
     A callback that keeps state updates it just before each value it
     yields and restores it when resumed.
     """
-    slots: dict[tuple[int, int], int] = {}
+    outer, inner = skew.outer.parts, skew.inner.parts
+    # slot of the last box filled in each column: the box above, since skew columns are contiguous
+    last = [0] * (outer[0] if outer else 0)
     side: list[int] = []
     up: list[int] = []
     rows: list[slice] = []
-    for r in range(skew.nrows):
-        lo, hi = skew.row_span(r)
+    for r, hi in enumerate(outer):
+        lo = inner[r] if r < len(inner) else 0
         cols = range(hi - 1, lo - 1, -1) if reverse else range(lo, hi)
         start, prev = len(side), 0
         for c in cols:
             side.append(prev)
-            up.append(slots.get((r - 1, c), 0))
-            slots[r, c] = prev = len(side)
+            up.append(last[c])
+            last[c] = prev = len(side)
         end = len(side)
         rows.append(slice(end, start, -1) if reverse else slice(start + 1, end + 1))
     n = len(side)
     values = [0] * (n + 1)  # box k is values[k + 1]; values[0] stays 0 for absent neighbors
     stack: list[Iterator[int]] = []
+    k = 0  # iterators on the stack, which is also the next box to fill
     while True:
-        k = len(stack)
         if k < n:
             stack.append(candidates(k, values[side[k]], values[up[k]]))
+            k += 1
         else:
             yield tuple(tuple(values[s]) for s in rows)
-        while stack:
+        while k:
             v = next(stack[-1], 0)
             if v:
-                values[len(stack)] = v
+                values[k] = v
                 break
             stack.pop()
+            k -= 1
         else:
             return
 

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from itertools import accumulate, zip_longest
+from typing import Iterable, Iterator, Sequence
 
 from .fillings import Filling, _search
 from .partitions import Partition, SkewShape
@@ -42,21 +43,39 @@ def enumerate_lr_fillings(
 
     Yields the semistandard fillings of outer/inner whose reverse
     reading word is a lattice word and whose weight equals ``content``,
-    in lexicographic order of that word. Empty when containment fails or
-    the box counts cannot balance.
+    in lexicographic order of that word. Empty when containment fails,
+    the box counts cannot balance, or ``outer`` lies outside the
+    dominance window inner ∪ content ⊴ outer ⊴ inner + content.
 
     Boxes are assigned in reverse reading order, so the lattice
     condition and the content budget prune the search as prefixes
-    instead of filtering finished fillings.
+    instead of filtering finished fillings. The box in row r caps its
+    value at r + 1 (a v needs a v - 1 read earlier, and the entries to
+    its right are at least v, so that v - 1 sits in a higher row) and at
+    len(content) minus the boxes below it in its column (they hold
+    strictly larger values).
     """
+    lam, mu, nu = inner.parts, content.parts, outer.parts
     if not outer.contains(inner) or outer.size - inner.size != content.size:
         return iter(())
+    # the lower bound is the upper one for conjugates: c^ν_{λμ} = c^ν′_{λ′μ′}, (λ ∪ μ)′ = λ′ + μ′
+    row_sum = [p + q for p, q in zip_longest(lam, mu, fillvalue=0)]
+    if not _dominates(row_sum, nu) or not _dominates(nu, sorted(lam + mu, reverse=True)):
+        return iter(())
     skew = SkewShape(outer, inner)
-    mu = content.parts
-    counts = [content.size] + [0] * len(mu)  # slot 0 never runs short, so 1 is always lattice
+    m = len(mu)
+    height: list[int] = []  # column lengths of outer, read from the rows bottom up
+    for r in range(len(nu) - 1, -1, -1):
+        height += [r + 1] * (nu[r] - len(height))
+    cap = [
+        min(r + 1, m - (height[c] - 1 - r))
+        for r, hi in enumerate(nu)
+        for c in range(hi - 1, (lam[r] if r < len(lam) else 0) - 1, -1)
+    ]
+    counts = [content.size] + [0] * m  # slot 0 never runs short, so 1 is always lattice
 
     def candidates(k: int, right: int, up: int) -> Iterator[int]:
-        for v in range(up + 1, (right or len(mu)) + 1):
+        for v in range(up + 1, min(right or m, cap[k]) + 1):
             # content budget for v left, and one more v keeps the prefix lattice
             if counts[v] < mu[v - 1] and counts[v] < counts[v - 1]:
                 counts[v] += 1
@@ -67,6 +86,16 @@ def enumerate_lr_fillings(
         LrWitness(Filling._trusted(skew, rows), mu)
         for rows in _search(skew, candidates, reverse=True)
     )
+
+
+def _dominates(big: Sequence[int], small: Sequence[int]) -> bool:
+    """``small`` ⊴ ``big`` in dominance order, for partitions of one size.
+
+    Partial sums are compared up to the shorter length only. Past it
+    nothing new can fail: a shorter ``big`` has reached the total, and a
+    shorter ``small`` already failed at its last part.
+    """
+    return all(b >= s for b, s in zip(accumulate(big), accumulate(small)))
 
 
 def lr_coefficient(inner: Partition, content: Partition, outer: Partition) -> int:

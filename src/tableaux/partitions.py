@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import factorial, prod
 from typing import Iterator
 
 
@@ -51,6 +51,13 @@ class Partition:
             )
         object.__setattr__(self, "parts", cleaned)
 
+    @classmethod
+    def _trusted(cls, parts: tuple[int, ...]) -> "Partition":
+        # internal: parts already a weakly decreasing tuple of positive ints
+        partition = object.__new__(cls)
+        object.__setattr__(partition, "parts", parts)
+        return partition
+
     def __repr__(self):
         return f"Partition({list(self.parts)})"
 
@@ -72,14 +79,16 @@ class Partition:
 
     def contains(self, other: "Partition") -> bool:
         """True iff ``other``'s diagram fits inside this one, row by row."""
-        return all(q <= self.part(r) for r, q in enumerate(other.parts))
+        return len(other.parts) <= len(self.parts) and all(
+            q <= p for p, q in zip(self.parts, other.parts)
+        )
 
     def conjugate(self) -> "Partition":
         """Transpose of the diagram: column lengths become row lengths."""
         if not self.parts:
             return self
         width = self.parts[0]
-        return Partition(tuple(sum(1 for p in self.parts if p > c) for c in range(width)))
+        return Partition._trusted(tuple(sum(1 for p in self.parts if p > c) for c in range(width)))
 
     def boxes(self) -> Iterator[Box]:
         """Box coordinates in row-reading order."""
@@ -151,17 +160,14 @@ class SkewShape:
 def count_standard_tableaux(shape: Partition) -> int:
     """Number of standard fillings of ``shape``, via the hook-length product.
 
-    Accumulates |shape|! / prod(hooks) one exact factor at a time so
-    intermediates stay small. The quotient is always an integer; a
-    leftover denominator means the hook computation is broken and raises
-    rather than returning garbage.
+    One exact integer division |shape|! / prod(hooks). The quotient is
+    always an integer; a remainder means the hook computation is broken
+    and raises rather than returning garbage.
     """
-    acc = Fraction(1)
-    for k, hook in zip(range(1, shape.size + 1), shape.hooks()):
-        acc *= Fraction(k, hook)
-    if acc.denominator != 1:
+    count, rest = divmod(factorial(shape.size), prod(shape.hooks()))
+    if rest:
         raise ArithmeticError(f"hook product does not divide {shape.size}! for {shape}")
-    return acc.numerator
+    return count
 
 
 def partitions_of(n: int) -> Iterator[Partition]:
@@ -178,7 +184,7 @@ def partitions_of(n: int) -> Iterator[Partition]:
         return
     parts = [n]
     while True:
-        yield Partition(tuple(parts))
+        yield Partition._trusted(tuple(parts))
         i = len(parts) - 1
         while i >= 0 and parts[i] == 1:
             i -= 1

@@ -1,6 +1,10 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -327,6 +331,23 @@ class TestGlobalBehavior:
         assert code == 1
         assert out == ""
         assert err != ""
+
+    def test_closed_pipe_exits_without_traceback(self):
+        # about 470 kB of text, far more than a pipe buffers, so the writer
+        # is still printing when the reader closes its end
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "tableaux", "list-syt", "[5,4,3,1]"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert proc.stdout.readline() == b"1 2 3 4 5\n"
+        proc.stdout.close()
+        code = proc.wait(timeout=60)
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert code == 1
+        assert "Traceback" not in err and "Exception ignored" not in err
 
 
 def _word(strategy):

@@ -1,8 +1,11 @@
+from math import comb
+
 from tableaux import (
     EMPTY,
     Filling,
     Partition,
     SkewShape,
+    count_standard_tableaux,
     enumerate_lr_fillings,
     is_lattice,
     lr_coefficient,
@@ -122,6 +125,18 @@ class TestCoefficient:
                                 mu,
                                 nu,
                             )
+
+    def test_table_identity_through_eleven_boxes(self):
+        # sum_nu c^nu_{lam mu} f^nu = C(n, |lam|) f^lam f^mu counts the standard
+        # fillings of the product both ways; every term is >= 0, so a pruning
+        # rule that loses a witness anywhere in a table leaves the sum short
+        f = count_standard_tableaux
+        for total in range(12):
+            for a in range(total + 1):
+                for lam in partitions_of(a):
+                    for mu in partitions_of(total - a):
+                        lhs = sum(lr_coefficient(lam, mu, nu) * f(nu) for nu in partitions_of(total))
+                        assert lhs == comb(total, a) * f(lam) * f(mu), (lam, mu)
 
     def test_symmetric_in_first_two_arguments(self):
         # not obvious from the rule itself; holds because the product commutes

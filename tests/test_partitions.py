@@ -117,6 +117,13 @@ class TestConjugate:
     def test_single_row(self):
         assert Partition((4,)).conjugate() == Partition((1, 1, 1, 1))
 
+    def test_equals_its_validated_rebuild(self):
+        for n in range(11):
+            for shape in partitions_of(n):
+                conj = shape.conjugate()
+                assert conj == Partition(list(conj.parts))
+                assert hash(conj) == hash(Partition(list(conj.parts)))
+
     @given(partitions())
     def test_involution(self, shape):
         assert shape.conjugate().conjugate() == shape
@@ -181,6 +188,17 @@ class TestCountStandard:
     def test_size_guard(self):
         assert count_standard_tableaux(Partition((101,))) == 1
 
+    def test_two_rows_give_catalan_number(self):
+        n = 50
+        assert count_standard_tableaux(Partition((n, n))) == math.comb(2 * n, n) // (n + 1)
+
+    def test_wrong_hooks_raise(self, monkeypatch):
+        # every hook one too long: 7! = 5040 is no multiple of 7*5*3*2*4*2*2 = 6720
+        true_hooks = Partition.hooks
+        monkeypatch.setattr(Partition, "hooks", lambda self: (h + 1 for h in true_hooks(self)))
+        with pytest.raises(ArithmeticError):
+            count_standard_tableaux(Partition((4, 2, 1)))
+
 
 class TestPartitionsOf:
     def test_zero(self):
@@ -202,6 +220,12 @@ class TestPartitionsOf:
         assert len(shapes) == len(set(shapes)) == partition_count_oracle(n, n)
         assert all(shape.size == n for shape in shapes)
         assert shapes == sorted(shapes, key=lambda s: s.parts, reverse=True)
+
+    def test_yields_equal_their_validated_rebuild(self):
+        for n in range(13):
+            for shape in partitions_of(n):
+                assert shape == Partition(list(shape.parts))
+                assert hash(shape) == hash(Partition(list(shape.parts)))
 
 
 class TestSkewShape:
