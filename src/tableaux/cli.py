@@ -8,6 +8,7 @@ and golden-tested.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -293,8 +294,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Built on the first call to main, not at import, and only read after that. Every
+    # default is immutable (EMPTY, False, None, SUPPRESS), so no parse leaks into the next.
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command in GUARDS:
             default, boxes_of = GUARDS[args.command]

@@ -65,15 +65,23 @@ class Filling:
         return self.rows[row][col - self.shape.inner.part(row)]
 
     def is_semistandard(self) -> bool:
-        """Rows weakly increase left to right; columns strictly increase downward."""
-        for row in self.rows:
+        """Rows weakly increase left to right; columns strictly increase downward.
+
+        Columns are checked one pair of adjacent rows at a time, on the
+        slices over their shared columns.
+        """
+        rows = self.rows
+        for row in rows:
             for a, b in zip(row, row[1:]):
                 if a > b:
                     return False
-        shape = self.shape
-        for r, c in shape.boxes():
-            if shape.has_box(r - 1, c) and self.entry(r - 1, c) >= self.entry(r, c):
-                return False
+        inner = self.shape.inner
+        for r in range(1, len(rows)):
+            # rows r-1 and r share columns inner[r-1] (>= inner[r]) up to outer[r] (<= outer[r-1]),
+            # so the slice of row r starts that many boxes in and zip stops at the shorter one
+            for a, b in zip(rows[r - 1], rows[r][inner.part(r - 1) - inner.part(r):]):
+                if a >= b:
+                    return False
         return True
 
     def is_standard(self) -> bool:

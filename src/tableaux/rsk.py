@@ -123,11 +123,19 @@ def rsk(perm: Permutation | Sequence[int]) -> RskPair:
 
 
 def rsk_trace(perm: Permutation | Sequence[int]) -> list[tuple[Filling, Filling]]:
-    """(insertion, recording) snapshots after 0, 1, ..., n insertions."""
-    return [
-        (Filling.from_rows(insertion), Filling.from_rows(recording))
-        for insertion, recording in _steps(_as_permutation(perm))
-    ]
+    """(insertion, recording) snapshots after 0, 1, ..., n insertions.
+
+    Each snapshot copies the live rows into a trusted filling, not
+    validated again: row insertion keeps the insertion tableau
+    increasing with distinct entries and the recording tableau standard,
+    on one straight shape.
+    """
+    trace = []
+    for insertion, recording in _steps(_as_permutation(perm)):
+        shape = Partition._trusted(tuple(map(len, insertion))).as_skew()
+        trace.append((Filling._trusted(shape, tuple(map(tuple, insertion))),
+                      Filling._trusted(shape, tuple(map(tuple, recording)))))
+    return trace
 
 
 def inverse_rsk(pair: RskPair) -> Permutation:

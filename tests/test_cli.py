@@ -10,8 +10,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import tableaux.cli
-from tableaux import Partition, format_partition, partitions_of, schur_expand, schur_polynomial
-from tableaux.cli import main
+from tableaux import (
+    Filling,
+    Partition,
+    SkewShape,
+    format_partition,
+    partitions_of,
+    schur_expand,
+    schur_polynomial,
+)
+from tableaux.cli import _parse_rows, build_parser, main
 
 SCHUR_21_IN_THREE_VARS = (
     "1 * x1^2 x2 + 1 * x1^2 x3 + 1 * x1 x2^2 + 2 * x1 x2 x3"
@@ -23,6 +31,33 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def outcome(argv):
+    """Exit code, stdout and stderr of one in-process call, argparse exits included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+REUSE_SEQUENCE = [
+    ["lr", "[2,1]"],  # argparse refuses: exit 2
+    ["rsk", "2145"],  # the library raises ValueError: exit 1
+    ["list-ssyt", "[21]", "1"],  # guard refusal
+    ["list-syt", "[21]", "--max-boxes", "21"],
+    ["list-syt", "[21]"],  # the override above must not persist
+    ["list-ssyt", "[2,2]", "2", "--inner", "[1]"],
+    ["list-ssyt", "[3,1]", "2", "--inner", "[1]"],
+    ["list-ssyt", "[3,1]", "2"],  # the inner shape above must not persist
+    ["--json", "count-syt", "[2,1]"],
+    ["count-syt", "[2,1]", "--json"],
+    ["count-syt", "[2,1]"],  # --json above must not persist
+    ["rsk", "--invert", "1,3,5/2,4", "1,3,4/2,5"],
+]
 
 
 class TestCountSyt:
@@ -332,6 +367,26 @@ class TestGlobalBehavior:
         assert out == ""
         assert err != ""
 
+    def test_one_parser_serves_every_call(self):
+        # the cached parser, reused across the whole sequence, must answer each argv as a
+        # parser built just for it does; overrides and flags must not carry over
+        reused = [outcome(argv) for argv in REUSE_SEQUENCE]
+        fresh = []
+        for argv in REUSE_SEQUENCE:
+            tableaux.cli._parser.cache_clear()
+            fresh.append(outcome(argv))
+        assert reused == fresh
+        assert [code for code, _, _ in reused] == [2, 1, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0]
+        assert reused[3][1] == " ".join(str(i) for i in range(1, 22)) + "\n"
+        assert reused[4][2].startswith("error: list-syt asks for 21 boxes; guard is 20")
+        assert reused[6][1] != reused[7][1]
+        assert reused[8] == reused[9] and reused[10][1] != reused[8][1]
+        assert reused[11][1] == "21453\n"
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert build_parser() is not build_parser()
+        assert tableaux.cli._parser() is tableaux.cli._parser()
+
     def test_closed_pipe_exits_without_traceback(self):
         # about 470 kB of text, far more than a pipe buffers, so the writer
         # is still printing when the reader closes its end
@@ -394,13 +449,37 @@ SMALL_ARGV = _argv(
 )
 
 
-@settings(max_examples=300, deadline=None)
+# The slowest example measured took 16 ms (lr [3,1] [2,1,1] [6,1,1] --witnesses --verify
+# --json, cold schur_polynomial cache; 14549 argvs of the listing, lr --verify and expand
+# families below timed one by one); 250 ms is over 15 times that.
+@settings(max_examples=300, deadline=250)
 @given(SMALL_ARGV)
 def test_every_command_answers_or_fails_cleanly(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+    code, out, err = outcome(argv)
     assert code in (0, 1)
     if code == 1:
-        assert out.getvalue() == ""
-        assert err.getvalue().startswith("error: ")
+        assert out == ""
+        assert err.startswith("error: ")
+
+
+@st.composite
+def fillings(draw):
+    """A filling of a straight or skew shape of at least one box; entries need not be ordered.
+
+    A one-row filling of no boxes renders as "", which parses to no rows at all.
+    """
+    outer = draw(st.sampled_from([p for n in range(1, 9) for p in partitions_of(n)]))
+    inner = draw(st.sampled_from(
+        [p for k in range(outer.size) for p in partitions_of(k) if outer.contains(p)]
+    ))
+    skew = SkewShape(outer, inner)
+    rows = [draw(st.lists(st.integers(1, 20), min_size=hi - lo, max_size=hi - lo))
+            for lo, hi in map(skew.row_span, range(skew.nrows))]
+    return Filling(skew, rows)
+
+
+@given(fillings())
+def test_rows_string_round_trip(filling):
+    text = "/".join(",".join(map(str, row)) for row in filling.rows)
+    assert _parse_rows(text) == filling.rows
+    assert Filling.from_rows(_parse_rows(text), filling.shape.inner) == filling

@@ -116,7 +116,87 @@ class TestStructure:
         assert SEMISTANDARD_EXAMPLE.to_ascii() == "1 2 2 4\n2 3\n4"
 
 
+def per_box_semistandard(filling):
+    """Reference: rows weakly increase, and each box exceeds the box above it, looked up box by box."""
+    for row in filling.rows:
+        for a, b in zip(row, row[1:]):
+            if a > b:
+                return False
+    shape = filling.shape
+    for r, c in shape.boxes():
+        if shape.has_box(r - 1, c) and filling.entry(r - 1, c) >= filling.entry(r, c):
+            return False
+    return True
+
+
+def per_box_standard(filling):
+    entries = sorted(v for row in filling.rows for v in row)
+    return entries == list(range(1, filling.shape.size + 1)) and per_box_semistandard(filling)
+
+
+def fillings_of(skew, values):
+    """Every filling of ``skew`` whose reading word is one of ``values``."""
+    spans = [skew.row_span(r) for r in range(skew.nrows)]
+    for word in values:
+        rows, k = [], 0
+        for lo, hi in spans:
+            rows.append(word[k : k + hi - lo])
+            k += hi - lo
+        yield Filling(skew, tuple(rows))
+
+
+def skew_shapes(max_boxes):
+    """Every straight and skew shape whose outer diagram has at most ``max_boxes`` boxes."""
+    return [SkewShape(outer, inner) for n in range(max_boxes + 1)
+            for outer in partitions_of(n) for inner in subpartitions(outer)]
+
+
+# skew shapes with a row that shares no column with the row above it, each with a
+# filling that is semistandard although that row's entries are smaller than those above
+NO_OVERLAP = [
+    ((3, 1), (2,), [[2], [1]]),
+    ((4, 2), (3, 1), [[2], [1]]),
+    ((5, 1, 1), (4,), [[3], [1], [2]]),
+]
+
+
 class TestValidators:
+    def test_row_slices_match_per_box_reference_exhaustively(self):
+        checked = 0
+        for skew in skew_shapes(7):
+            for filling in fillings_of(skew, itertools.product((1, 2, 3), repeat=skew.size)):
+                assert filling.is_semistandard() == per_box_semistandard(filling), filling
+                assert filling.is_standard() == per_box_standard(filling), filling
+                checked += 1
+        assert checked == 71739
+
+    def test_standard_matches_per_box_reference_on_permutations(self):
+        for skew in skew_shapes(6):
+            for filling in fillings_of(skew, itertools.permutations(range(1, skew.size + 1))):
+                assert filling.is_standard() == per_box_standard(filling), filling
+
+    @pytest.mark.parametrize("outer, inner, rows", NO_OVERLAP)
+    def test_rows_without_column_overlap(self, outer, inner, rows):
+        skew = SkewShape(Partition(outer), Partition(inner))
+        assert Filling(skew, rows).is_semistandard()
+        for filling in fillings_of(skew, itertools.product((1, 2, 3), repeat=skew.size)):
+            assert filling.is_semistandard() == per_box_semistandard(filling), filling
+
+    def test_fixed_examples_match_per_box_reference(self):
+        examples = [
+            SEMISTANDARD_EXAMPLE,
+            STANDARD_EXAMPLE,
+            ARBITRARY_FILLING,
+            Filling.from_rows([[5]]),
+            Filling.from_rows([[1, 2], [1]]),
+            Filling.from_rows([[1], [1, 2]], inner=[1]),
+            Filling.from_rows([[1], [1, 1]], inner=[1]),
+            Filling.from_rows([]),
+        ]
+        for filling in examples:
+            assert filling.is_semistandard() == per_box_semistandard(filling), filling
+            assert filling.is_standard() == per_box_standard(filling), filling
+
     def test_semistandard_example(self):
         assert SEMISTANDARD_EXAMPLE.is_semistandard()
 

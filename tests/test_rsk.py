@@ -58,6 +58,12 @@ class TestPermutation:
         long = Permutation(tuple([10] + list(range(2, 10)) + [1]))
         assert format_permutation(long) == "10,2,3,4,5,6,7,8,9,1"
 
+    @given(permutations(max_n=30))
+    def test_format_parse_round_trip(self, perm):
+        text = format_permutation(perm)
+        assert ("," in text) == (perm.n >= 10)  # digits glued up to n = 9, commas beyond
+        assert parse_permutation(text) == perm
+
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError):
             parse_permutation("21x")
@@ -172,6 +178,22 @@ class TestPlainListSteps:
             trace = rsk_trace(perm)
             assert len(trace) == perm.n + 1
             assert trace[-1] == (pair.insertion, pair.recording)
+
+    def test_trace_snapshots_equal_their_validated_rebuild(self):
+        # snapshots are built without validation; rebuild each through Filling.from_rows
+        perms = [Permutation(images) for n in range(7) for images in itertools.permutations(range(1, n + 1))]
+        for perm in perms + seeded_permutations((10, 20, 40, 60)):
+            for step, (insertion, recording) in enumerate(rsk_trace(perm)):
+                for snapshot in (insertion, recording):
+                    rebuilt = Filling.from_rows(snapshot.rows)
+                    assert snapshot == rebuilt and hash(snapshot) == hash(rebuilt)
+                    assert all(type(v) is int for row in snapshot.rows for v in row)
+                assert recording.is_standard()
+                # the insertion tableau holds the first `step` values: standard after relabelling
+                values = sorted(perm.images[:step])
+                rank = {v: i for i, v in enumerate(values, start=1)}
+                assert Filling.from_rows([[rank[v] for v in row] for row in insertion.rows]).is_standard()
+            assert insertion.is_standard()
 
 
 class TestInverse:
