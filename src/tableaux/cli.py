@@ -180,7 +180,10 @@ def _cmd_rsk(args: argparse.Namespace) -> Output:
 
 
 def _cmd_bk(args: argparse.Namespace) -> Output:
-    filling = Filling.from_rows(_parse_rows(args.rows), args.inner)
+    rows = _parse_rows(args.rows)
+    # "" parses to no rows, but inside a nonempty inner shape it is one row of no boxes
+    rows += ((),) * (args.inner.nrows - len(rows))
+    filling = Filling.from_rows(rows, args.inner)
     result = bender_knuth(filling, args.index)
     inputs = {
         "rows": [list(row) for row in filling.rows],

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from types import MappingProxyType
-from typing import Iterable, Mapping
+from collections.abc import Mapping
+from typing import Iterable
 
 
 class WidthMismatchError(ValueError):
@@ -13,12 +13,18 @@ class WidthMismatchError(ValueError):
 class Polynomial:
     """Finite map from fixed-width exponent vectors to integer coefficients.
 
-    Immutable. Zero coefficients are never stored, so equality of the
-    term maps is equality of polynomials. The variable count (``width``)
-    is fixed per polynomial and checked on every binary operation.
+    Immutable. Zero coefficients are never stored. The variable count
+    (``width``) is fixed per polynomial and checked on every binary
+    operation.
+
+    Each exponent vector is stored packed into one integer, its digits in
+    base ``base`` (larger than every stored exponent) with x1 the most
+    significant, so packed keys order like their exponent vectors. Two
+    equal polynomials may hold different bases; operations bring both
+    operands to a common one. Tuple keys are a view unpacked on first use.
     """
 
-    __slots__ = ("_width", "_terms")
+    __slots__ = ("_width", "_base", "_packed", "_view")
 
     def __init__(self, width: int, terms: Mapping[Iterable[int], int] | None = None):
         if width < 0:
@@ -34,30 +40,23 @@ class Polynomial:
                 raise TypeError(f"coefficients must be integers, got {coeff!r}")
             if coeff != 0:
                 cleaned[key] = coeff
+        base = max(map(max, cleaned), default=0) + 1 if width else 1
         self._width = width
-        self._terms = cleaned
+        self._base = base
+        self._packed = {_pack(exps, base): coeff for exps, coeff in cleaned.items()}
+        self._view = cleaned
 
     @classmethod
-    def _raw(cls, width: int, terms: dict[tuple[int, ...], int]) -> "Polynomial":
-        # internal: terms already canonical (right width, no zeros)
+    def _from_packed(cls, width: int, base: int, packed: dict[int, int]) -> "Polynomial":
+        # internal: keys packed in ``base`` as above; zero coefficients drop here
+        if 0 in packed.values():
+            packed = {key: c for key, c in packed.items() if c}
         poly = object.__new__(cls)
         poly._width = width
-        poly._terms = terms
+        poly._base = base
+        poly._packed = packed
+        poly._view = None
         return poly
-
-    @classmethod
-    def _unpacked(cls, width: int, base: int, packed: dict[int, int]) -> "Polynomial":
-        # internal: keys are exponent vectors packed in base ``base`` with x1
-        # the most significant digit, as by ``_pack``; zero coefficients drop
-        # here. Digits are read one variable at a time across all keys, from xN up.
-        kept = [(key, c) for key, c in packed.items() if c]
-        keys = [key for key, _ in kept]
-        digits = []
-        for _ in range(width):
-            digits.append([key % base for key in keys])
-            keys = [key // base for key in keys]
-        exps = zip(*reversed(digits)) if width else [()] * len(kept)
-        return cls._raw(width, dict(zip(exps, [c for _, c in kept])))
 
     @classmethod
     def zero(cls, width: int) -> "Polynomial":
@@ -77,41 +76,70 @@ class Polynomial:
 
     @property
     def terms(self) -> Mapping[tuple[int, ...], int]:
-        """Read-only view of the term map."""
-        return MappingProxyType(self._terms)
+        """Read-only map from exponent vectors to coefficients."""
+        return _Terms(self)
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._packed
+
+    def _tuples(self) -> dict[tuple[int, ...], int]:
+        # the unpacked view, built once; safe to keep since the polynomial never changes
+        if self._view is None:
+            packed = self._packed
+            if self._width:
+                exps = zip(*_digit_columns(list(packed), self._width, self._base))
+            else:
+                exps = [()] * len(packed)
+            self._view = dict(zip(exps, packed.values()))
+        return self._view
 
     def coefficient(self, exps: Iterable[int]) -> int:
-        return self._terms.get(tuple(exps), 0)
+        exps = tuple(exps)
+        if len(exps) != self._width or not all(0 <= e < self._base for e in exps):
+            return 0
+        return self._packed.get(_pack(exps, self._base), 0)
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
         """Terms in lexicographically descending exponent order."""
-        return sorted(self._terms.items(), key=lambda item: item[0], reverse=True)
+        return sorted(self._tuples().items(), key=lambda item: item[0], reverse=True)
 
     def leading_term(self) -> tuple[tuple[int, ...], int]:
         """Lexicographically greatest exponent vector and its coefficient."""
-        if not self._terms:
+        if not self._packed:
             raise ValueError("the zero polynomial has no leading term")
-        exps = max(self._terms)
-        return exps, self._terms[exps]
+        key = max(self._packed)
+        exps = tuple(column[0] for column in _digit_columns([key], self._width, self._base))
+        return exps, self._packed[key]
 
     def is_homogeneous(self) -> bool:
-        return len({sum(exps) for exps in self._terms}) <= 1
+        return len({sum(exps) for exps in self._tuples()}) <= 1
 
     def is_symmetric(self) -> bool:
-        """Invariance under every adjacent variable swap (these generate S_N)."""
-        for i in range(self._width - 1):
-            for exps, coeff in self._terms.items():
-                if exps[i] == exps[i + 1]:
-                    continue
-                swapped = list(exps)
-                swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
-                if self._terms.get(tuple(swapped)) != coeff:
-                    return False
-        return True
+        """Invariance under every permutation of the variables.
+
+        The swap (x1 x2) and the cycle (x1 x2 ... xN) generate S_N. The
+        check is that each maps every stored exponent to a stored one with
+        the same coefficient: an injective map of the finite support into
+        itself is onto, so the polynomial is invariant under both. On a
+        packed key the cycle moves the top digit to the bottom and the swap
+        exchanges the two top digits.
+        """
+        width, base, packed = self._width, self._base, self._packed
+        if width < 2:
+            return True
+        top = base ** (width - 1)
+        second = top // base
+        keys = list(packed)
+        coeffs = list(packed.values())
+        firsts = [key // top for key in keys]
+        rests = [key - d * top for key, d in zip(keys, firsts)]
+        get = packed.get
+        if list(map(get, [rest * base + d for rest, d in zip(rests, firsts)])) != coeffs:
+            return False
+        shift = top - second
+        swapped = [key + (rest // second - d) * shift for key, rest, d in zip(keys, rests, firsts)]
+        return list(map(get, swapped)) == coeffs
 
     def _check_width(self, other: "Polynomial") -> None:
         if self._width != other._width:
@@ -124,24 +152,32 @@ class Polynomial:
             return Polynomial.constant(self._width, value)
         return None
 
+    def _rebased(self, base: int) -> dict[int, int]:
+        """The packed terms with keys in ``base``, at least this polynomial's own."""
+        if base == self._base:
+            return self._packed
+        keys = [0] * len(self._packed)
+        for digits in _digit_columns(list(self._packed), self._width, self._base):
+            keys = [key * base + d for key, d in zip(keys, digits)]
+        return dict(zip(keys, self._packed.values()))
+
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         self._check_width(other)
-        terms = dict(self._terms)
-        for exps, coeff in other._terms.items():
-            total = terms.get(exps, 0) + coeff
-            if total:
-                terms[exps] = total
-            else:
-                terms.pop(exps, None)
-        return Polynomial._raw(self._width, terms)
+        base = max(self._base, other._base)
+        terms = dict(self._rebased(base))
+        get = terms.get
+        for key, coeff in other._rebased(base).items():
+            terms[key] = get(key, 0) + coeff
+        return Polynomial._from_packed(self._width, base, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial._raw(self._width, {e: -c for e, c in self._terms.items()})
+        negated = {key: -c for key, c in self._packed.items()}
+        return Polynomial._from_packed(self._width, self._base, negated)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -157,36 +193,34 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            if other == 0:
-                return Polynomial._raw(self._width, {})
-            return Polynomial._raw(self._width, {e: c * other for e, c in self._terms.items()})
+            scaled = {key: c * other for key, c in self._packed.items()}
+            return Polynomial._from_packed(self._width, self._base, scaled)
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_width(other)
-        width = self._width
-        if not self._terms or not other._terms:
-            return Polynomial._raw(width, {})
-        # Exponent vectors become base-``base`` integers, x1 the most
-        # significant digit. No exponent of the product exceeds ``base - 1``,
-        # so adding keys never carries and multiplying monomials is adding
-        # integers; zero coefficients are dropped once, on unpacking.
-        base = _max_exponent(self._terms, width) + _max_exponent(other._terms, width) + 1
-        left = [(_pack(e, base), c) for e, c in self._terms.items()]
-        right = [(_pack(e, base), c) for e, c in other._terms.items()]
+        # Every exponent of the product is at most the sum of the operands'
+        # largest, so in this base adding keys never carries and multiplying
+        # monomials is adding integers; zero coefficients drop once, at the end.
+        base = self._base + other._base - 1
+        left = list(self._rebased(base).items())
+        right = list(other._rebased(base).items())
         packed: dict[int, int] = {}
         get = packed.get
         for k1, c1 in left:
             for k2, c2 in right:
                 key = k1 + k2
                 packed[key] = get(key, 0) + c1 * c2
-        return Polynomial._unpacked(width, base, packed)
+        return Polynomial._from_packed(self._width, base, packed)
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self._width == other._width and self._terms == other._terms
+        if self._width != other._width or len(self._packed) != len(other._packed):
+            return False
+        base = max(self._base, other._base)
+        return self._rebased(base) == other._rebased(base)
 
     __hash__ = None  # equality is structural over a dict; not hashable
 
@@ -197,8 +231,35 @@ class Polynomial:
         return format_polynomial(self)
 
 
-def _max_exponent(terms: dict[tuple[int, ...], int], width: int) -> int:
-    return max(map(max, terms)) if width else 0
+class _Terms(Mapping):
+    """Tuple-keyed, read-only view of a polynomial's terms, in stored order.
+
+    Length, lookups and values read the packed terms; iterating unpacks
+    every key once, into the polynomial's cached view.
+    """
+
+    __slots__ = ("_poly",)
+
+    def __init__(self, poly: Polynomial):
+        self._poly = poly
+
+    def __len__(self) -> int:
+        return len(self._poly._packed)
+
+    def __getitem__(self, exps) -> int:
+        coeff = self._poly.coefficient(exps)
+        if not coeff:
+            raise KeyError(exps)
+        return coeff
+
+    def __iter__(self):
+        return iter(self._poly._tuples())
+
+    def items(self):
+        return self._poly._tuples().items()
+
+    def values(self):
+        return self._poly._packed.values()
 
 
 def _pack(exps: tuple[int, ...], base: int) -> int:
@@ -206,6 +267,19 @@ def _pack(exps: tuple[int, ...], base: int) -> int:
     for e in exps:
         key = key * base + e
     return key
+
+
+def _digit_columns(keys: list[int], width: int, base: int) -> list[list[int]]:
+    """Exponents of packed ``keys``, one list per variable, x1 first.
+
+    Digits are read one variable at a time across all keys, from xN up.
+    """
+    columns = []
+    for _ in range(width):
+        columns.append([key % base for key in keys])
+        keys = [key // base for key in keys]
+    columns.reverse()
+    return columns
 
 
 def format_polynomial(poly: Polynomial) -> str:

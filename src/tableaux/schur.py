@@ -39,7 +39,7 @@ def schur_polynomial(shape: Partition, width: int) -> Polynomial:
     if width < 0:
         raise ValueError(f"width must be nonnegative, got {width}")
     if shape.nrows > width:
-        return Polynomial._raw(width, {})
+        return Polynomial.zero(width)
     needed = [{shape.parts}]  # needed[j]: shapes wanted in width - j variables
     for k in range(width, 0, -1):
         needed.append({mu for nu in needed[-1] for mu in _strip_removals(nu, k)})
@@ -50,7 +50,7 @@ def schur_polynomial(shape: Partition, width: int) -> Polynomial:
         level = {nu: _branch(nu, k, base, level) for nu in needed[width - k]}
     # packed keys order like their exponent vectors, so this is lex-descending
     terms = dict(sorted(level[shape.parts].items(), reverse=True))
-    return Polynomial._unpacked(width, base, terms)
+    return Polynomial._from_packed(width, base, terms)
 
 
 def _strip_removals(nu: tuple[int, ...], k: int) -> Iterator[tuple[int, ...]]:
@@ -82,21 +82,33 @@ def _branch(
 def schur_expand(poly: Polynomial) -> dict[Partition, int]:
     """Coefficients of ``poly`` written in the Schur basis of its width.
 
-    Checks symmetry once, then peels leading terms: the leading exponent
-    vector ``nu`` of a symmetric homogeneous polynomial is weakly
-    decreasing, hence a partition; subtract ``coeff * s_nu`` and repeat.
-    A symmetric polynomial is fixed by its coefficients at weakly
-    decreasing exponents, so the elimination runs on those alone, and
-    the Kostka numbers it subtracts are read off the cached
+    Checks symmetry on every stored term, then peels leading terms: the
+    leading exponent vector ``nu`` of a symmetric homogeneous polynomial
+    is weakly decreasing, hence a partition; subtract ``coeff * s_nu`` and
+    repeat. A symmetric polynomial is fixed by its coefficients at weakly
+    decreasing exponents, so the elimination runs on those alone, and the
+    Kostka numbers it subtracts are read off the cached
     ``schur_polynomial(nu, width)``. Partitions come out in lex-descending
     order. Negative coefficients are returned as data, never clamped.
+
+    Raises :class:`NotHomogeneousError` for mixed total degrees, before
+    :class:`NotSymmetricError` when both apply.
     """
-    if not poly.is_homogeneous():
-        raise NotHomogeneousError("expansion requires a homogeneous polynomial")
-    residual = _dominant_coefficients(poly)
-    if not residual:
+    if not poly.is_symmetric():
+        if not poly.is_homogeneous():
+            raise NotHomogeneousError("expansion requires a homogeneous polynomial")
+        raise NotSymmetricError("polynomial is not invariant under permuting its variables")
+    if poly.is_zero:
         return {}
-    candidates = list(_dominant_exponents_below(max(residual)))
+    lead, _ = poly.leading_term()
+    candidates = list(_dominant_exponents_below(lead))
+    residual = {nu: c for nu in candidates if (c := poly.coefficient(nu))}
+    # The support is a union of whole orbits. The lead is the greatest stored
+    # exponent, so every orbit of its degree has its weakly decreasing member
+    # among the candidates; their orbits fill the support exactly when no
+    # other degree is present.
+    if sum(map(_orbit_size, residual)) != len(poly.terms):
+        raise NotHomogeneousError("expansion requires a homogeneous polynomial")
     result: dict[Partition, int] = {}
     for i, nu in enumerate(candidates):
         coeff = residual.get(nu, 0)
@@ -104,33 +116,12 @@ def schur_expand(poly: Polynomial) -> dict[Partition, int]:
             continue
         shape = Partition(nu)
         result[shape] = coeff
-        kostka = schur_polynomial(shape, poly.width).terms
+        kostka = schur_polynomial(shape, poly.width)
         for rho in candidates[i + 1 :]:
-            count = kostka.get(rho)
+            count = kostka.coefficient(rho)
             if count:
                 residual[rho] = residual.get(rho, 0) - coeff * count
     return result
-
-
-def _dominant_coefficients(poly: Polynomial) -> dict[tuple[int, ...], int]:
-    """The terms at weakly decreasing exponents, once ``poly`` is shown symmetric.
-
-    Symmetric means every term's coefficient equals the one at its sorted
-    exponent, and the stored exponents fill whole orbits under
-    permutations of the variables. Every term lies in the orbit of a
-    stored sorted exponent, so comparing counts shows the orbits whole.
-    """
-    terms = poly.terms
-    dominant: dict[tuple[int, ...], int] = {}
-    for exps, coeff in terms.items():
-        key = tuple(sorted(exps, reverse=True))
-        if key == exps:
-            dominant[exps] = coeff
-        elif terms.get(key) != coeff:
-            raise NotSymmetricError(f"coefficient of {exps} differs from that of {key}")
-    if sum(_orbit_size(exps) for exps in dominant) != len(terms):
-        raise NotSymmetricError("some permutation of a stored exponent vector is missing")
-    return dominant
 
 
 def _orbit_size(exps: tuple[int, ...]) -> int:

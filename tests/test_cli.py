@@ -14,6 +14,7 @@ from tableaux import (
     Filling,
     Partition,
     SkewShape,
+    bender_knuth,
     format_partition,
     partitions_of,
     schur_expand,
@@ -338,6 +339,11 @@ class TestBenderKnuthCommand:
         code, _, err = run(capsys, "bk", "2,1/1", "1")
         assert code == 1 and "error" in err
 
+    def test_no_boxes_inside_inner_shape(self, capsys):
+        # "" is one row of no boxes when the inner shape has one row
+        assert run(capsys, "bk", "", "1", "--inner", "[2]")[:2] == (0, ". .\n")
+        assert run(capsys, "bk", "/", "1", "--inner", "[2,1]")[:2] == (0, ". .\n.\n")
+
     def test_json(self, capsys):
         _, out, _ = run(capsys, "bk", "1,1/2", "1", "--json")
         payload = json.loads(out)
@@ -464,13 +470,10 @@ def test_every_command_answers_or_fails_cleanly(argv):
 
 @st.composite
 def fillings(draw):
-    """A filling of a straight or skew shape of at least one box; entries need not be ordered.
-
-    A one-row filling of no boxes renders as "", which parses to no rows at all.
-    """
+    """A filling of a straight or skew shape, possibly of no boxes; entries need not be ordered."""
     outer = draw(st.sampled_from([p for n in range(1, 9) for p in partitions_of(n)]))
     inner = draw(st.sampled_from(
-        [p for k in range(outer.size) for p in partitions_of(k) if outer.contains(p)]
+        [p for k in range(outer.size + 1) for p in partitions_of(k) if outer.contains(p)]
     ))
     skew = SkewShape(outer, inner)
     rows = [draw(st.lists(st.integers(1, 20), min_size=hi - lo, max_size=hi - lo))
@@ -481,5 +484,13 @@ def fillings(draw):
 @given(fillings())
 def test_rows_string_round_trip(filling):
     text = "/".join(",".join(map(str, row)) for row in filling.rows)
-    assert _parse_rows(text) == filling.rows
-    assert Filling.from_rows(_parse_rows(text), filling.shape.inner) == filling
+    inner = filling.shape.inner
+    # a one-row filling of no boxes renders as "", which parses to no rows; bk pads it
+    rows = _parse_rows(text)
+    padded = rows + ((),) * (inner.nrows - len(rows))
+    assert padded == filling.rows
+    assert rows == filling.rows or text == ""
+    assert Filling.from_rows(padded, inner) == filling
+    if filling.is_semistandard():
+        code, out = outcome(["bk", text, "1", "--inner", format_partition(inner)])[:2]
+        assert code == 0 and out.rstrip("\n") == bender_knuth(filling, 1).to_ascii()

@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -163,6 +165,53 @@ class TestPackedMultiply:
             Polynomial.zero(2) * Polynomial.zero(3)
 
 
+def naive_sum(p, q):
+    terms = dict(p.terms)
+    for exps, coeff in q.terms.items():
+        terms[exps] = terms.get(exps, 0) + coeff
+    return {e: c for e, c in terms.items() if c}
+
+
+class TestMixedBases:
+    # Keys are packed in a base above every exponent; a product takes the sum of
+    # its operands' bases minus one, so equal polynomials can hold different bases.
+
+    def test_product_equals_tuple_built(self):
+        cases = [
+            ((X1 + X2) * (X1 + X2), {(2, 0): 1, (1, 1): 2, (0, 2): 1}),
+            (X1 * X2, {(1, 1): 1}),
+            ((X1 * X1 + X2) * (X1 * X1 - X2), {(4, 0): 1, (0, 2): -1}),
+        ]
+        for product, terms in cases:
+            built = Polynomial(2, terms)
+            assert product == built and built == product
+            assert product.terms == terms
+            assert product != Polynomial(2, {**terms, (0, 0): 1})
+        assert (X1 * X2)._base != Polynomial(2, {(1, 1): 1})._base
+
+    def test_same_length_different_terms_differ(self):
+        assert X1 * X2 != X2
+        assert X1 * X1 != Polynomial(2, {(0, 2): 1})
+
+    @given(st.data())
+    def test_add_matches_naive_sum(self, data):
+        width = data.draw(st.integers(0, 4))
+        max_exponent = data.draw(st.sampled_from((1, 3, 12)))
+        p, q, r = (Polynomial(width, data.draw(wide_terms(width, max_exponent))) for _ in range(3))
+        for left, right in ((p * q, r), (r, p * q), (p * q, p * r)):
+            total = left + right
+            assert total.terms == naive_sum(left, right)
+            assert total == Polynomial(width, naive_sum(left, right))
+
+    def test_coefficient_outside_the_base_is_zero(self):
+        # in base 2 the key of (0, 2) would be that of (1, 0)
+        poly = Polynomial(2, {(1, 0): 5})
+        assert poly.coefficient((0, 2)) == 0
+        assert (0, 2) not in poly.terms
+        assert poly.coefficient((1, 0)) == poly.terms[(1, 0)] == 5
+        assert poly.coefficient((1,)) == 0
+
+
 class TestStructure:
     def test_leading_term_is_lex_greatest(self):
         poly = Polynomial(2, {(1, 2): 4, (2, 0): 7, (0, 3): 1})
@@ -183,6 +232,28 @@ class TestStructure:
         assert Polynomial.constant(2, 1).is_symmetric()
         elementary = Polynomial(3, {(1, 1, 0): 1, (1, 0, 1): 1, (0, 1, 1): 1})
         assert elementary.is_symmetric()
+        assert ((X1 + X2) * (X1 + X2)).is_symmetric()
+        assert not ((X1 + X2) * X1).is_symmetric()
+
+    @given(st.data())
+    def test_symmetry_matches_every_permutation(self, data):
+        width = data.draw(st.integers(0, 4))
+        p = data.draw(polynomials(width))
+        if data.draw(st.booleans()):  # symmetrize, then perhaps break one coefficient
+            terms = {}
+            for exps, coeff in p.terms.items():
+                for perm in permutations(exps):
+                    terms[perm] = coeff
+            if terms and data.draw(st.booleans()):
+                victim = data.draw(st.sampled_from(sorted(terms)))
+                terms[victim] += data.draw(st.sampled_from((-1, 1)))
+            p = Polynomial(width, terms)
+        by_definition = all(
+            p.coefficient(exps[i] for i in perm) == coeff
+            for exps, coeff in p.terms.items()
+            for perm in permutations(range(width))
+        )
+        assert p.is_symmetric() == by_definition
 
     def test_terms_view_is_read_only(self):
         with pytest.raises(TypeError):

@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -82,6 +84,8 @@ class TestSchurPolynomial:
     def test_terms_stored_lex_descending(self):
         poly = schur_polynomial(Partition((3, 2, 1)), 4)
         assert list(poly.terms.items()) == poly.sorted_terms()
+        # keys and values of the view keep the same order
+        assert list(zip(poly.terms, poly.terms.values())) == poly.sorted_terms()
 
     def test_long_row_in_one_variable(self):
         # no recursion over the 1200 boxes
@@ -131,6 +135,20 @@ class TestSchurExpand:
         with pytest.raises(NotSymmetricError):
             schur_expand(Polynomial(3, {(1, 1, 0): 1, (1, 0, 1): 1}))
 
+    @pytest.mark.parametrize("terms", [
+        # invariant under (x1 x2) only
+        {(2, 1, 0): 1, (1, 2, 0): 1},
+        {(2, 1, 0, 0): 1, (1, 2, 0, 0): 1, (0, 0, 1, 2): 1, (0, 0, 2, 1): 1},
+        # invariant under the cycle of all variables only: x1^2 x2 + x2^2 x3 + x3^2 x1
+        {(2, 1, 0): 1, (0, 2, 1): 1, (1, 0, 2): 1},
+        {(2, 1, 0, 0): 1, (0, 2, 1, 0): 1, (0, 0, 2, 1): 1, (1, 0, 0, 2): 1},
+    ])
+    def test_one_generator_is_not_enough(self, terms):
+        poly = Polynomial(len(next(iter(terms))), terms)
+        assert not poly.is_symmetric()
+        with pytest.raises(NotSymmetricError):
+            schur_expand(poly)
+
     def test_elimination_reaches_partitions_absent_from_input(self):
         # x1^2 + x2^2 = s_(2) - s_(1,1); (1, 1) has coefficient 0 in the input
         power_sum = Polynomial(2, {(2, 0): 1, (0, 2): 1})
@@ -140,8 +158,12 @@ class TestSchurExpand:
         assert schur_expand(Polynomial(0, {(): 5})) == {EMPTY: 5}
 
     def test_not_homogeneous(self):
+        # x1 + 1 is neither homogeneous nor symmetric: homogeneity is reported
         with pytest.raises(NotHomogeneousError):
             schur_expand(Polynomial(2, {(1, 0): 1, (0, 0): 1}))
+        # symmetric, of degrees 1 and 0
+        with pytest.raises(NotHomogeneousError):
+            schur_expand(Polynomial(2, {(1, 0): 1, (0, 1): 1, (0, 0): 1}))
 
     def test_negative_coefficients_survive_as_data(self):
         poly = schur_polynomial(Partition((2,)), 3) * (-2)
@@ -174,3 +196,66 @@ class TestSchurExpand:
                             for w in (lam.nrows + mu.nrows, total, total + 1)
                         ]
                         assert expansions[0] == expansions[1] == expansions[2], (lam, mu)
+
+
+def orbit_size(exps):
+    return len(set(permutations(exps)))
+
+
+def sorting_expand(poly):
+    """Reference: homogeneity from the degree set, symmetry by sorting each exponent.
+
+    Symmetric means every term's coefficient equals the one at its sorted
+    exponent and the stored exponents fill whole orbits. The expansion
+    peels leading terms off the whole polynomial.
+    """
+    if len({sum(exps) for exps in poly.terms}) > 1:
+        raise NotHomogeneousError
+    terms = dict(poly.terms)
+    dominant = {}
+    for exps, coeff in terms.items():
+        key = tuple(sorted(exps, reverse=True))
+        if key == exps:
+            dominant[exps] = coeff
+        elif terms.get(key) != coeff:
+            raise NotSymmetricError
+    if sum(orbit_size(exps) for exps in dominant) != len(terms):
+        raise NotSymmetricError
+    result = {}
+    while not poly.is_zero:
+        lead, coeff = poly.leading_term()
+        result[Partition(lead)] = coeff
+        poly = poly - schur_polynomial(Partition(lead), poly.width) * coeff
+    return result
+
+
+@st.composite
+def small_polynomials(draw):
+    """Widths 0-4, coefficients -2..2; often symmetric, homogeneous or one term off both."""
+    width = draw(st.integers(0, 4))
+    exps = st.tuples(*[st.integers(0, 3) for _ in range(width)])
+    if draw(st.booleans()):
+        degree = draw(st.integers(0, 4))
+        exps = exps.filter(lambda e: sum(e) == degree)
+    terms = draw(st.dictionaries(exps, st.integers(-2, 2), min_size=1, max_size=5))
+    if draw(st.booleans()):
+        terms = {perm: c for e, c in terms.items() for perm in permutations(e)}
+    if terms and draw(st.booleans()):
+        victim = draw(st.sampled_from(sorted(terms)))
+        if draw(st.booleans()):
+            del terms[victim]
+        else:
+            terms[victim] += draw(st.sampled_from((-1, 1)))
+    return Polynomial(width, terms)
+
+
+@settings(max_examples=300)
+@given(small_polynomials())
+def test_expand_agrees_with_sorting_reference(poly):
+    try:
+        expected = sorting_expand(poly)
+    except (NotHomogeneousError, NotSymmetricError) as exc:
+        with pytest.raises(type(exc)):
+            schur_expand(poly)
+    else:
+        assert schur_expand(poly) == expected
