@@ -122,8 +122,8 @@ def _search(
     asks ``candidates(k, side, up)`` for an iterator of values to try,
     where ``side`` is the value of the box filled just before it in its
     row and ``up`` the value of the box above it, each 0 when that box
-    is absent. The search keeps one iterator per filled box on an
-    explicit stack, so its depth is not bounded by Python recursion.
+    is absent. The search keeps the iterator of each filled box in a
+    list indexed by box, so its depth is not bounded by Python recursion.
     A callback that keeps state updates it just before each value it
     yields and restores it when resumed.
     """
@@ -145,20 +145,19 @@ def _search(
         rows.append(slice(end, start, -1) if reverse else slice(start + 1, end + 1))
     n = len(side)
     values = [0] * (n + 1)  # box k is values[k + 1]; values[0] stays 0 for absent neighbors
-    stack: list[Iterator[int]] = []
-    k = 0  # iterators on the stack, which is also the next box to fill
+    its: list[Iterator[int]] = [iter(())] * n  # its[k] offers the values for box k
+    k = 0  # boxes holding a value, which is also the next box to fill
     while True:
         if k < n:
-            stack.append(candidates(k, values[side[k]], values[up[k]]))
+            its[k] = candidates(k, values[side[k]], values[up[k]])
             k += 1
         else:
-            yield tuple(tuple(values[s]) for s in rows)
+            yield tuple([tuple(values[s]) for s in rows])
         while k:
-            v = next(stack[-1], 0)
+            v = next(its[k - 1], 0)
             if v:
                 values[k] = v
                 break
-            stack.pop()
             k -= 1
         else:
             return

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, zip_longest
+from itertools import accumulate
+from operator import add, ge
 from typing import Iterable, Iterator, Sequence
 
 from .fillings import Filling, _search
@@ -53,34 +54,43 @@ def enumerate_lr_fillings(
     value at r + 1 (a v needs a v - 1 read earlier, and the entries to
     its right are at least v, so that v - 1 sits in a higher row) and at
     len(content) minus the boxes below it in its column (they hold
-    strictly larger values).
+    strictly larger values). The caps are fixed per box and computed
+    once; a box then tries the values above its upper neighbor up to
+    the smaller of its cap and its right neighbor.
     """
     lam, mu, nu = inner.parts, content.parts, outer.parts
-    if not outer.contains(inner) or outer.size - inner.size != content.size:
+    if not outer.contains(inner) or sum(nu) - sum(lam) != sum(mu):
         return iter(())
     # the lower bound is the upper one for conjugates: c^ν_{λμ} = c^ν′_{λ′μ′}, (λ ∪ μ)′ = λ′ + μ′
-    row_sum = [p + q for p, q in zip_longest(lam, mu, fillvalue=0)]
+    row_sum = [*map(add, lam, mu), *(lam[len(mu) :] or mu[len(lam) :])]  # the longer one's tail
     if not _dominates(row_sum, nu) or not _dominates(nu, sorted(lam + mu, reverse=True)):
         return iter(())
-    skew = SkewShape(outer, inner)
+    skew = SkewShape._trusted(outer, inner)
     m = len(mu)
-    height: list[int] = []  # column lengths of outer, read from the rows bottom up
-    for r in range(len(nu) - 1, -1, -1):
-        height += [r + 1] * (nu[r] - len(height))
-    cap = [
-        min(r + 1, m - (height[c] - 1 - r))
-        for r, hi in enumerate(nu)
-        for c in range(hi - 1, (lam[r] if r < len(lam) else 0) - 1, -1)
-    ]
+    # min(r + 1, m - d) for a box in row r with d boxes below it is r + 1 minus
+    # excess[c], the number of rows past the first m that reach its column
+    excess: list[int] = []
+    for r in range(len(nu) - 1, m - 1, -1):
+        excess += [r + 1 - m] * (nu[r] - len(excess))
+    wide = len(excess)
+    cap: list[int] = []
+    for r, hi in enumerate(nu):
+        for c in range(hi - 1, (lam[r] if r < len(lam) else 0) - 1, -1):
+            cap.append(r + 1 - excess[c] if c < wide else r + 1)
+    budget = (0,) + mu  # budget[v] is the number of v's the content asks for
     counts = [content.size] + [0] * m  # slot 0 never runs short, so 1 is always lattice
 
     def candidates(k: int, right: int, up: int) -> Iterator[int]:
-        for v in range(up + 1, min(right or m, cap[k]) + 1):
+        hi = cap[k]
+        if 0 < right < hi:  # a right neighbor bounds the box from above
+            hi = right
+        for v in range(up + 1, hi + 1):
             # content budget for v left, and one more v keeps the prefix lattice
-            if counts[v] < mu[v - 1] and counts[v] < counts[v - 1]:
-                counts[v] += 1
+            c = counts[v]
+            if c < budget[v] and c < counts[v - 1]:
+                counts[v] = c + 1
                 yield v
-                counts[v] -= 1
+                counts[v] = c
 
     return (
         LrWitness(Filling._trusted(skew, rows), mu)
@@ -95,7 +105,7 @@ def _dominates(big: Sequence[int], small: Sequence[int]) -> bool:
     nothing new can fail: a shorter ``big`` has reached the total, and a
     shorter ``small`` already failed at its last part.
     """
-    return all(b >= s for b, s in zip(accumulate(big), accumulate(small)))
+    return all(map(ge, accumulate(big), accumulate(small)))
 
 
 def lr_coefficient(inner: Partition, content: Partition, outer: Partition) -> int:

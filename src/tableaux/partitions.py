@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import factorial, prod
+from operator import le
 from typing import Iterator
 
 
@@ -79,16 +80,15 @@ class Partition:
 
     def contains(self, other: "Partition") -> bool:
         """True iff ``other``'s diagram fits inside this one, row by row."""
-        return len(other.parts) <= len(self.parts) and all(
-            q <= p for p, q in zip(self.parts, other.parts)
-        )
+        return len(other.parts) <= len(self.parts) and all(map(le, other.parts, self.parts))
 
     def conjugate(self) -> "Partition":
         """Transpose of the diagram: column lengths become row lengths."""
-        if not self.parts:
-            return self
-        width = self.parts[0]
-        return Partition._trusted(tuple(sum(1 for p in self.parts if p > c) for c in range(width)))
+        parts = self.parts
+        conj: list[int] = []
+        for r in range(len(parts), 0, -1):  # the columns row r - 1 reaches past row r have height r
+            conj += [r] * (parts[r - 1] - len(conj))
+        return Partition._trusted(tuple(conj))
 
     def boxes(self) -> Iterator[Box]:
         """Box coordinates in row-reading order."""
@@ -112,7 +112,7 @@ class Partition:
                 yield (length - c) + (conj[c] - r - 1)
 
     def as_skew(self) -> "SkewShape":
-        return SkewShape(self, EMPTY)
+        return SkewShape._trusted(self, EMPTY)
 
 
 EMPTY = Partition(())
@@ -128,6 +128,14 @@ class SkewShape:
     def __post_init__(self):
         if not self.outer.contains(self.inner):
             raise NotContainedError(f"{self.inner} is not contained in {self.outer}")
+
+    @classmethod
+    def _trusted(cls, outer: Partition, inner: Partition) -> "SkewShape":
+        # internal: the caller has already checked that outer contains inner
+        skew = object.__new__(cls)
+        object.__setattr__(skew, "outer", outer)
+        object.__setattr__(skew, "inner", inner)
+        return skew
 
     def __str__(self):
         if self.inner.parts:
@@ -176,27 +184,48 @@ def partitions_of(n: int) -> Iterator[Partition]:
     The order is fixed and documented because CLI output and golden
     tests depend on it: ``(n)`` first, all-ones last, tuple comparison
     descending in between.
+
+    Generated by ZS1 (Zoghbi and Stojmenović, 1998) in constant
+    amortised time: one list holds the current partition, padded with
+    ones, and ``h`` indexes its last part greater than 1.
+    Each step lowers ``parts[h]`` by one and refills the slots after it
+    in place, so the trailing ones are never scanned.
     """
     if n < 0:
         raise ValueError(f"cannot partition {n}")
     if n == 0:
         yield EMPTY
         return
-    parts = [n]
+    parts = [n]  # the partition is parts[: last + 1]; every slot after h holds a 1
+    h = 0 if n > 1 else -1  # index of the last part > 1; -1 once only ones are left
+    last = 0  # index of the last part
     while True:
-        yield Partition._trusted(tuple(parts))
-        i = len(parts) - 1
-        while i >= 0 and parts[i] == 1:
-            i -= 1
-        if i < 0:
+        yield Partition._trusted(tuple(parts[: last + 1]))
+        if h < 0:
             return
-        rem = len(parts) - i  # trailing ones, plus one unit taken from parts[i]
-        parts = parts[:i] + [parts[i] - 1]
-        cap = parts[-1]
-        while rem > 0:
-            take = min(cap, rem)
-            parts.append(take)
-            rem -= take
+        if last + 1 == len(parts):  # a step adds at most one part: grow the list as needed
+            parts.append(1)
+        if parts[h] == 2:
+            parts[h] = 1
+            h -= 1
+            last += 1
+            continue
+        # parts[h] drops by one; that unit and the trailing ones refill parts[h + 1:]
+        # in parts of size parts[h], with a smaller remainder last
+        part = parts[h] - 1
+        rest = last - h + 1
+        parts[h] = part
+        while rest >= part:
+            h += 1
+            parts[h] = part
+            rest -= part
+        if rest == 0:
+            last = h
+        else:
+            last = h + 1
+            if rest > 1:
+                h += 1
+                parts[h] = rest
 
 
 def parse_partition(text: str) -> Partition:

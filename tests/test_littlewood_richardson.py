@@ -14,9 +14,51 @@ from tableaux import (
     schur_expand,
     schur_polynomial,
 )
+from tableaux.fillings import _search
 
 LAM = Partition((2, 1))
 NU = Partition((3, 2, 1))
+
+# pairs of 12-16 boxes, products of 24-32 boxes: the sizes of the benchmark's LR tables, plus
+# tall shapes whose columns run past len(content), where the box caps fall below r + 1
+MID_SIZE_PAIRS = [
+    ((4, 3, 3, 2), (5, 3, 2, 2)),
+    ((5, 4, 3, 2), (4, 4, 3, 2, 1)),
+    ((6, 4, 3, 2, 1), (5, 4, 3, 2, 2)),
+    ((6, 6), (4, 4, 4)),
+    ((3, 3, 2, 2, 1, 1, 1, 1), (6, 6)),
+    ((2, 2, 2, 2, 2, 2, 1, 1), (4, 3, 3, 2)),
+]
+
+
+def frozen_lr_rows(outer, inner, content):
+    """Witness rows from a frozen copy of an earlier callback, run through ``_search``.
+
+    It has no dominance window and recomputes the box caps from the column
+    heights, so it checks both against the library's version.
+    """
+    lam, mu, nu = inner.parts, content.parts, outer.parts
+    if not outer.contains(inner) or outer.size - inner.size != content.size:
+        return []
+    m = len(mu)
+    height = []
+    for r in range(len(nu) - 1, -1, -1):
+        height += [r + 1] * (nu[r] - len(height))
+    cap = [
+        min(r + 1, m - (height[c] - 1 - r))
+        for r, hi in enumerate(nu)
+        for c in range(hi - 1, (lam[r] if r < len(lam) else 0) - 1, -1)
+    ]
+    counts = [content.size] + [0] * m
+
+    def candidates(k, right, up):
+        for v in range(up + 1, min(right or m, cap[k]) + 1):
+            if counts[v] < mu[v - 1] and counts[v] < counts[v - 1]:
+                counts[v] += 1
+                yield v
+                counts[v] -= 1
+
+    return list(_search(SkewShape(outer, inner), candidates, reverse=True))
 
 
 class TestReadingWord:
@@ -68,6 +110,18 @@ class TestEnumeration:
         assert len(witnesses) == 1
         assert witnesses[0].filling.rows == ((), ())
         assert witnesses[0].content == ()
+
+    def test_mid_size_witnesses_match_frozen_callback(self):
+        f = count_standard_tableaux
+        for lam, mu in MID_SIZE_PAIRS:
+            lam, mu = Partition(lam), Partition(mu)
+            total = lam.size + mu.size
+            lhs = 0
+            for nu in partitions_of(total):
+                got = [w.filling.rows for w in enumerate_lr_fillings(nu, lam, mu)]
+                assert got == frozen_lr_rows(nu, lam, mu), (lam, mu, nu)
+                lhs += len(got) * f(nu)
+            assert lhs == comb(total, lam.size) * f(lam) * f(mu), (lam, mu)
 
     def test_not_contained_is_empty(self):
         assert list(enumerate_lr_fillings(Partition((2, 2)), Partition((3,)), LAM)) == []

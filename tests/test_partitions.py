@@ -34,6 +34,35 @@ def partition_count_oracle(n: int, cap: int) -> int:
     return sum(partition_count_oracle(n - first, first) for first in range(1, min(n, cap) + 1))
 
 
+def reverse_lex_partitions(n: int, cap: int | None = None):
+    """Independent generator: largest first part first, then the rest recursively."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, n if cap is None else cap), 0, -1):
+        for rest in reverse_lex_partitions(n - first, first):
+            yield (first,) + rest
+
+
+def pentagonal_counts(limit: int) -> list[int]:
+    """p(0..limit) by Euler's recurrence over the generalized pentagonal numbers."""
+    counts = [1] + [0] * limit
+    for n in range(1, limit + 1):
+        k = 1
+        while k * (3 * k - 1) // 2 <= n:
+            sign = 1 if k % 2 else -1
+            for pent in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
+                if pent <= n:
+                    counts[n] += sign * counts[n - pent]
+            k += 1
+    return counts
+
+
+def contains_reference(outer: Partition, inner: Partition) -> bool:
+    """Row by row: every row of inner fits under the same row of outer, missing rows being 0."""
+    return all(inner.part(r) <= outer.part(r) for r in range(max(outer.nrows, inner.nrows)))
+
+
 def brute_force_standard_count(parts: tuple[int, ...]) -> int:
     """Oracle: place 1..n in reading order, keep increasing rows and columns."""
     n = sum(parts)
@@ -105,6 +134,23 @@ class TestContains:
 
     def test_too_tall(self):
         assert not Partition((3,)).contains(Partition((1, 1)))
+
+    def test_longer_but_narrower_is_not_contained(self):
+        assert not Partition((5, 5)).contains(Partition((1, 1, 1)))
+
+    def test_equal_shapes(self):
+        assert Partition((3, 3, 1)).contains(Partition((3, 3, 1)))
+
+    @given(partitions(), partitions())
+    def test_matches_per_row_reference(self, outer, inner):
+        assert outer.contains(inner) == contains_reference(outer, inner)
+        assert outer.contains(outer) and outer.contains(EMPTY)
+        assert EMPTY.contains(outer) == (outer == EMPTY)
+
+    @given(partitions(max_part=3, max_rows=7), partitions(max_part=6, max_rows=3))
+    def test_matches_reference_on_long_narrow_against_short_wide(self, long, wide):
+        for outer, inner in ((long, wide), (wide, long)):
+            assert outer.contains(inner) == contains_reference(outer, inner)
 
 
 class TestConjugate:
@@ -227,6 +273,26 @@ class TestPartitionsOf:
                 assert shape == Partition(list(shape.parts))
                 assert hash(shape) == hash(Partition(list(shape.parts)))
 
+    def test_matches_recursive_generator_in_order(self):
+        for n in range(26):
+            shapes = list(partitions_of(n))
+            assert [shape.parts for shape in shapes] == list(reverse_lex_partitions(n)), n
+            for shape in shapes:
+                rebuilt = Partition(shape.parts)
+                assert shape == rebuilt and hash(shape) == hash(rebuilt)
+
+    def test_memory_follows_the_parts_not_n(self):
+        n = 10**9
+        first = [shape.parts for shape in itertools.islice(partitions_of(n), 4)]
+        assert first == [(n,), (n - 1, 1), (n - 2, 2), (n - 2, 1, 1)]
+
+    def test_counts_match_pentagonal_recurrence(self):
+        # every n through 45, then two large n (p(60) = 966467 partitions)
+        counts = pentagonal_counts(60)
+        assert counts[50] == 204226 and counts[60] == 966467
+        for n in [*range(46), 50, 60]:
+            assert sum(1 for _ in partitions_of(n)) == counts[n], n
+
 
 class TestSkewShape:
     def test_staircase_skew_boxes(self):
@@ -247,6 +313,26 @@ class TestSkewShape:
         skew = SkewShape(Partition((2, 2)), Partition((2,)))
         assert list(skew.boxes()) == [(1, 0), (1, 1)]
         assert not skew.has_box(0, 0)
+
+    def test_trusted_equals_validated_on_every_contained_pair(self):
+        pairs = 0
+        for n in range(9):
+            for outer in partitions_of(n):
+                for k in range(n + 1):
+                    for inner in partitions_of(k):
+                        if not contains_reference(outer, inner):
+                            continue
+                        trusted, checked = SkewShape._trusted(outer, inner), SkewShape(outer, inner)
+                        assert trusted == checked and hash(trusted) == hash(checked)
+                        assert str(trusted) == str(checked) and trusted.size == checked.size
+                        assert list(trusted.boxes()) == list(checked.boxes())
+                        pairs += 1
+        assert pairs == 862  # (outer, inner) with inner ⊆ outer and |outer| <= 8
+
+    def test_as_skew_equals_validated(self):
+        for n in range(9):
+            for shape in partitions_of(n):
+                assert shape.as_skew() == SkewShape(shape, EMPTY)
 
 
 class TestTextFormat:
