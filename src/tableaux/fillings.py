@@ -113,15 +113,14 @@ def _as_skew(shape: Partition | SkewShape) -> SkewShape:
 
 
 def _search(
-    skew: SkewShape, candidates: Callable[[int, int, int], Iterator[int]], reverse: bool = False
+    skew: SkewShape, candidates: Callable[[int, int, int], Iterator[int]]
 ) -> Iterator[tuple[tuple[int, ...], ...]]:
     """Rows of every filling of ``skew`` built from the values ``candidates`` offers.
 
-    Boxes are filled row by row from the top; within a row left to
-    right, or right to left with ``reverse``. Box ``k`` of that order
-    asks ``candidates(k, side, up)`` for an iterator of values to try,
-    where ``side`` is the value of the box filled just before it in its
-    row and ``up`` the value of the box above it, each 0 when that box
+    Boxes are filled in reading order: rows from the top, each left to
+    right. Box ``k`` of that order asks ``candidates(k, left, up)`` for
+    an iterator of values to try, where ``left`` is the value of its left
+    neighbour and ``up`` that of the box above it, each 0 when that box
     is absent. The search keeps the iterator of each filled box in a
     list indexed by box, so its depth is not bounded by Python recursion.
     A callback that keeps state updates it just before each value it
@@ -130,26 +129,23 @@ def _search(
     outer, inner = skew.outer.parts, skew.inner.parts
     # slot of the last box filled in each column: the box above, since skew columns are contiguous
     last = [0] * (outer[0] if outer else 0)
-    side: list[int] = []
+    left: list[int] = []
     up: list[int] = []
     rows: list[slice] = []
     for r, hi in enumerate(outer):
-        lo = inner[r] if r < len(inner) else 0
-        cols = range(hi - 1, lo - 1, -1) if reverse else range(lo, hi)
-        start, prev = len(side), 0
-        for c in cols:
-            side.append(prev)
+        start, prev = len(left), 0
+        for c in range(inner[r] if r < len(inner) else 0, hi):
+            left.append(prev)
             up.append(last[c])
-            last[c] = prev = len(side)
-        end = len(side)
-        rows.append(slice(end, start, -1) if reverse else slice(start + 1, end + 1))
-    n = len(side)
+            last[c] = prev = len(left)
+        rows.append(slice(start + 1, len(left) + 1))
+    n = len(left)
     values = [0] * (n + 1)  # box k is values[k + 1]; values[0] stays 0 for absent neighbors
     its: list[Iterator[int]] = [iter(())] * n  # its[k] offers the values for box k
     k = 0  # boxes holding a value, which is also the next box to fill
     while True:
         if k < n:
-            its[k] = candidates(k, values[side[k]], values[up[k]])
+            its[k] = candidates(k, values[left[k]], values[up[k]])
             k += 1
         else:
             yield tuple([tuple(values[s]) for s in rows])

@@ -1,5 +1,7 @@
 from math import comb
 
+from hypothesis import given, settings, strategies as st
+
 from tableaux import (
     EMPTY,
     Filling,
@@ -14,7 +16,7 @@ from tableaux import (
     schur_expand,
     schur_polynomial,
 )
-from tableaux.fillings import _search
+from tableaux.littlewood_richardson import _lr_boxes
 
 LAM = Partition((2, 1))
 NU = Partition((3, 2, 1))
@@ -31,24 +33,73 @@ MID_SIZE_PAIRS = [
 ]
 
 
-def frozen_lr_rows(outer, inner, content):
-    """Witness rows from a frozen copy of an earlier callback, run through ``_search``.
+def frozen_reverse_search(skew, candidates):
+    """A frozen copy of the library's earlier callback search, in reverse reading order only.
 
-    It has no dominance window and recomputes the box caps from the column
-    heights, so it checks both against the library's version.
+    Boxes are filled row by row from the top, each row right to left. Box
+    ``k`` asks ``candidates(k, right, up)`` for an iterator of values,
+    where ``right`` and ``up`` are the values of its right and upper
+    neighbours, 0 when absent.
     """
-    lam, mu, nu = inner.parts, content.parts, outer.parts
-    if not outer.contains(inner) or outer.size - inner.size != content.size:
-        return []
-    m = len(mu)
+    outer, inner = skew.outer.parts, skew.inner.parts
+    # slot of the last box filled in each column: the box above, since skew columns are contiguous
+    last = [0] * (outer[0] if outer else 0)
+    side = []
+    up = []
+    rows = []
+    for r, hi in enumerate(outer):
+        lo = inner[r] if r < len(inner) else 0
+        start, prev = len(side), 0
+        for c in range(hi - 1, lo - 1, -1):
+            side.append(prev)
+            up.append(last[c])
+            last[c] = prev = len(side)
+        end = len(side)
+        rows.append(slice(end, start, -1))
+    n = len(side)
+    values = [0] * (n + 1)  # box k is values[k + 1]; values[0] stays 0 for absent neighbors
+    its = [iter(())] * n  # its[k] offers the values for box k
+    k = 0  # boxes holding a value, which is also the next box to fill
+    while True:
+        if k < n:
+            its[k] = candidates(k, values[side[k]], values[up[k]])
+            k += 1
+        else:
+            yield tuple([tuple(values[s]) for s in rows])
+        while k:
+            v = next(its[k - 1], 0)
+            if v:
+                values[k] = v
+                break
+            k -= 1
+        else:
+            return
+
+
+def frozen_caps(lam, m, nu):
+    """min(r + 1, m - boxes below) per box of ν/λ in reverse reading order, from column heights."""
     height = []
     for r in range(len(nu) - 1, -1, -1):
         height += [r + 1] * (nu[r] - len(height))
-    cap = [
+    return [
         min(r + 1, m - (height[c] - 1 - r))
         for r, hi in enumerate(nu)
         for c in range(hi - 1, (lam[r] if r < len(lam) else 0) - 1, -1)
     ]
+
+
+def frozen_lr_rows(outer, inner, content):
+    """Witness rows from a frozen copy of an earlier callback, run through its own search.
+
+    It has no dominance window and recomputes the box caps from the column
+    heights, and neither it nor :func:`frozen_reverse_search` shares code
+    with the library's search, so it checks all of them.
+    """
+    mu = content.parts
+    if not outer.contains(inner) or outer.size - inner.size != content.size:
+        return []
+    m = len(mu)
+    cap = frozen_caps(inner.parts, m, outer.parts)
     counts = [content.size] + [0] * m
 
     def candidates(k, right, up):
@@ -58,7 +109,33 @@ def frozen_lr_rows(outer, inner, content):
                 yield v
                 counts[v] -= 1
 
-    return list(_search(SkewShape(outer, inner), candidates, reverse=True))
+    return list(frozen_reverse_search(SkewShape(outer, inner), candidates))
+
+
+def witness_count_three_ways(lam, mu, nu):
+    """c^ν_{λμ} by the count, by the witness list and by the frozen reference, held equal."""
+    count = lr_coefficient(lam, mu, nu)
+    assert count == len(list(enumerate_lr_fillings(nu, lam, mu))), (lam, mu, nu)
+    assert count == len(frozen_lr_rows(nu, lam, mu)), (lam, mu, nu)
+    return count
+
+
+@st.composite
+def lr_triples(draw):
+    """λ and μ inside a 5 x 5 box, and ν grown from λ by |μ| boxes, each at a drawn addable box."""
+
+    def box_partition():
+        return sorted(draw(st.lists(st.integers(1, 5), max_size=5)), reverse=True)
+
+    lam, mu = box_partition(), box_partition()
+    nu = list(lam)
+    for _ in range(sum(mu)):
+        rows = [r for r in range(len(nu) + 1) if r == 0 or r == len(nu) or nu[r - 1] > nu[r]]
+        r = rows[draw(st.integers(0, len(rows) - 1))]
+        if r == len(nu):
+            nu.append(0)
+        nu[r] += 1
+    return Partition(tuple(lam)), Partition(tuple(mu)), Partition(tuple(nu))
 
 
 class TestReadingWord:
@@ -120,6 +197,7 @@ class TestEnumeration:
             for nu in partitions_of(total):
                 got = [w.filling.rows for w in enumerate_lr_fillings(nu, lam, mu)]
                 assert got == frozen_lr_rows(nu, lam, mu), (lam, mu, nu)
+                assert lr_coefficient(lam, mu, nu) == len(got), (lam, mu, nu)
                 lhs += len(got) * f(nu)
             assert lhs == comb(total, lam.size) * f(lam) * f(mu), (lam, mu)
 
@@ -158,6 +236,52 @@ class TestCoefficient:
 
     def test_not_contained_is_zero(self):
         assert lr_coefficient(Partition((3,)), Partition((1,)), Partition((2, 2))) == 0
+
+    def test_edge_cases_agree_on_every_route(self):
+        assert witness_count_three_ways(NU, EMPTY, NU) == 1  # ν = λ, μ empty
+        assert witness_count_three_ways(EMPTY, EMPTY, EMPTY) == 1
+        assert witness_count_three_ways(LAM, Partition((1,)), Partition((2,))) == 0  # size mismatch
+        assert witness_count_three_ways(LAM, LAM, Partition((4, 1))) == 0
+        assert witness_count_three_ways(Partition((3,)), Partition((1,)), Partition((2, 2))) == 0
+        assert witness_count_three_ways(Partition((2, 2)), LAM, Partition((6, 1))) == 0
+
+    def test_long_row_and_column_on_both_routes(self):
+        # one box per row or per column, 1200 deep: no route may recurse per box
+        for shape in (Partition((1200,)), Partition((1,) * 1200)):
+            assert lr_coefficient(EMPTY, shape, shape) == 1
+            assert len(list(enumerate_lr_fillings(shape, EMPTY, shape))) == 1
+            assert lr_coefficient(shape, EMPTY, shape) == 1
+            assert len(list(enumerate_lr_fillings(shape, shape, EMPTY))) == 1
+        column = Partition((1,) * 1200)
+        (witness,) = enumerate_lr_fillings(column, EMPTY, column)
+        assert witness.filling.rows == tuple((v,) for v in range(1, 1201))
+
+    def test_count_witnesses_and_frozen_reference_agree_through_nine_boxes(self):
+        for total in range(10):
+            for a in range(total + 1):
+                for lam in partitions_of(a):
+                    for mu in partitions_of(total - a):
+                        for nu in partitions_of(total):
+                            witness_count_three_ways(lam, mu, nu)
+
+    def test_box_caps_match_column_heights(self):
+        # the caps only prune, so a cap set too high changes no output; hold them to the formula
+        shapes = [nu for total in range(10) for nu in partitions_of(total)]
+        shapes += [Partition(lam) for pair in MID_SIZE_PAIRS for lam in pair]
+        for nu in shapes:
+            for lam in shapes:
+                if nu.contains(lam):
+                    for m in range(len(nu.parts) + 1):
+                        cap = _lr_boxes(lam.parts, m, nu.parts)[0]
+                        assert cap == frozen_caps(lam.parts, m, nu.parts), (lam, m, nu)
+
+    @settings(max_examples=60)
+    @given(lr_triples())
+    def test_count_matches_frozen_reference_in_a_five_box(self, triple):
+        lam, mu, nu = triple
+        rows = [w.filling.rows for w in enumerate_lr_fillings(nu, lam, mu)]
+        assert rows == frozen_lr_rows(nu, lam, mu)
+        assert lr_coefficient(lam, mu, nu) == len(rows)
 
     def test_against_expansion_oracle_single_case(self):
         width = 6
