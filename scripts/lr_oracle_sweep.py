@@ -8,7 +8,7 @@ actual polynomial product. The sweep demands exact agreement on every
 coefficient, including the zeros, and exits nonzero on the first
 disagreement.
 
-Usage: python scripts/lr_oracle_sweep.py [--max-total 7] [-v]
+Usage: python scripts/lr_oracle_sweep.py [--max-total 6] [-v]
 """
 
 import argparse

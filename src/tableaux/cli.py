@@ -203,6 +203,10 @@ GUARDS: dict[str, tuple[int, Callable[[argparse.Namespace], int | None]]] = {
     "schur": (20, lambda args: args.shape.size),
     "expand": (20, lambda args: args.left.size + args.right.size),
     "lr": (20, lambda args: args.inner.size + args.content.size if args.verify else None),
+    # a trace prints n + 1 pairs of up to n boxes each, so its output grows as n²
+    "rsk": (1000, lambda args: (
+        parse_permutation(args.items[0]).n if args.trace and not args.invert else None
+    )),
 }
 
 

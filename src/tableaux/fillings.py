@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .partitions import Partition, SkewShape
 
@@ -112,19 +112,74 @@ def _as_skew(shape: Partition | SkewShape) -> SkewShape:
     return shape if isinstance(shape, SkewShape) else shape.as_skew()
 
 
-def _search(
-    skew: SkewShape, candidates: Callable[[int, int, int], Iterator[int]]
-) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Rows of every filling of ``skew`` built from the values ``candidates`` offers.
+def _leaves(
+    cap: Sequence[int],
+    low: Sequence[int],
+    high: Sequence[int],
+    up: Sequence[int],
+    budget: Sequence[int],
+    lattice: bool = False,
+) -> Iterator[list[int]]:
+    """The one tableau search: a leaf per filling of the boxes the tables describe.
 
-    Boxes are filled in reading order: rows from the top, each left to
-    right. Box ``k`` of that order asks ``candidates(k, left, up)`` for
-    an iterator of values to try, where ``left`` is the value of its left
-    neighbour and ``up`` that of the box above it, each 0 when that box
-    is absent. The search keeps the iterator of each filled box in a
-    list indexed by box, so its depth is not bounded by Python recursion.
-    A callback that keeps state updates it just before each value it
-    yields and restores it when resumed.
+    Box ``k`` is ``values[k + 1]``; ``values[0]`` holds 0 and
+    ``values[-1]`` the largest value, ``len(budget) - 1``, so a missing
+    neighbour is slot 0 (a lower bound) or slot -1 (an upper one). Box
+    ``k`` tries v from max(values[low[k]], values[up[k]] + 1) up to
+    min(cap[k], values[high[k]]) and takes v while fewer than
+    ``budget[v]`` v's are placed and, with ``lattice``, fewer v's than
+    (v - 1)'s. At each leaf the same list is yielded again, so a consumer
+    reads it before resuming. Leaves arrive in lexicographic order of the
+    values in box order. State is plain integers, and the loop backtracks
+    by box index, so the depth is not bounded by Python recursion.
+    """
+    n = len(cap)
+    values = [0] * (n + 1) + [len(budget) - 1]
+    if not n:
+        yield values
+        return
+    counts = [n] + [0] * (len(budget) - 1)  # slot 0 never runs short, so 1 is always lattice
+    gate = counts if lattice else budget  # v is taken while counts[v] < gate[v - 1]
+    k, v = 0, 1  # box k tries values from v on; box 0 has no neighbours
+    while True:
+        hi = cap[k]
+        bound = values[high[k]]
+        if bound < hi:
+            hi = bound
+        while v <= hi:
+            c = counts[v]
+            if c < budget[v] and c < gate[v - 1]:
+                break
+            v += 1
+        else:  # box k is exhausted: step back and move box k - 1 to its next value
+            if not k:
+                return
+            v = values[k]
+            counts[v] -= 1
+            k -= 1
+            v += 1
+            continue
+        counts[v] = c + 1
+        k += 1
+        values[k] = v
+        if k < n:
+            v = values[up[k]] + 1
+            lo = values[low[k]]
+            if lo > v:
+                v = lo
+        else:
+            yield values
+            counts[v] = c
+            k -= 1
+            v += 1
+
+
+def _reading_fillings(skew: SkewShape, cap: list[int], budget: Sequence[int]) -> Iterator[Filling]:
+    """Fillings of ``skew`` from :func:`_leaves` over its boxes in reading order.
+
+    Rows are filled from the top, each left to right, so a box is bounded
+    below by its left neighbour and by one more than the box above it, and
+    from above only by its cap. ``cap`` lists the caps in that order.
     """
     outer, inner = skew.outer.parts, skew.inner.parts
     # slot of the last box filled in each column: the box above, since skew columns are contiguous
@@ -139,42 +194,26 @@ def _search(
             up.append(last[c])
             last[c] = prev = len(left)
         rows.append(slice(start + 1, len(left) + 1))
-    n = len(left)
-    values = [0] * (n + 1)  # box k is values[k + 1]; values[0] stays 0 for absent neighbors
-    its: list[Iterator[int]] = [iter(())] * n  # its[k] offers the values for box k
-    k = 0  # boxes holding a value, which is also the next box to fill
-    while True:
-        if k < n:
-            its[k] = candidates(k, values[left[k]], values[up[k]])
-            k += 1
-        else:
-            yield tuple([tuple(values[s]) for s in rows])
-        while k:
-            v = next(its[k - 1], 0)
-            if v:
-                values[k] = v
-                break
-            k -= 1
-        else:
-            return
+    leaves = _leaves(cap, left, [-1] * len(left), up, budget)
+    return (Filling._trusted(skew, tuple([tuple(values[s]) for s in rows])) for values in leaves)
 
 
 def enumerate_ssyt(shape: Partition | SkewShape, bound: int) -> Iterator[Filling]:
     """All semistandard fillings of ``shape`` with entries in 1..bound.
 
     Searches boxes in row-reading order with per-box lower bounds
-    (left neighbor, upper neighbor plus one), so fillings arrive in
-    lexicographic order of their reading word, the iterator is lazy, and
-    memory stays proportional to the number of boxes.
+    (left neighbor, upper neighbor plus one) and caps (``bound`` less the
+    boxes below in the column), so fillings arrive in lexicographic order
+    of their reading word, the iterator is lazy, and memory stays
+    proportional to the number of boxes plus the bound.
     """
     if bound < 1:
         raise ValueError(f"entry bound must be at least 1, got {bound}")
     skew = _as_skew(shape)
-
-    def candidates(k: int, left: int, up: int) -> Iterator[int]:
-        return iter(range(max(left, up + 1), bound + 1))
-
-    return (Filling._trusted(skew, rows) for rows in _search(skew, candidates))
+    conj = skew.outer.conjugate().parts
+    cap = [bound - (conj[c] - 1 - r) for r, c in skew.boxes()]
+    n = skew.size  # a budget of n never binds; no boxes need no values, whatever the bound
+    return _reading_fillings(skew, cap, [n] * (bound + 1 if n else 1))
 
 
 def enumerate_syt(shape: Partition) -> Iterator[Filling]:
@@ -186,18 +225,8 @@ def enumerate_syt(shape: Partition) -> Iterator[Filling]:
     """
     n = shape.size
     conj = shape.conjugate().parts
-    high = [n - (shape.parts[r] - 1 - c) - (conj[c] - 1 - r) for r, c in shape.boxes()]
-    used = [False] * (n + 1)
-
-    def candidates(k: int, left: int, up: int) -> Iterator[int]:
-        for v in range(max(left, up) + 1, high[k] + 1):
-            if not used[v]:
-                used[v] = True
-                yield v
-                used[v] = False
-
-    skew = shape.as_skew()
-    return (Filling._trusted(skew, rows) for rows in _search(skew, candidates))
+    cap = [n - (shape.parts[r] - 1 - c) - (conj[c] - 1 - r) for r, c in shape.boxes()]
+    return _reading_fillings(shape.as_skew(), cap, [1] * (n + 1))
 
 
 def bender_knuth(filling: Filling, index: int) -> Filling:

@@ -7,7 +7,7 @@ from itertools import accumulate
 from operator import add, ge
 from typing import Iterable, Iterator, Sequence
 
-from .fillings import Filling
+from .fillings import Filling, _leaves
 from .partitions import Partition, SkewShape
 
 
@@ -47,12 +47,16 @@ def enumerate_lr_fillings(
     in lexicographic order of that word. Empty when containment fails,
     the box counts cannot balance, or ``outer`` lies outside the
     dominance window inner ∪ content ⊴ outer ⊴ inner + content. The
-    search is :func:`_lr_leaves`; each of its leaves becomes one witness.
+    search is :func:`fillings._leaves` over the :func:`_lr_boxes` tables,
+    with the content as budget and the lattice condition on, so both
+    prune prefixes of the reverse reading word instead of filtering
+    finished fillings; each leaf becomes one witness.
     """
     if not _admissible(outer, inner, content):
         return iter(())
-    lam, nu = inner.parts, outer.parts
+    lam, mu, nu = inner.parts, content.parts, outer.parts
     skew = SkewShape._trusted(outer, inner)
+    cap, right, up = _lr_boxes(lam, len(mu), nu)
     # box k of reverse reading order is values[k + 1], so row r reads its slots backwards
     rows: list[slice] = []
     end = 0
@@ -60,8 +64,8 @@ def enumerate_lr_fillings(
         start, end = end, end + hi - (lam[r] if r < len(lam) else 0)
         rows.append(slice(end, start, -1))
     return (
-        LrWitness(Filling._trusted(skew, tuple([tuple(values[s]) for s in rows])), content.parts)
-        for values in _lr_leaves(lam, content.parts, nu)
+        LrWitness(Filling._trusted(skew, tuple([tuple(values[s]) for s in rows])), mu)
+        for values in _leaves(cap, up, right, up, (0,) + mu, lattice=True)
     )
 
 
@@ -80,8 +84,13 @@ def _lr_boxes(
 ) -> tuple[list[int], list[int], list[int]]:
     """Per box of ν/λ in reverse reading order: its cap, right-neighbour slot, upper slot.
 
-    Box k is slot k + 1. A missing right neighbour is slot -1 and a
-    missing upper one slot 0; :func:`_lr_leaves` keeps m and 0 there.
+    Rows are taken top to bottom, each right to left. Box k is slot
+    k + 1. A missing right neighbour is slot -1 and a missing upper one
+    slot 0, where :func:`fillings._leaves` keeps m = ℓ(μ) and 0. The box
+    in row r is capped at r + 1 (a v needs a v - 1 read earlier, and the
+    entries to its right are at least v, so that v - 1 sits in a higher
+    row) and at m minus the boxes below it in its column (they hold
+    strictly larger values).
     """
     # min(r + 1, m - d) for a box in row r with d boxes below it is r + 1 minus
     # excess[c], the number of rows past the first m that reach its column
@@ -104,69 +113,6 @@ def _lr_boxes(
     return cap, right, up
 
 
-def _lr_leaves(
-    lam: tuple[int, ...], mu: tuple[int, ...], nu: tuple[int, ...]
-) -> Iterator[list[int]]:
-    """The one Littlewood-Richardson search: a leaf per witness of ν/λ with content μ.
-
-    The caller has checked that λ ⊆ ν and |ν/λ| = |μ|. Boxes are filled
-    in reverse reading order (rows top to bottom, each right to left),
-    so the lattice condition and the content budget prune prefixes of
-    the reverse reading word instead of filtering finished fillings.
-    Box k is ``values[k + 1]``; at each leaf the same list is yielded
-    again, so a consumer reads it before resuming. Leaves arrive in
-    lexicographic order of the word.
-
-    The box in row r caps its value at r + 1 (a v needs a v - 1 read
-    earlier, and the entries to its right are at least v, so that v - 1
-    sits in a higher row) and at ℓ(μ) minus the boxes below it in its
-    column (they hold strictly larger values). The caps are fixed per
-    box; a box then tries the values above its upper neighbour up to the
-    smaller of its cap and its right neighbour. A value v is taken while
-    fewer than μ_v v's and fewer v's than (v − 1)'s have been read.
-    State is plain integers, and the loop backtracks by box index, so the
-    depth is not bounded by Python recursion.
-    """
-    m = len(mu)
-    cap, right, up = _lr_boxes(lam, m, nu)
-    n = len(cap)
-    values = [0] * (n + 1) + [m]  # slot -1 holds m, no cap is larger; slot 0 holds 0
-    if not n:
-        yield values
-        return
-    budget = (0,) + mu  # budget[v] is the number of v's the content asks for
-    counts = [n] + [0] * m  # slot 0 never runs short, so 1 is always lattice
-    k, v = 0, 1  # box k tries values from v on
-    while True:
-        hi = cap[k]
-        bound = values[right[k]]
-        if bound < hi:
-            hi = bound
-        while v <= hi:
-            c = counts[v]
-            if c < budget[v] and c < counts[v - 1]:
-                break
-            v += 1
-        else:  # box k is exhausted: step back and move box k - 1 to its next value
-            if not k:
-                return
-            v = values[k]
-            counts[v] -= 1
-            k -= 1
-            v += 1
-            continue
-        counts[v] = c + 1
-        k += 1
-        values[k] = v
-        if k < n:
-            v = values[up[k]] + 1
-        else:
-            yield values
-            counts[v] = c
-            k -= 1
-            v += 1
-
-
 def _dominates(big: Sequence[int], small: Sequence[int]) -> bool:
     """``small`` ⊴ ``big`` in dominance order, for partitions of one size.
 
@@ -180,9 +126,12 @@ def _dominates(big: Sequence[int], small: Sequence[int]) -> bool:
 def lr_coefficient(inner: Partition, content: Partition, outer: Partition) -> int:
     """Number of witnesses; zero on containment failure, size mismatch or outside the window.
 
-    Counts the leaves of the witness search of :func:`enumerate_lr_fillings`
-    after the same checks, without building a shape, filling or witness.
+    Counts the leaves of the same :func:`fillings._leaves` search as
+    :func:`enumerate_lr_fillings`, after the same checks, without building
+    a shape, filling or witness.
     """
     if not _admissible(outer, inner, content):
         return 0
-    return sum(1 for _ in _lr_leaves(inner.parts, content.parts, outer.parts))
+    mu = content.parts
+    cap, right, up = _lr_boxes(inner.parts, len(mu), outer.parts)
+    return sum(1 for _ in _leaves(cap, up, right, up, (0,) + mu, lattice=True))

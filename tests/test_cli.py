@@ -317,6 +317,26 @@ class TestRsk:
             '"result": {"insertion": {"rows": [[1], [2]]}, "recording": {"rows": [[1], [2]]}}}\n'
         ), "")
 
+    def test_trace_guard(self, capsys):
+        perm = ",".join(map(str, range(1, 1002)))
+        code, out, err = run(capsys, "rsk", perm, "--trace")
+        assert (code, out) == (1, "")
+        assert err == "error: rsk asks for 1001 boxes; guard is 1000 (see --max-boxes)\n"
+        code, out, err = run(capsys, "rsk", perm, "--trace", "--max-boxes", "1001")
+        assert (code, err) == (0, "")
+        line = perm.replace(",", " ")
+        assert out.count("step ") == 1002
+        assert out.endswith(f"T:\n{line}\nU:\n{line}\n")
+
+    def test_guard_leaves_plain_and_inverse_unbounded(self, capsys):
+        row = ",".join(map(str, range(1, 5001)))
+        code, out, err = run(capsys, "rsk", row)
+        assert (code, err) == (0, "")
+        line = row.replace(",", " ")
+        assert out == f"T:\n{line}\nU:\n{line}\n"
+        code, out, err = run(capsys, "rsk", "--invert", "--trace", row, row)
+        assert (code, out, err) == (0, row + "\n", "")
+
     def test_json(self, capsys):
         _, out, _ = run(capsys, "rsk", "21453", "--json")
         payload = json.loads(out)

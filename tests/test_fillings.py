@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -151,6 +152,78 @@ def skew_shapes(max_boxes):
             for outer in partitions_of(n) for inner in subpartitions(outer)]
 
 
+
+def frozen_forward_search(skew, candidates):
+    """A frozen copy of the library's earlier callback search, in reading order.
+
+    Boxes are filled in reading order: rows from the top, each left to
+    right. Box ``k`` of that order asks ``candidates(k, left, up)`` for
+    an iterator of values to try, where ``left`` is the value of its left
+    neighbour and ``up`` that of the box above it, each 0 when that box
+    is absent. The search keeps the iterator of each filled box in a
+    list indexed by box, so its depth is not bounded by Python recursion.
+    A callback that keeps state updates it just before each value it
+    yields and restores it when resumed.
+    """
+    outer, inner = skew.outer.parts, skew.inner.parts
+    # slot of the last box filled in each column: the box above, since skew columns are contiguous
+    last = [0] * (outer[0] if outer else 0)
+    left = []
+    up = []
+    rows = []
+    for r, hi in enumerate(outer):
+        start, prev = len(left), 0
+        for c in range(inner[r] if r < len(inner) else 0, hi):
+            left.append(prev)
+            up.append(last[c])
+            last[c] = prev = len(left)
+        rows.append(slice(start + 1, len(left) + 1))
+    n = len(left)
+    values = [0] * (n + 1)  # box k is values[k + 1]; values[0] stays 0 for absent neighbors
+    its = [iter(())] * n  # its[k] offers the values for box k
+    k = 0  # boxes holding a value, which is also the next box to fill
+    while True:
+        if k < n:
+            its[k] = candidates(k, values[left[k]], values[up[k]])
+            k += 1
+        else:
+            yield tuple([tuple(values[s]) for s in rows])
+        while k:
+            v = next(its[k - 1], 0)
+            if v:
+                values[k] = v
+                break
+            k -= 1
+        else:
+            return
+
+
+def frozen_ssyt_rows(shape, bound):
+    """Semistandard rows from the earlier callback of ``enumerate_ssyt``, run through its search."""
+    skew = shape if isinstance(shape, SkewShape) else shape.as_skew()
+
+    def candidates(k, left, up):
+        return iter(range(max(left, up + 1), bound + 1))
+
+    return list(frozen_forward_search(skew, candidates))
+
+
+def frozen_syt_rows(shape):
+    """Standard rows from the earlier callback of ``enumerate_syt``, run through its search."""
+    n = shape.size
+    conj = shape.conjugate().parts
+    high = [n - (shape.parts[r] - 1 - c) - (conj[c] - 1 - r) for r, c in shape.boxes()]
+    used = [False] * (n + 1)
+
+    def candidates(k, left, up):
+        for v in range(max(left, up) + 1, high[k] + 1):
+            if not used[v]:
+                used[v] = True
+                yield v
+                used[v] = False
+
+    return list(frozen_forward_search(shape.as_skew(), candidates))
+
 # skew shapes with a row that shares no column with the row above it, each with a
 # filling that is semistandard although that row's entries are smaller than those above
 NO_OVERLAP = [
@@ -290,6 +363,35 @@ class TestEnumerateSsyt:
     def test_long_row_does_not_recurse(self):
         assert [f.rows for f in enumerate_ssyt(Partition((1200,)), 1)] == [((1,) * 1200,)]
 
+    def test_long_column_does_not_recurse(self):
+        # islice keeps a search that wrongly admits more fillings from filling memory too
+        rows = [f.rows for f in itertools.islice(enumerate_ssyt(Partition((1,) * 1200), 1200), 2)]
+        assert rows == [tuple((v,) for v in range(1, 1201))]
+
+    def test_no_boxes_need_no_values(self):
+        # the value tables of a search over no boxes must not grow with the bound
+        tracemalloc.start()
+        try:
+            for shape in (EMPTY, SkewShape(Partition((2, 1)), Partition((2, 1)))):
+                assert [f.rows for f in enumerate_ssyt(shape, 10**6)] == [((),) * shape.nrows]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**6
+
+    def test_matches_frozen_search_straight_shapes_through_nine_boxes(self):
+        for n in range(10):
+            for shape in partitions_of(n):
+                for bound in range(1, 5):
+                    got = [f.rows for f in enumerate_ssyt(shape, bound)]
+                    assert got == frozen_ssyt_rows(shape, bound), (shape, bound)
+
+    def test_matches_frozen_search_skew_shapes_through_seven_boxes(self):
+        for skew in skew_shapes(7):
+            for bound in range(1, 4):
+                got = [f.rows for f in enumerate_ssyt(skew, bound)]
+                assert got == frozen_ssyt_rows(skew, bound), (skew, bound)
+
     def test_matches_brute_force_skew_shapes(self):
         cases = [
             ((3, 2, 1), (2, 1)),
@@ -338,6 +440,16 @@ class TestEnumerateSyt:
     def test_long_row_does_not_recurse(self):
         rows = [f.rows for f in enumerate_syt(Partition((1200,)))]
         assert rows == [(tuple(range(1, 1201)),)]
+
+    def test_long_column_does_not_recurse(self):
+        rows = [f.rows for f in itertools.islice(enumerate_syt(Partition((1,) * 1200)), 2)]
+        assert rows == [tuple((v,) for v in range(1, 1201))]
+
+    def test_matches_frozen_search_through_ten_boxes(self):
+        for n in range(11):
+            for shape in partitions_of(n):
+                got = [f.rows for f in enumerate_syt(shape)]
+                assert got == frozen_syt_rows(shape), shape
 
     def test_matches_brute_force_up_to_seven(self):
         for n in range(8):
