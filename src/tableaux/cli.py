@@ -27,7 +27,7 @@ from .partitions import (
 )
 from .polynomials import format_polynomial
 from .rsk import RskPair, format_permutation, inverse_rsk, parse_permutation, rsk, rsk_trace
-from .schur import schur_expand, schur_polynomial
+from .schur import _product_expansion, schur_polynomial
 
 EMPTY_MARK = "(empty)"
 
@@ -97,24 +97,6 @@ def _cmd_schur(args: argparse.Namespace) -> Output:
     terms = [{"exponents": list(exps), "coefficient": c} for exps, c in poly.sorted_terms()]
     result = {"width": args.bound, "terms": terms}
     return {"inputs": inputs, "result": result}, format_polynomial(poly)
-
-
-def _product_expansion(lam: Partition, mu: Partition) -> dict[Partition, int]:
-    """Schur expansion of ``s_lam * s_mu``, lex-descending.
-
-    The product is taken in w = min(l(lam) + l(mu), lam_1 + mu_1)
-    variables and loses no coefficient: c^nu_{lam mu} != 0 forces
-    l(nu) <= l(lam) + l(mu) and nu_1 <= lam_1 + mu_1, and the expansion in
-    w variables holds every nu of at most w rows. When lam_1 + mu_1 is the
-    smaller, the conjugates are multiplied instead and each nu is
-    conjugated back: omega(s_lam) = s_lam' (Macdonald I (3.8)).
-    """
-    width = lam.nrows + mu.nrows
-    if lam.part(0) + mu.part(0) < width:
-        dual = _product_expansion(lam.conjugate(), mu.conjugate())
-        return dict(sorted(((nu.conjugate(), c) for nu, c in dual.items()),
-                           key=lambda item: item[0].parts, reverse=True))
-    return schur_expand(schur_polynomial(lam, width) * schur_polynomial(mu, width))
 
 
 def _cmd_lr(args: argparse.Namespace) -> Output:

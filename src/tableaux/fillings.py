@@ -207,8 +207,8 @@ def enumerate_ssyt(shape: Partition | SkewShape, bound: int) -> Iterator[Filling
     of their reading word, the iterator is lazy, and memory stays
     proportional to the number of boxes plus the bound.
     """
-    if bound < 1:
-        raise ValueError(f"entry bound must be at least 1, got {bound}")
+    if bound < 0:
+        raise ValueError(f"entry bound must be nonnegative, got {bound}")
     skew = _as_skew(shape)
     conj = skew.outer.conjugate().parts
     cap = [bound - (conj[c] - 1 - r) for r, c in skew.boxes()]

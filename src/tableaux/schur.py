@@ -124,6 +124,24 @@ def schur_expand(poly: Polynomial) -> dict[Partition, int]:
     return result
 
 
+def _product_expansion(lam: Partition, mu: Partition) -> dict[Partition, int]:
+    """Schur expansion of ``s_lam * s_mu``, lex-descending.
+
+    The product is taken in w = min(l(lam) + l(mu), lam_1 + mu_1)
+    variables and loses no coefficient: c^nu_{lam mu} != 0 forces
+    l(nu) <= l(lam) + l(mu) and nu_1 <= lam_1 + mu_1, and the expansion in
+    w variables holds every nu of at most w rows. When lam_1 + mu_1 is the
+    smaller, the conjugates are multiplied instead and each nu is
+    conjugated back: omega(s_lam) = s_lam' (Macdonald I (3.8)).
+    """
+    width = lam.nrows + mu.nrows
+    if lam.part(0) + mu.part(0) < width:
+        dual = _product_expansion(lam.conjugate(), mu.conjugate())
+        return dict(sorted(((nu.conjugate(), c) for nu, c in dual.items()),
+                           key=lambda item: item[0].parts, reverse=True))
+    return schur_expand(schur_polynomial(lam, width) * schur_polynomial(mu, width))
+
+
 def _orbit_size(exps: tuple[int, ...]) -> int:
     """Number of distinct rearrangements of ``exps``."""
     return factorial(len(exps)) // prod(factorial(m) for m in Counter(exps).values())

@@ -148,6 +148,12 @@ class TestSchur:
     def test_zero_polynomial(self, capsys):
         assert run(capsys, "schur", "[1,1,1]", "2")[:2] == (0, "0\n")
 
+    def test_zero_variables(self, capsys):
+        # the listing agrees with the polynomial: only a shape without boxes has a filling
+        assert run(capsys, "schur", "[]", "0", "--list")[:2] == (0, "(empty)\n")
+        assert run(capsys, "schur", "[1]", "0", "--list")[:2] == (0, "\n")
+        assert run(capsys, "schur", "[1]", "0")[:2] == (0, "0\n")
+
     def test_list_flag_prints_tableaux(self, capsys):
         _, out, _ = run(capsys, "schur", "[1]", "2", "--list")
         assert out == "1\n\n2\n"

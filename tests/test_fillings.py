@@ -339,8 +339,10 @@ class TestEnumerateSsyt:
         assert len(list(enumerate_ssyt(EMPTY, 3))) == 1
 
     def test_bad_bound(self):
+        # bound 0 is zero variables, as for schur_polynomial: no box can be filled
+        assert list(enumerate_ssyt(Partition((1,)), 0)) == []
         with pytest.raises(ValueError):
-            enumerate_ssyt(Partition((1,)), 0)
+            enumerate_ssyt(Partition((1,)), -1)
 
     def test_yields_semistandard(self):
         for filling in enumerate_ssyt(SkewShape(Partition((3, 2)), Partition((1,))), 3):
@@ -373,7 +375,8 @@ class TestEnumerateSsyt:
         tracemalloc.start()
         try:
             for shape in (EMPTY, SkewShape(Partition((2, 1)), Partition((2, 1)))):
-                assert [f.rows for f in enumerate_ssyt(shape, 10**6)] == [((),) * shape.nrows]
+                for bound in (0, 10**6):
+                    assert [f.rows for f in enumerate_ssyt(shape, bound)] == [((),) * shape.nrows]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -17,6 +17,7 @@ from tableaux import (
     schur_polynomial,
 )
 from tableaux.littlewood_richardson import _lr_boxes
+from tableaux.schur import _product_expansion
 
 LAM = Partition((2, 1))
 NU = Partition((3, 2, 1))
@@ -297,6 +298,7 @@ class TestCoefficient:
                     for mu in partitions_of(total - a):
                         product = schur_polynomial(lam, total) * schur_polynomial(mu, total)
                         expansion = schur_expand(product)
+                        assert list(_product_expansion(lam, mu).items()) == list(expansion.items())
                         for nu in partitions_of(total):
                             assert lr_coefficient(lam, mu, nu) == expansion.get(nu, 0), (
                                 lam,
