@@ -21,10 +21,12 @@ class Polynomial:
     base ``base`` (larger than every stored exponent) with x1 the most
     significant, so packed keys order like their exponent vectors. Two
     equal polynomials may hold different bases; operations bring both
-    operands to a common one. Tuple keys are a view unpacked on first use.
+    operands to a common one, and the last copy re-packed into another
+    base is kept for the next operation in that base. Tuple keys are a
+    view unpacked on first use.
     """
 
-    __slots__ = ("_width", "_base", "_packed", "_view")
+    __slots__ = ("_width", "_base", "_packed", "_view", "_rebase")
 
     def __init__(self, width: int, terms: Mapping[Iterable[int], int] | None = None):
         if width < 0:
@@ -34,9 +36,11 @@ class Polynomial:
             key = tuple(exps)
             if len(key) != width:
                 raise WidthMismatchError(f"exponent vector {key} does not have width {width}")
+            if not all(isinstance(e, int) and not isinstance(e, bool) for e in key):
+                raise TypeError(f"exponents must be integers, got {key}")
             if any(e < 0 for e in key):
                 raise ValueError(f"exponents must be nonnegative, got {key}")
-            if not isinstance(coeff, int):
+            if not isinstance(coeff, int) or isinstance(coeff, bool):
                 raise TypeError(f"coefficients must be integers, got {coeff!r}")
             if coeff != 0:
                 cleaned[key] = coeff
@@ -45,6 +49,7 @@ class Polynomial:
         self._base = base
         self._packed = {_pack(exps, base): coeff for exps, coeff in cleaned.items()}
         self._view = cleaned
+        self._rebase = None
 
     @classmethod
     def _from_packed(cls, width: int, base: int, packed: dict[int, int]) -> "Polynomial":
@@ -56,6 +61,7 @@ class Polynomial:
         poly._base = base
         poly._packed = packed
         poly._view = None
+        poly._rebase = None
         return poly
 
     @classmethod
@@ -153,13 +159,24 @@ class Polynomial:
         return None
 
     def _rebased(self, base: int) -> dict[int, int]:
-        """The packed terms with keys in ``base``, at least this polynomial's own."""
+        """The packed terms with keys in ``base``, at least this polynomial's own.
+
+        The last copy made is kept as one ``(base, terms)`` tuple: a cached
+        operand meets the same product base again and again, and one
+        assignment replaces the whole pair, so a concurrent reader sees an
+        old copy or a new one, never a half. Callers must not mutate it.
+        """
         if base == self._base:
             return self._packed
+        kept = self._rebase
+        if kept is not None and kept[0] == base:
+            return kept[1]
         keys = [0] * len(self._packed)
         for digits in _digit_columns(list(self._packed), self._width, self._base):
             keys = [key * base + d for key, d in zip(keys, digits)]
-        return dict(zip(keys, self._packed.values()))
+        terms = dict(zip(keys, self._packed.values()))
+        self._rebase = (base, terms)
+        return terms
 
     def __add__(self, other):
         other = self._coerce(other)

@@ -24,6 +24,9 @@ class Permutation:
     def __post_init__(self):
         images = tuple(self.images)
         object.__setattr__(self, "images", images)
+        for v in images:
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise TypeError(f"images must be integers, got {v!r}")
         if sorted(images) != list(range(1, len(images) + 1)):
             raise ValueError(f"{list(images)} is not a permutation of 1..{len(images)}")
 

@@ -9,7 +9,7 @@ from math import factorial, prod
 from typing import Iterator
 
 from .partitions import Partition
-from .polynomials import Polynomial
+from .polynomials import Polynomial, _pack
 
 
 class NotSymmetricError(ValueError):
@@ -38,13 +38,14 @@ def schur_polynomial(shape: Partition, width: int) -> Polynomial:
     """
     if width < 0:
         raise ValueError(f"width must be nonnegative, got {width}")
+    # Every s_shape is packed in base |shape| + 1, zero included: no exponent
+    # exceeds the size, and schur_expand reads Kostka numbers in this base.
+    base = shape.size + 1
     if shape.nrows > width:
-        return Polynomial.zero(width)
+        return Polynomial._from_packed(width, base, {})
     needed = [{shape.parts}]  # needed[j]: shapes wanted in width - j variables
     for k in range(width, 0, -1):
         needed.append({mu for nu in needed[-1] for mu in _strip_removals(nu, k)})
-    # exponent vectors packed as in Polynomial; no exponent exceeds the size
-    base = shape.size + 1
     level: dict[tuple[int, ...], dict[int, int]] = {(): {0: 1}}
     for k in range(1, width + 1):
         level = {nu: _branch(nu, k, base, level) for nu in needed[width - k]}
@@ -86,10 +87,12 @@ def schur_expand(poly: Polynomial) -> dict[Partition, int]:
     leading exponent vector ``nu`` of a symmetric homogeneous polynomial
     is weakly decreasing, hence a partition; subtract ``coeff * s_nu`` and
     repeat. A symmetric polynomial is fixed by its coefficients at weakly
-    decreasing exponents, so the elimination runs on those alone, and the
-    Kostka numbers it subtracts are read off the cached
-    ``schur_polynomial(nu, width)``. Partitions come out in lex-descending
-    order. Negative coefficients are returned as data, never clamped.
+    decreasing exponents, so the elimination runs on those alone. They
+    are packed once per call, in base ``degree + 1``, and each Kostka
+    number it subtracts is one lookup of such a key in the packed terms of
+    the cached ``schur_polynomial(nu, width)``, which is built in that
+    base. Partitions come out in lex-descending order. Negative
+    coefficients are returned as data, never clamped.
 
     Raises :class:`NotHomogeneousError` for mixed total degrees, before
     :class:`NotSymmetricError` when both apply.
@@ -102,25 +105,32 @@ def schur_expand(poly: Polynomial) -> dict[Partition, int]:
         return {}
     lead, _ = poly.leading_term()
     candidates = list(_dominant_exponents_below(lead))
-    residual = {nu: c for nu in candidates if (c := poly.coefficient(nu))}
+    # Candidate entries are at most lead[0], which is below the poly's base
+    # and at most the degree; every s_nu of this degree is packed in degree + 1.
+    base = sum(lead) + 1
+    keys = [_pack(nu, base) for nu in candidates]
+    own = keys if poly._base == base else [_pack(nu, poly._base) for nu in candidates]
+    get = poly._packed.get
+    residual = [get(key, 0) for key in own]
     # The support is a union of whole orbits. The lead is the greatest stored
     # exponent, so every orbit of its degree has its weakly decreasing member
     # among the candidates; their orbits fill the support exactly when no
     # other degree is present.
-    if sum(map(_orbit_size, residual)) != len(poly.terms):
+    orbits = sum(_orbit_size(nu) for nu, c in zip(candidates, residual) if c)
+    if orbits != len(poly._packed):
         raise NotHomogeneousError("expansion requires a homogeneous polynomial")
     result: dict[Partition, int] = {}
     for i, nu in enumerate(candidates):
-        coeff = residual.get(nu, 0)
+        coeff = residual[i]
         if not coeff:
             continue
         shape = Partition(nu)
         result[shape] = coeff
-        kostka = schur_polynomial(shape, poly.width)
-        for rho in candidates[i + 1 :]:
-            count = kostka.coefficient(rho)
+        kostka = schur_polynomial(shape, poly.width)._packed.get
+        for j in range(i + 1, len(keys)):
+            count = kostka(keys[j])
             if count:
-                residual[rho] = residual.get(rho, 0) - coeff * count
+                residual[j] -= coeff * count
     return result
 
 

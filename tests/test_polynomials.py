@@ -1,9 +1,18 @@
+import sys
+import threading
 from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tableaux import Polynomial, WidthMismatchError, format_polynomial
+from tableaux import (
+    Partition,
+    Polynomial,
+    WidthMismatchError,
+    format_polynomial,
+    partitions_of,
+    schur_polynomial,
+)
 
 
 def poly_terms(width, max_degree=3, max_terms=6):
@@ -37,6 +46,15 @@ class TestConstruction:
     def test_rejects_non_integer_coefficients(self):
         with pytest.raises(TypeError):
             Polynomial(1, {(1,): 0.5})
+        with pytest.raises(TypeError):
+            Polynomial(1, {(1,): True})
+
+    def test_rejects_non_integer_exponents(self):
+        for exps in ((1.5,), (1.0,), (True,), (False,)):
+            with pytest.raises(TypeError):
+                Polynomial(1, {exps: 1})
+        with pytest.raises(TypeError):
+            Polynomial.monomial(2, (1, 2.0))
 
     def test_width_zero_constants(self):
         one = Polynomial(0, {(): 1})
@@ -210,6 +228,82 @@ class TestMixedBases:
         assert (0, 2) not in poly.terms
         assert poly.coefficient((1, 0)) == poly.terms[(1, 0)] == 5
         assert poly.coefficient((1,)) == 0
+
+
+class TestKeptRebase:
+    # An operand keeps its last copy re-packed into another base, to be reused
+    # by the next operation in that base; results must not depend on it.
+
+    def test_copy_is_reused_then_replaced(self):
+        p = Polynomial(2, {(1, 0): 2, (0, 1): -1})  # base 2
+        q3 = Polynomial(2, {(2, 0): 1})  # base 3: products in base 4
+        q5 = Polynomial(2, {(0, 4): 1})  # base 5: products in base 6
+        assert p._rebase is None
+        first = p * q3
+        kept = p._rebase
+        assert kept[0] == 4
+        assert p * q3 == first and p._rebase is kept
+        assert p * q5 == Polynomial(2, {(1, 4): 2, (0, 5): -1})
+        assert p._rebase[0] == 6
+        assert p._rebased(p._base) is p._packed and p._rebase[0] == 6
+
+    @given(st.data())
+    def test_interleaved_partners_match_fresh_operands(self, data):
+        width = data.draw(st.integers(0, 3))
+        p = Polynomial(width, data.draw(wide_terms(width, 3)))
+        partners = [Polynomial(width, data.draw(wide_terms(width, e))) for e in (1, 3, 12)]
+        # products hold bases above those of their tuple-built equals
+        partners += [partners[0] * partners[1], partners[2] * partners[1]]
+        steps = st.tuples(st.integers(0, len(partners) - 1), st.sampled_from(("mul", "add", "eq")))
+        for index, op in data.draw(st.lists(steps, min_size=1, max_size=12)):
+            q = partners[index]
+            fresh_p, fresh_q = Polynomial(width, p.terms), Polynomial(width, q.terms)
+            if op == "mul":
+                pairs = [(p * q, fresh_p * fresh_q), (q * p, fresh_q * fresh_p)]
+                assert p * q == naive_product(fresh_p, fresh_q)
+            elif op == "add":
+                pairs = [(p + q, fresh_p + fresh_q), (q + p, fresh_q + fresh_p)]
+            else:
+                assert (p == q) == (q == p) == (fresh_p == fresh_q)
+                pairs = [(p, fresh_p)]
+            for result, fresh in pairs:
+                assert result == fresh
+                assert result.sorted_terms() == fresh.sorted_terms()
+
+    def test_threads_share_cached_schur_operands(self):
+        # Each thread takes the partners, of four different bases, in its own
+        # rotation, so the threads keep replacing and reusing one another's
+        # copies of the same cached operands.
+        width = 3
+        operands = [schur_polynomial(shape, width) for n in range(1, 5) for shape in partitions_of(n)]
+        partners = [schur_polynomial(Partition((k,)), width) for k in (1, 2, 3, 5)]
+        rounds = 30
+
+        def products(ops, order):
+            return [(op * partners[k]).sorted_terms() for k in order for op in ops]
+
+        fresh = [Polynomial(width, op.terms) for op in operands]
+        orders = [[(t + k) % len(partners) for k in range(len(partners))] for t in range(4)]
+        results: list = [None] * len(orders)
+        start = threading.Barrier(len(orders), timeout=60)
+
+        def work(t):
+            start.wait()
+            results[t] = [products(operands, orders[t]) for _ in range(rounds)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(len(orders))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for order, got in zip(orders, results):
+            assert got == [products(fresh, order)] * rounds
 
 
 class TestStructure:

@@ -44,6 +44,13 @@ class TestPermutation:
         with pytest.raises(ValueError):
             Permutation((1, 1, 2))
 
+    def test_rejects_non_integer_images(self):
+        for images in ((True,), (2.0, 1.0), (1, 2.5), (2, True)):
+            with pytest.raises(TypeError):
+                Permutation(images)
+        with pytest.raises(TypeError):
+            rsk([2, True])  # refused as a permutation, before any insertion
+
     def test_inverse(self):
         assert SIGMA.inverse() == Permutation((2, 1, 5, 3, 4))
         assert SIGMA.inverse().inverse() == SIGMA

@@ -77,10 +77,15 @@ class TestSchurPolynomial:
                     )
 
     def test_terms_stored_lex_descending(self):
-        poly = schur_polynomial(Partition((3, 2, 1)), 4)
-        assert list(poly.terms.items()) == poly.sorted_terms()
-        # keys and values of the view keep the same order
-        assert list(zip(poly.terms, poly.terms.values())) == poly.sorted_terms()
+        # schur_expand reads Kostka numbers by key packed in base |shape| + 1
+        for n in range(8):
+            for shape in partitions_of(n):
+                for width in range(9):
+                    poly = schur_polynomial(shape, width)
+                    assert poly._base == n + 1, (shape, width)
+                    assert list(poly.terms.items()) == poly.sorted_terms()
+                    # keys and values of the view keep the same order
+                    assert list(zip(poly.terms, poly.terms.values())) == poly.sorted_terms()
 
     def test_long_row_in_one_variable(self):
         # no recursion over the 1200 boxes
