@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 from collections.abc import Mapping
-from typing import Iterable
+from functools import lru_cache
+from itertools import combinations, groupby
+from typing import Iterable, Iterator
 
 
 class WidthMismatchError(ValueError):
@@ -24,11 +26,18 @@ class Polynomial:
     operands to a common one, and the last copy re-packed into another
     base is kept for the next operation in that base. Tuple keys are a
     view unpacked on first use.
+
+    A polynomial symmetric and homogeneous of degree ``d`` by construction
+    (a Schur polynomial, or a product of two such) records ``d`` and is
+    packed in base ``d + 1``; products of two of them take the orbit route
+    of :meth:`__mul__`. Nothing else sets the record, whatever its terms.
     """
 
-    __slots__ = ("_width", "_base", "_packed", "_view", "_rebase")
+    __slots__ = ("_width", "_base", "_packed", "_view", "_rebase", "_symmetric_degree")
 
     def __init__(self, width: int, terms: Mapping[Iterable[int], int] | None = None):
+        if not isinstance(width, int) or isinstance(width, bool):
+            raise TypeError(f"width must be an integer, got {width!r}")
         if width < 0:
             raise ValueError(f"width must be nonnegative, got {width}")
         cleaned: dict[tuple[int, ...], int] = {}
@@ -50,10 +59,15 @@ class Polynomial:
         self._packed = {_pack(exps, base): coeff for exps, coeff in cleaned.items()}
         self._view = cleaned
         self._rebase = None
+        self._symmetric_degree = None
 
     @classmethod
-    def _from_packed(cls, width: int, base: int, packed: dict[int, int]) -> "Polynomial":
-        # internal: keys packed in ``base`` as above; zero coefficients drop here
+    def _from_packed(
+        cls, width: int, base: int, packed: dict[int, int], symmetric_degree: int | None = None
+    ) -> "Polynomial":
+        # internal: keys packed in ``base`` as above; zero coefficients drop here.
+        # ``symmetric_degree`` d is given only for a polynomial symmetric and
+        # homogeneous of degree d by construction, with ``base == d + 1``.
         if 0 in packed.values():
             packed = {key: c for key, c in packed.items() if c}
         poly = object.__new__(cls)
@@ -62,6 +76,7 @@ class Polynomial:
         poly._packed = packed
         poly._view = None
         poly._rebase = None
+        poly._symmetric_degree = symmetric_degree
         return poly
 
     @classmethod
@@ -102,6 +117,8 @@ class Polynomial:
 
     def coefficient(self, exps: Iterable[int]) -> int:
         exps = tuple(exps)
+        if not all(isinstance(e, int) and not isinstance(e, bool) for e in exps):
+            raise TypeError(f"exponents must be integers, got {exps}")
         if len(exps) != self._width or not all(0 <= e < self._base for e in exps):
             return 0
         return self._packed.get(_pack(exps, self._base), 0)
@@ -215,6 +232,8 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_width(other)
+        if self._symmetric_degree is not None and other._symmetric_degree is not None:
+            return self._orbit_product(other)
         # Every exponent of the product is at most the sum of the operands'
         # largest, so in this base adding keys never carries and multiplying
         # monomials is adding integers; zero coefficients drop once, at the end.
@@ -230,6 +249,30 @@ class Polynomial:
         return Polynomial._from_packed(self._width, base, packed)
 
     __rmul__ = __mul__
+
+    def _orbit_product(self, other: "Polynomial") -> "Polynomial":
+        """Product of two polynomials symmetric and homogeneous by construction.
+
+        The product of degree d = d1 + d2 is symmetric, so it is fixed by its
+        coefficients at the weakly decreasing exponents alpha, and
+        c_alpha = sum over beta <= alpha with |beta| = d1 of A[beta] * B[alpha - beta].
+        Both operands are symmetric too, so each factor is read at the sorted
+        exponent, from :func:`_split_keys`; each nonzero c_alpha is written to
+        every rearrangement of alpha, from :func:`_orbit_keys`. The product is
+        packed in base d + 1, the base the pair loop would use, and is
+        recorded as symmetric of degree d. Each cached table entry holds at
+        most the degree-d monomials in ``width`` variables.
+        """
+        width, low = self._width, self._symmetric_degree
+        degree = low + other._symmetric_degree
+        base = degree + 1
+        left, right = self._packed.get, other._packed.get
+        packed: dict[int, int] = {}
+        for alpha in _exponent_partitions(degree, width):
+            coeff = sum(m * left(k1, 0) * right(k2, 0) for k1, k2, m in _split_keys(alpha, low))
+            if coeff:
+                packed.update(dict.fromkeys(_orbit_keys(alpha, base), coeff))
+        return Polynomial._from_packed(width, base, packed, degree)
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
@@ -284,6 +327,104 @@ def _pack(exps: tuple[int, ...], base: int) -> int:
     for e in exps:
         key = key * base + e
     return key
+
+
+def _exponent_partitions(degree: int, width: int) -> Iterator[tuple[int, ...]]:
+    """Weakly decreasing exponent vectors of ``width`` entries summing to ``degree``."""
+    if width:
+        return _dominant_exponents_below((degree,) + (0,) * (width - 1))
+    return iter([()] if degree == 0 else [])
+
+
+def _dominant_exponents_below(lead: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """Weakly decreasing vectors of ``lead``'s length and sum, lex-descending from ``lead``.
+
+    Each successor lowers by one the rightmost part whose lost box still
+    fits after it, then refills the parts after it as high as they go.
+    """
+    parts = list(lead)
+    width = len(parts)
+    while True:
+        yield tuple(parts)
+        rest = 0
+        for i in range(width - 1, -1, -1):
+            if parts[i] and rest < (width - 1 - i) * (parts[i] - 1):
+                break
+            rest += parts[i]
+        else:
+            return
+        parts[i] -= 1
+        rest += 1
+        for j in range(i + 1, width):
+            parts[j] = min(parts[i], rest)
+            rest -= parts[j]
+
+
+@lru_cache(maxsize=1024)
+def _orbit_keys(alpha: tuple[int, ...], base: int) -> tuple[int, ...]:
+    """Packed keys in ``base`` of every distinct rearrangement of ``alpha``.
+
+    Positions are chosen for one distinct nonzero value at a time, the last
+    value's by summing place values over combinations, so the work is a loop
+    over the distinct values and never over the width. An entry holds at
+    most the monomials of degree |alpha| in len(alpha) variables.
+    """
+    width = len(alpha)
+    places = [base ** (width - 1 - p) for p in range(width)]
+    runs = [(value, len(list(run))) for value, run in groupby(alpha) if value]
+    if not runs:
+        return (0,)
+    partial = [(0, tuple(range(width)))]  # (key so far, free positions)
+    for value, count in runs[:-1]:
+        partial = [
+            (
+                key + value * sum(places[p] for p in chosen),
+                tuple(p for p in free if p not in chosen),
+            )
+            for key, free in partial
+            for chosen in combinations(free, count)
+        ]
+    value, count = runs[-1]
+    return tuple(
+        key + step
+        for key, free in partial
+        for step in map(sum, combinations([value * places[p] for p in free], count))
+    )
+
+
+@lru_cache(maxsize=1024)
+def _split_keys(alpha: tuple[int, ...], low: int) -> tuple[tuple[int, int, int], ...]:
+    """The splits ``alpha = beta + gamma`` with ``|beta| = low``, as sorted packed pairs.
+
+    ``alpha`` is weakly decreasing, and ``beta`` runs over the vectors with
+    ``0 <= beta <= alpha`` entrywise. Each split gives the key of ``beta``
+    sorted weakly decreasing in base ``low + 1`` and that of ``gamma`` sorted
+    in base ``|gamma| + 1``; equal key pairs are merged, with their count.
+    The betas are built one nonzero part of ``alpha`` at a time, keeping only
+    prefixes that can still reach ``low``. An entry holds at most one triple
+    per monomial of degree |alpha| in len(alpha) variables.
+    """
+    parts = [a for a in alpha if a]
+    zeros = (0,) * (len(alpha) - len(parts))
+    room = sum(parts)
+    high = room - low
+    betas = [((), low)]  # (prefix, boxes still to place)
+    for a in parts:
+        room -= a
+        betas = [
+            (prefix + (b,), left - b)
+            for prefix, left in betas
+            for b in range(max(0, left - room), min(a, left) + 1)
+        ]
+    counts: dict[tuple[int, int], int] = {}
+    for beta, _ in betas:
+        gamma = [a - b for a, b in zip(parts, beta)]
+        pair = (
+            _pack(tuple(sorted(beta, reverse=True)) + zeros, low + 1),
+            _pack(tuple(sorted(gamma, reverse=True)) + zeros, high + 1),
+        )
+        counts[pair] = counts.get(pair, 0) + 1
+    return tuple((k1, k2, m) for (k1, k2), m in counts.items())
 
 
 def _digit_columns(keys: list[int], width: int, base: int) -> list[list[int]]:

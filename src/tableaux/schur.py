@@ -9,7 +9,7 @@ from math import factorial, prod
 from typing import Iterator
 
 from .partitions import Partition
-from .polynomials import Polynomial, _pack
+from .polynomials import Polynomial, _dominant_exponents_below, _orbit_keys, _pack
 
 
 class NotSymmetricError(ValueError):
@@ -29,55 +29,77 @@ def schur_polynomial(shape: Partition, width: int) -> Polynomial:
     the shape has more rows than ``width``; the empty shape gives the
     constant 1. Terms are stored in lex-descending exponent order.
 
-    Built by the branching rule (Macdonald, I (5.11)): the entries equal
-    to ``k`` of a filling form a horizontal strip ``nu / mu``, so
-    ``s_nu(x1..xk) = sum over mu of s_mu(x1..x(k-1)) * xk^|nu / mu|``.
-    The shapes each width needs are listed top-down, then their
-    polynomials are built bottom-up over widths 1..``width``, keeping one
-    width at a time; :func:`enumerate_ssyt` stays an independent route.
+    Built one orbit at a time: s_shape = sum over partitions alpha of
+    K_{shape, alpha} m_alpha (Macdonald I.6), each Kostka number from the
+    horizontal-strip recursion of :func:`_kostka` and written to every
+    rearrangement of alpha. The result is recorded as symmetric of degree
+    |shape|, so products of Schur polynomials take the orbit route of
+    ``Polynomial.__mul__``. :func:`enumerate_ssyt` stays an independent
+    route. The orbit table cached per alpha holds at most the monomials of
+    degree |shape| in ``width`` variables.
     """
     if width < 0:
         raise ValueError(f"width must be nonnegative, got {width}")
     # Every s_shape is packed in base |shape| + 1, zero included: no exponent
     # exceeds the size, and schur_expand reads Kostka numbers in this base.
     base = shape.size + 1
-    if shape.nrows > width:
-        return Polynomial._from_packed(width, base, {})
-    needed = [{shape.parts}]  # needed[j]: shapes wanted in width - j variables
-    for k in range(width, 0, -1):
-        needed.append({mu for nu in needed[-1] for mu in _strip_removals(nu, k)})
-    level: dict[tuple[int, ...], dict[int, int]] = {(): {0: 1}}
-    for k in range(1, width + 1):
-        level = {nu: _branch(nu, k, base, level) for nu in needed[width - k]}
+    terms: dict[int, int] = {}
+    if shape.nrows <= width:
+        memo: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {((), ()): 1}
+        for alpha in _dominant_exponents_below(shape.parts + (0,) * (width - shape.nrows)):
+            count = _kostka(shape.parts, tuple(a for a in alpha if a), memo)
+            if count:
+                terms.update(dict.fromkeys(_orbit_keys(alpha, base), count))
     # packed keys order like their exponent vectors, so this is lex-descending
-    terms = dict(sorted(level[shape.parts].items(), reverse=True))
-    return Polynomial._from_packed(width, base, terms)
+    terms = dict(sorted(terms.items(), reverse=True))
+    return Polynomial._from_packed(width, base, terms, shape.size)
+
+
+def _kostka(
+    shape: tuple[int, ...],
+    weight: tuple[int, ...],
+    memo: dict[tuple[tuple[int, ...], tuple[int, ...]], int],
+) -> int:
+    """Number of semistandard fillings of ``shape`` with content ``weight``.
+
+    The entries equal to the last letter k = len(weight) form a horizontal
+    strip ``nu / mu`` of ``weight[-1]`` boxes (Macdonald I (5.11)), so
+    K_{nu, rho} = sum of K_{mu, rho[:-1]} over those ``mu``. ``weight`` has
+    no zero parts and ``memo``, seeded with ``K_{(), ()} = 1``, is shared
+    by the calls for one shape. An explicit stack stands in for recursion,
+    whose depth would be the number of parts of ``weight``.
+    """
+    stack = [(shape, weight)]
+    while stack:
+        node = stack[-1]
+        if node in memo:
+            stack.pop()
+            continue
+        nu, rho = node
+        size = sum(nu) - rho[-1]
+        below = [(mu, rho[:-1]) for mu in _strip_removals(nu, len(rho)) if sum(mu) == size]
+        missing = [child for child in below if child not in memo]
+        if missing:
+            stack.extend(missing)
+        else:
+            memo[node] = sum(memo[child] for child in below)
+            stack.pop()
+    return memo[(shape, weight)]
 
 
 def _strip_removals(nu: tuple[int, ...], k: int) -> Iterator[tuple[int, ...]]:
     """Shapes ``mu`` of at most ``k - 1`` rows with ``nu / mu`` a horizontal strip.
 
     Those are the ``mu`` interlacing ``nu``: ``nu[i + 1] <= mu[i] <= nu[i]``.
+    None exist when ``nu`` has more than ``k`` rows: a column of ``nu`` would
+    lose two boxes.
     """
+    if len(nu) > k:
+        return
     rows = min(len(nu), k - 1)
     below = nu[1:] + (0,)
     for mu in product(*(range(below[i], nu[i] + 1) for i in range(rows))):
         yield tuple(p for p in mu if p)
-
-
-def _branch(
-    nu: tuple[int, ...], k: int, base: int, lower: dict[tuple[int, ...], dict[int, int]]
-) -> dict[int, int]:
-    """Packed terms of ``s_nu(x1..xk)`` from the ``k - 1`` variable ones in ``lower``."""
-    terms: dict[int, int] = {}
-    get = terms.get
-    size = sum(nu)
-    for mu in _strip_removals(nu, k):
-        last = size - sum(mu)
-        for key, coeff in lower[mu].items():
-            key = key * base + last
-            terms[key] = get(key, 0) + coeff
-    return terms
 
 
 def schur_expand(poly: Polynomial) -> dict[Partition, int]:
@@ -155,27 +177,3 @@ def _product_expansion(lam: Partition, mu: Partition) -> dict[Partition, int]:
 def _orbit_size(exps: tuple[int, ...]) -> int:
     """Number of distinct rearrangements of ``exps``."""
     return factorial(len(exps)) // prod(factorial(m) for m in Counter(exps).values())
-
-
-def _dominant_exponents_below(lead: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """Weakly decreasing vectors of ``lead``'s length and sum, lex-descending from ``lead``.
-
-    Each successor lowers by one the rightmost part whose lost box still
-    fits after it, then refills the parts after it as high as they go.
-    """
-    parts = list(lead)
-    width = len(parts)
-    while True:
-        yield tuple(parts)
-        rest = 0
-        for i in range(width - 1, -1, -1):
-            if parts[i] and rest < (width - 1 - i) * (parts[i] - 1):
-                break
-            rest += parts[i]
-        else:
-            return
-        parts[i] -= 1
-        rest += 1
-        for j in range(i + 1, width):
-            parts[j] = min(parts[i], rest)
-            rest -= parts[j]

@@ -13,6 +13,7 @@ from tableaux import (
     partitions_of,
     schur_polynomial,
 )
+from tableaux.polynomials import _orbit_keys, _split_keys
 
 
 def poly_terms(width, max_degree=3, max_terms=6):
@@ -55,6 +56,20 @@ class TestConstruction:
                 Polynomial(1, {exps: 1})
         with pytest.raises(TypeError):
             Polynomial.monomial(2, (1, 2.0))
+
+    def test_rejects_non_integer_width(self):
+        for width in (2.0, True, False):
+            with pytest.raises(TypeError):
+                Polynomial(width)
+        with pytest.raises(TypeError):
+            Polynomial(2.0, {(1, 0): 1})
+
+    def test_coefficient_rejects_non_integer_exponents(self):
+        p = Polynomial(1, {(1,): 5})
+        for exps in ((1.0,), (True,)):
+            with pytest.raises(TypeError):
+                p.coefficient(exps)
+        assert p.coefficient((1,)) == 5
 
     def test_width_zero_constants(self):
         one = Polynomial(0, {(): 1})
@@ -304,6 +319,88 @@ class TestKeptRebase:
         assert not any(thread.is_alive() for thread in threads)
         for order, got in zip(orders, results):
             assert got == [products(fresh, order)] * rounds
+
+
+def unflagged(p):
+    """The same terms, built by the constructor, so products take the pair loop."""
+    return Polynomial(p.width, dict(p.terms))
+
+
+class TestOrbitProduct:
+    # Schur polynomials and their products are symmetric and homogeneous by
+    # construction and multiply one orbit at a time; the pair loop on unflagged
+    # copies of the same terms is the reference.
+
+    def test_every_schur_pair_through_degree_eight(self):
+        shapes = [shape for n in range(9) for shape in partitions_of(n)]
+        for width in range(9):
+            operands = {shape: schur_polynomial(shape, width) for shape in shapes}
+            copies = {shape: unflagged(s) for shape, s in operands.items()}
+            for i, lam in enumerate(shapes):
+                for mu in shapes[i:]:
+                    degree = lam.size + mu.size
+                    if degree > 8:
+                        continue
+                    reference = copies[lam] * copies[mu]
+                    assert reference._symmetric_degree is None
+                    for product in (operands[lam] * operands[mu], operands[mu] * operands[lam]):
+                        assert product == reference, (lam, mu, width)
+                        assert product._symmetric_degree == degree
+                        assert product._base == degree + 1
+
+    def test_triple_products(self):
+        shapes = [shape for n in range(5) for shape in partitions_of(n)]
+        for width in range(6):
+            s = {shape: schur_polynomial(shape, width) for shape in shapes}
+            for lam in shapes:
+                for mu in shapes:
+                    for nu in shapes:
+                        if lam.size + mu.size + nu.size > 6:
+                            continue
+                        reference = unflagged(s[lam]) * unflagged(s[mu]) * unflagged(s[nu])
+                        assert s[lam] * s[mu] * s[nu] == reference, (lam, mu, nu, width)
+                        assert s[lam] * (s[mu] * s[nu]) == reference, (lam, mu, nu, width)
+
+    def test_too_few_variables_give_zero(self):
+        tall = schur_polynomial(Partition((1, 1, 1)), 2)
+        one = schur_polynomial(Partition((1,)), 2)
+        for product in (tall * one, one * tall, tall * tall):
+            assert product.is_zero and product._symmetric_degree == product._base - 1
+
+    def test_mixed_operands_take_the_pair_loop(self):
+        s = schur_polynomial(Partition((2, 1)), 3)
+        t = schur_polynomial(Partition((1,)), 3)
+        reference = unflagged(s) * unflagged(t)
+        for product in (s * unflagged(t), unflagged(s) * t, (3 * s) * t, s * (t * 3)):
+            assert product._symmetric_degree is None
+        assert s * unflagged(t) == unflagged(s) * t == reference
+        assert (3 * s) * t == s * (t * 3) == reference * 3
+        # a sum of two degrees is not symmetric of either
+        assert (s + t) * t == unflagged(s + t) * unflagged(t)
+        assert (s + s) * t == reference * 2
+
+    def test_only_schur_polynomials_and_their_products_are_flagged(self):
+        s = schur_polynomial(Partition((2, 1)), 3)
+        t = schur_polynomial(Partition((1,)), 3)
+        assert s._symmetric_degree == 3 and (s * t)._symmetric_degree == 4
+        equal = Polynomial(3, dict(s.terms))
+        assert equal == s
+        for other in (s + s, s + t, t + 1, s - s, -s, 2 * s, s * 1, equal, Polynomial.constant(3, 1)):
+            assert other._symmetric_degree is None
+
+    def test_tables_are_bounded(self):
+        for table in (_orbit_keys, _split_keys):
+            assert table.cache_info().maxsize is not None
+
+    def test_orbit_keys_are_the_distinct_rearrangements(self):
+        for alpha in ((), (0, 0), (3,), (2, 1, 1, 0), (2, 2, 1, 0, 0), (1, 1, 1)):
+            expected = {_pack_reference(perm, 4) for perm in permutations(alpha)}
+            keys = _orbit_keys(alpha, 4)
+            assert sorted(keys) == sorted(expected), alpha
+
+
+def _pack_reference(exps, base):
+    return sum(e * base ** (len(exps) - 1 - i) for i, e in enumerate(exps))
 
 
 class TestStructure:

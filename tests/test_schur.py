@@ -1,3 +1,5 @@
+import inspect
+import sys
 from itertools import permutations
 
 import pytest
@@ -14,6 +16,8 @@ from tableaux import (
     schur_expand,
     schur_polynomial,
 )
+from tableaux.polynomials import _orbit_keys
+from tableaux.schur import _strip_removals
 
 EIGHT_TABLEAU_EXPANSION = Polynomial(
     3,
@@ -62,8 +66,8 @@ class TestSchurPolynomial:
                     count = sum(1 for _ in enumerate_ssyt(shape, width))
                     assert sum(poly.terms.values()) == count
 
-    def test_branching_rule_equals_tableau_enumeration(self):
-        # two routes: branching rule vs. the weight generating function of enumerate_ssyt
+    def test_kostka_build_equals_tableau_enumeration(self):
+        # two routes: Kostka numbers by strips vs. the weight generating function of enumerate_ssyt
         for n in range(8):
             for shape in partitions_of(n):
                 for width in range(8):
@@ -99,6 +103,49 @@ class TestSchurPolynomial:
 
     def test_cache_is_bounded(self):
         assert schur_polynomial.cache_info().maxsize is not None
+
+    def test_wide_builds_need_no_recursion(self):
+        # a recursion over the 40 or 1500 variables would pass the lowered limit
+        _orbit_keys.cache_clear()
+        build = schur_polynomial.__wrapped__
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 25)
+        try:
+            one_box = build(Partition((1,)), 1500)
+            complete = build(Partition((4,)), 40)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert len(one_box.terms) == 1500
+        # h_4 in 40 variables: every monomial of degree 4, once
+        assert len(complete.terms) == 123410
+        assert set(complete.terms.values()) == {1}
+
+
+def horizontal_strip_reference(nu, k):
+    """Every mu of at most k - 1 rows with nu / mu a horizontal strip, by brute force."""
+    below = nu[1:] + (0,)
+    found = []
+    for n in range(sum(nu) + 1):
+        for mu in partitions_of(n):
+            parts = mu.parts + (0,) * len(nu)
+            if mu.nrows <= min(k - 1, len(nu)) and all(
+                below[i] <= parts[i] <= nu[i] for i in range(len(nu))
+            ):
+                found.append(mu.parts)
+    return sorted(found)
+
+
+class TestStripRemovals:
+    def test_more_rows_than_letters_give_no_strip(self):
+        assert list(_strip_removals((1, 1), 1)) == []
+        assert list(_strip_removals((2, 1, 1), 2)) == []
+
+    def test_matches_brute_force(self):
+        for n in range(8):
+            for nu in partitions_of(n):
+                for k in range(1, nu.nrows + 3):
+                    got = list(_strip_removals(nu.parts, k))
+                    assert sorted(got) == horizontal_strip_reference(nu.parts, k), (nu, k)
 
 
 class TestSchurExpand:
