@@ -23,9 +23,7 @@ class Polynomial:
     base ``base`` (larger than every stored exponent) with x1 the most
     significant, so packed keys order like their exponent vectors. Two
     equal polynomials may hold different bases; operations bring both
-    operands to a common one, and the last copy re-packed into another
-    base is kept for the next operation in that base. Tuple keys are a
-    view unpacked on first use.
+    operands to a common one. Tuple keys are a view unpacked on first use.
 
     A polynomial symmetric and homogeneous of degree ``d`` by construction
     (a Schur polynomial, or a product of two such) records ``d`` and is
@@ -33,7 +31,7 @@ class Polynomial:
     of :meth:`__mul__`. Nothing else sets the record, whatever its terms.
     """
 
-    __slots__ = ("_width", "_base", "_packed", "_view", "_rebase", "_symmetric_degree")
+    __slots__ = ("_width", "_base", "_packed", "_view", "_symmetric_degree")
 
     def __init__(self, width: int, terms: Mapping[Iterable[int], int] | None = None):
         if not isinstance(width, int) or isinstance(width, bool):
@@ -58,7 +56,6 @@ class Polynomial:
         self._base = base
         self._packed = {_pack(exps, base): coeff for exps, coeff in cleaned.items()}
         self._view = cleaned
-        self._rebase = None
         self._symmetric_degree = None
 
     @classmethod
@@ -75,7 +72,6 @@ class Polynomial:
         poly._base = base
         poly._packed = packed
         poly._view = None
-        poly._rebase = None
         poly._symmetric_degree = symmetric_degree
         return poly
 
@@ -105,7 +101,8 @@ class Polynomial:
         return not self._packed
 
     def _tuples(self) -> dict[tuple[int, ...], int]:
-        # the unpacked view, built once; safe to keep since the polynomial never changes
+        # the unpacked view, built once; safe to keep since the polynomial never changes.
+        # The only state set after construction, in one assignment of a complete dict.
         if self._view is None:
             packed = self._packed
             if self._width:
@@ -178,22 +175,14 @@ class Polynomial:
     def _rebased(self, base: int) -> dict[int, int]:
         """The packed terms with keys in ``base``, at least this polynomial's own.
 
-        The last copy made is kept as one ``(base, terms)`` tuple: a cached
-        operand meets the same product base again and again, and one
-        assignment replaces the whole pair, so a concurrent reader sees an
-        old copy or a new one, never a half. Callers must not mutate it.
+        In its own base this is the stored dict, so callers must not mutate it.
         """
         if base == self._base:
             return self._packed
-        kept = self._rebase
-        if kept is not None and kept[0] == base:
-            return kept[1]
         keys = [0] * len(self._packed)
         for digits in _digit_columns(list(self._packed), self._width, self._base):
             keys = [key * base + d for key, d in zip(keys, digits)]
-        terms = dict(zip(keys, self._packed.values()))
-        self._rebase = (base, terms)
-        return terms
+        return dict(zip(keys, self._packed.values()))
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -226,7 +215,7 @@ class Polynomial:
         return other + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, int):
+        if isinstance(other, int) and not isinstance(other, bool):
             scaled = {key: c * other for key, c in self._packed.items()}
             return Polynomial._from_packed(self._width, self._base, scaled)
         if not isinstance(other, Polynomial):

@@ -20,7 +20,7 @@ class NotHomogeneousError(ValueError):
     """Schur-basis expansion met mixed total degrees."""
 
 
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=1024, typed=True)
 def schur_polynomial(shape: Partition, width: int) -> Polynomial:
     """Generating polynomial of the semistandard fillings of ``shape``.
 
@@ -38,6 +38,8 @@ def schur_polynomial(shape: Partition, width: int) -> Polynomial:
     route. The orbit table cached per alpha holds at most the monomials of
     degree |shape| in ``width`` variables.
     """
+    if not isinstance(width, int) or isinstance(width, bool):
+        raise TypeError(f"width must be an integer, got {width!r}")
     if width < 0:
         raise ValueError(f"width must be nonnegative, got {width}")
     # Every s_shape is packed in base |shape| + 1, zero included: no exponent

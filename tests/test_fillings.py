@@ -343,6 +343,9 @@ class TestEnumerateSsyt:
         assert list(enumerate_ssyt(Partition((1,)), 0)) == []
         with pytest.raises(ValueError):
             enumerate_ssyt(Partition((1,)), -1)
+        for bound in (True, False, 1.0, 2.0):
+            with pytest.raises(TypeError):
+                enumerate_ssyt(Partition((1,)), bound)
 
     def test_yields_semistandard(self):
         for filling in enumerate_ssyt(SkewShape(Partition((3, 2)), Partition((1,))), 3):

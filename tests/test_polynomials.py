@@ -49,6 +49,10 @@ class TestConstruction:
             Polynomial(1, {(1,): 0.5})
         with pytest.raises(TypeError):
             Polynomial(1, {(1,): True})
+        for scalar in (True, False, 2.0):
+            for combine in (lambda: X1 * scalar, lambda: scalar * X1, lambda: X1 + scalar):
+                with pytest.raises(TypeError):
+                    combine()
 
     def test_rejects_non_integer_exponents(self):
         for exps in ((1.5,), (1.0,), (True,), (False,)):
@@ -244,24 +248,6 @@ class TestMixedBases:
         assert poly.coefficient((1, 0)) == poly.terms[(1, 0)] == 5
         assert poly.coefficient((1,)) == 0
 
-
-class TestKeptRebase:
-    # An operand keeps its last copy re-packed into another base, to be reused
-    # by the next operation in that base; results must not depend on it.
-
-    def test_copy_is_reused_then_replaced(self):
-        p = Polynomial(2, {(1, 0): 2, (0, 1): -1})  # base 2
-        q3 = Polynomial(2, {(2, 0): 1})  # base 3: products in base 4
-        q5 = Polynomial(2, {(0, 4): 1})  # base 5: products in base 6
-        assert p._rebase is None
-        first = p * q3
-        kept = p._rebase
-        assert kept[0] == 4
-        assert p * q3 == first and p._rebase is kept
-        assert p * q5 == Polynomial(2, {(1, 4): 2, (0, 5): -1})
-        assert p._rebase[0] == 6
-        assert p._rebased(p._base) is p._packed and p._rebase[0] == 6
-
     @given(st.data())
     def test_interleaved_partners_match_fresh_operands(self, data):
         width = data.draw(st.integers(0, 3))
@@ -284,41 +270,6 @@ class TestKeptRebase:
             for result, fresh in pairs:
                 assert result == fresh
                 assert result.sorted_terms() == fresh.sorted_terms()
-
-    def test_threads_share_cached_schur_operands(self):
-        # Each thread takes the partners, of four different bases, in its own
-        # rotation, so the threads keep replacing and reusing one another's
-        # copies of the same cached operands.
-        width = 3
-        operands = [schur_polynomial(shape, width) for n in range(1, 5) for shape in partitions_of(n)]
-        partners = [schur_polynomial(Partition((k,)), width) for k in (1, 2, 3, 5)]
-        rounds = 30
-
-        def products(ops, order):
-            return [(op * partners[k]).sorted_terms() for k in order for op in ops]
-
-        fresh = [Polynomial(width, op.terms) for op in operands]
-        orders = [[(t + k) % len(partners) for k in range(len(partners))] for t in range(4)]
-        results: list = [None] * len(orders)
-        start = threading.Barrier(len(orders), timeout=60)
-
-        def work(t):
-            start.wait()
-            results[t] = [products(operands, orders[t]) for _ in range(rounds)]
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=work, args=(t,)) for t in range(len(orders))]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        for order, got in zip(orders, results):
-            assert got == [products(fresh, order)] * rounds
 
 
 def unflagged(p):
@@ -393,6 +344,43 @@ class TestOrbitProduct:
             keys = _orbit_keys(alpha, 4)
             assert sorted(keys) == sorted(expected), alpha
 
+    def test_threads_share_cached_schur_operands(self):
+        # Every operand and partner is a cached Schur polynomial, so each
+        # product takes the orbit route and reads the shared operands' packed
+        # terms and the shared orbit and split tables; each thread takes the
+        # partners, of four different degrees, in its own rotation, while the
+        # sequential reference multiplies unflagged copies by the pair loop.
+        width = 3
+        operands = [schur_polynomial(shape, width) for n in range(1, 5) for shape in partitions_of(n)]
+        partners = [schur_polynomial(Partition((k,)), width) for k in (1, 2, 3, 5)]
+        rounds = 30
+
+        def products(ops, order):
+            return [(op * partners[k]).sorted_terms() for k in order for op in ops]
+
+        fresh = [Polynomial(width, op.terms) for op in operands]
+        orders = [[(t + k) % len(partners) for k in range(len(partners))] for t in range(4)]
+        results: list = [None] * len(orders)
+        start = threading.Barrier(len(orders), timeout=60)
+
+        def work(t):
+            start.wait()
+            results[t] = [products(operands, orders[t]) for _ in range(rounds)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(len(orders))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for order, got in zip(orders, results):
+            assert got == [products(fresh, order)] * rounds
+
 
 def _pack_reference(exps, base):
     return sum(e * base ** (len(exps) - 1 - i) for i, e in enumerate(exps))
@@ -444,6 +432,43 @@ class TestStructure:
     def test_terms_view_is_read_only(self):
         with pytest.raises(TypeError):
             X1.terms[(5, 5)] = 1
+
+
+class TestLazyView:
+    # The tuple-keyed view is the only state set after construction: one
+    # assignment of a complete dict, so threads that race to build it agree.
+
+    def test_threads_read_one_fresh_schur_polynomial(self):
+        # 4410 terms: long enough a build that a view filled in place is seen half done
+        shape, width = Partition((3, 2, 1)), 10
+        reference = schur_polynomial.__wrapped__(shape, width)
+        expected = (reference.sorted_terms(), list(reference.terms), format_polynomial(reference))
+
+        def work(poly, results, t, start):
+            start.wait()
+            results[t] = (poly.sorted_terms(), list(poly.terms), format_polynomial(poly))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                schur_polynomial.cache_clear()
+                poly = schur_polynomial(shape, width)
+                assert poly._view is None
+                results: list = [None] * 4
+                start = threading.Barrier(len(results), timeout=60)
+                threads = [
+                    threading.Thread(target=work, args=(poly, results, t, start))
+                    for t in range(len(results))
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+                assert not any(thread.is_alive() for thread in threads)
+                assert results == [expected] * len(results)
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestRendering:

@@ -104,6 +104,18 @@ class TestSchurPolynomial:
     def test_cache_is_bounded(self):
         assert schur_polynomial.cache_info().maxsize is not None
 
+    def test_rejects_non_integer_width(self):
+        one = Partition((1,))
+        schur_polynomial.cache_clear()
+        for width in (True, False, 1.0, 2.0):
+            with pytest.raises(TypeError):
+                schur_polynomial(one, width)
+        with pytest.raises(ValueError):
+            schur_polynomial(one, -1)
+        # the cache keys on the type too, so no bool result stands in for an int
+        assert schur_polynomial.cache_parameters()["typed"]
+        assert type(schur_polynomial(one, 1).width) is int
+
     def test_wide_builds_need_no_recursion(self):
         # a recursion over the 40 or 1500 variables would pass the lowered limit
         _orbit_keys.cache_clear()
@@ -269,8 +281,12 @@ def sorting_expand(poly):
     if sum(orbit_size(exps) for exps in dominant) != len(terms):
         raise NotSymmetricError
     result = {}
+    previous = None
     while not poly.is_zero:
         lead, coeff = poly.leading_term()
+        # leads fall strictly in lex order, so a wrong s_lam fails here instead of looping
+        assert previous is None or lead < previous, (lead, previous)
+        previous = lead
         result[Partition(lead)] = coeff
         poly = poly - schur_polynomial(Partition(lead), poly.width) * coeff
     return result
