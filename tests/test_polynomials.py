@@ -272,6 +272,31 @@ class TestMixedBases:
                 assert result.sorted_terms() == fresh.sorted_terms()
 
 
+def race(work, count):
+    """Run ``work(t)`` for t in range(count), one thread each, released together.
+
+    The switch interval is cut to 1e-6 s meanwhile, so the threads interleave
+    finely; every thread must finish within the timeout.
+    """
+    start = threading.Barrier(count, timeout=60)
+
+    def run(t):
+        start.wait()
+        work(t)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(t,)) for t in range(count)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+
+
 def unflagged(p):
     """The same terms, built by the constructor, so products take the pair loop."""
     return Polynomial(p.width, dict(p.terms))
@@ -361,23 +386,11 @@ class TestOrbitProduct:
         fresh = [Polynomial(width, op.terms) for op in operands]
         orders = [[(t + k) % len(partners) for k in range(len(partners))] for t in range(4)]
         results: list = [None] * len(orders)
-        start = threading.Barrier(len(orders), timeout=60)
 
         def work(t):
-            start.wait()
             results[t] = [products(operands, orders[t]) for _ in range(rounds)]
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=work, args=(t,)) for t in range(len(orders))]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
+        race(work, len(orders))
         for order, got in zip(orders, results):
             assert got == [products(fresh, order)] * rounds
 
@@ -444,31 +457,17 @@ class TestLazyView:
         reference = schur_polynomial.__wrapped__(shape, width)
         expected = (reference.sorted_terms(), list(reference.terms), format_polynomial(reference))
 
-        def work(poly, results, t, start):
-            start.wait()
-            results[t] = (poly.sorted_terms(), list(poly.terms), format_polynomial(poly))
+        for _ in range(3):
+            schur_polynomial.cache_clear()
+            poly = schur_polynomial(shape, width)
+            assert poly._view is None
+            results: list = [None] * 4
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(3):
-                schur_polynomial.cache_clear()
-                poly = schur_polynomial(shape, width)
-                assert poly._view is None
-                results: list = [None] * 4
-                start = threading.Barrier(len(results), timeout=60)
-                threads = [
-                    threading.Thread(target=work, args=(poly, results, t, start))
-                    for t in range(len(results))
-                ]
-                for thread in threads:
-                    thread.start()
-                for thread in threads:
-                    thread.join(timeout=120)
-                assert not any(thread.is_alive() for thread in threads)
-                assert results == [expected] * len(results)
-        finally:
-            sys.setswitchinterval(interval)
+            def work(t):
+                results[t] = (poly.sorted_terms(), list(poly.terms), format_polynomial(poly))
+
+            race(work, len(results))
+            assert results == [expected] * len(results)
 
 
 class TestRendering:
