@@ -207,6 +207,8 @@ def enumerate_ssyt(shape: Partition | SkewShape, bound: int) -> Iterator[Filling
     of their reading word, the iterator is lazy, and memory stays
     proportional to the number of boxes plus the bound.
     """
+    if not isinstance(shape, (Partition, SkewShape)):
+        raise TypeError(f"shape must be a Partition or SkewShape, got {shape!r}")
     if not isinstance(bound, int) or isinstance(bound, bool):
         raise TypeError(f"entry bound must be an integer, got {bound!r}")
     if bound < 0:

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Mapping
 from functools import lru_cache
 from itertools import combinations, groupby
+from math import factorial, prod
 from typing import Iterable, Iterator
 
 
@@ -26,12 +28,16 @@ class Polynomial:
     operands to a common one. Tuple keys are a view unpacked on first use.
 
     A polynomial symmetric and homogeneous of degree ``d`` by construction
-    (a Schur polynomial, or a product of two such) records ``d`` and is
-    packed in base ``d + 1``; products of two of them take the orbit route
-    of :meth:`__mul__`. Nothing else sets the record, whatever its terms.
+    (a Schur polynomial, or a product of two such) is packed in base
+    ``d + 1`` and stores only its coefficients at weakly decreasing
+    exponents, its dominant table. Its length, leading term and zero test
+    read that table; the first read of a monomial writes every orbit into
+    the packed terms, in lex-descending order. Products of two of them
+    take the orbit route of :meth:`__mul__`. Nothing else is built this
+    way, whatever its terms.
     """
 
-    __slots__ = ("_width", "_base", "_packed", "_view", "_symmetric_degree")
+    __slots__ = ("_width", "_base", "_packed", "_view", "_dominant")
 
     def __init__(self, width: int, terms: Mapping[Iterable[int], int] | None = None):
         if not isinstance(width, int) or isinstance(width, bool):
@@ -56,15 +62,11 @@ class Polynomial:
         self._base = base
         self._packed = {_pack(exps, base): coeff for exps, coeff in cleaned.items()}
         self._view = cleaned
-        self._symmetric_degree = None
+        self._dominant = None
 
     @classmethod
-    def _from_packed(
-        cls, width: int, base: int, packed: dict[int, int], symmetric_degree: int | None = None
-    ) -> "Polynomial":
+    def _from_packed(cls, width: int, base: int, packed: dict[int, int]) -> "Polynomial":
         # internal: keys packed in ``base`` as above; zero coefficients drop here.
-        # ``symmetric_degree`` d is given only for a polynomial symmetric and
-        # homogeneous of degree d by construction, with ``base == d + 1``.
         if 0 in packed.values():
             packed = {key: c for key, c in packed.items() if c}
         poly = object.__new__(cls)
@@ -72,8 +74,26 @@ class Polynomial:
         poly._base = base
         poly._packed = packed
         poly._view = None
-        poly._symmetric_degree = symmetric_degree
+        poly._dominant = None
         return poly
+
+    @classmethod
+    def _symmetric(cls, width: int, degree: int, dominant: dict[int, int]) -> "Polynomial":
+        # internal: symmetric and homogeneous of ``degree`` by construction;
+        # ``dominant`` maps each weakly decreasing exponent vector, packed in
+        # base degree + 1, to its coefficient, and zero coefficients drop here.
+        poly = object.__new__(cls)
+        poly._width = width
+        poly._base = degree + 1
+        poly._packed = None
+        poly._view = None
+        poly._dominant = {key: c for key, c in dominant.items() if c}
+        return poly
+
+    @property
+    def _symmetric_degree(self) -> int | None:
+        """The degree of a polynomial symmetric by construction, else None."""
+        return None if self._dominant is None else self._base - 1
 
     @classmethod
     def zero(cls, width: int) -> "Polynomial":
@@ -98,19 +118,35 @@ class Polynomial:
 
     @property
     def is_zero(self) -> bool:
-        return not self._packed
+        return not (self._packed if self._dominant is None else self._dominant)
+
+    def _filled(self) -> dict[int, int]:
+        # the packed terms. A polynomial symmetric by construction writes every
+        # orbit of its dominant table on first use, lex-descending, like the view
+        # below: one assignment of a complete dict, so threads that race agree.
+        packed = self._packed
+        if packed is None:
+            base, dominant = self._base, self._dominant
+            packed = {}
+            for alpha, coeff in zip(_unpacked(list(dominant), self._width, base), dominant.values()):
+                packed.update(dict.fromkeys(_orbit_keys(alpha, base), coeff))
+            packed = dict(sorted(packed.items(), reverse=True))
+            self._packed = packed
+        return packed
 
     def _tuples(self) -> dict[tuple[int, ...], int]:
         # the unpacked view, built once; safe to keep since the polynomial never changes.
-        # The only state set after construction, in one assignment of a complete dict.
         if self._view is None:
-            packed = self._packed
-            if self._width:
-                exps = zip(*_digit_columns(list(packed), self._width, self._base))
-            else:
-                exps = [()] * len(packed)
-            self._view = dict(zip(exps, packed.values()))
+            packed = self._filled()
+            self._view = dict(zip(_unpacked(list(packed), self._width, self._base), packed.values()))
         return self._view
+
+    def _term_count(self) -> int:
+        # the number of terms, read from the dominant table while it is unfilled
+        packed = self._packed
+        if packed is None:
+            return sum(map(_orbit_size, _unpacked(list(self._dominant), self._width, self._base)))
+        return len(packed)
 
     def coefficient(self, exps: Iterable[int]) -> int:
         exps = tuple(exps)
@@ -118,7 +154,7 @@ class Polynomial:
             raise TypeError(f"exponents must be integers, got {exps}")
         if len(exps) != self._width or not all(0 <= e < self._base for e in exps):
             return 0
-        return self._packed.get(_pack(exps, self._base), 0)
+        return self._filled().get(_pack(exps, self._base), 0)
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
         """Terms in lexicographically descending exponent order."""
@@ -126,11 +162,13 @@ class Polynomial:
 
     def leading_term(self) -> tuple[tuple[int, ...], int]:
         """Lexicographically greatest exponent vector and its coefficient."""
-        if not self._packed:
+        # an exponent vector is lex-greatest in its orbit when weakly decreasing,
+        # so a dominant table holds the leading term
+        packed = self._packed if self._dominant is None else self._dominant
+        if not packed:
             raise ValueError("the zero polynomial has no leading term")
-        key = max(self._packed)
-        exps = tuple(column[0] for column in _digit_columns([key], self._width, self._base))
-        return exps, self._packed[key]
+        key = max(packed)
+        return _unpacked([key], self._width, self._base)[0], packed[key]
 
     def is_homogeneous(self) -> bool:
         return len({sum(exps) for exps in self._tuples()}) <= 1
@@ -145,7 +183,7 @@ class Polynomial:
         packed key the cycle moves the top digit to the bottom and the swap
         exchanges the two top digits.
         """
-        width, base, packed = self._width, self._base, self._packed
+        width, base, packed = self._width, self._base, self._filled()
         if width < 2:
             return True
         top = base ** (width - 1)
@@ -177,12 +215,13 @@ class Polynomial:
 
         In its own base this is the stored dict, so callers must not mutate it.
         """
+        packed = self._filled()
         if base == self._base:
-            return self._packed
-        keys = [0] * len(self._packed)
-        for digits in _digit_columns(list(self._packed), self._width, self._base):
+            return packed
+        keys = [0] * len(packed)
+        for digits in _digit_columns(list(packed), self._width, self._base):
             keys = [key * base + d for key, d in zip(keys, digits)]
-        return dict(zip(keys, self._packed.values()))
+        return dict(zip(keys, packed.values()))
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -199,7 +238,7 @@ class Polynomial:
     __radd__ = __add__
 
     def __neg__(self):
-        negated = {key: -c for key, c in self._packed.items()}
+        negated = {key: -c for key, c in self._filled().items()}
         return Polynomial._from_packed(self._width, self._base, negated)
 
     def __sub__(self, other):
@@ -216,12 +255,12 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, int) and not isinstance(other, bool):
-            scaled = {key: c * other for key, c in self._packed.items()}
+            scaled = {key: c * other for key, c in self._filled().items()}
             return Polynomial._from_packed(self._width, self._base, scaled)
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_width(other)
-        if self._symmetric_degree is not None and other._symmetric_degree is not None:
+        if self._dominant is not None and other._dominant is not None:
             return self._orbit_product(other)
         # Every exponent of the product is at most the sum of the operands'
         # largest, so in this base adding keys never carries and multiplying
@@ -245,28 +284,26 @@ class Polynomial:
         The product of degree d = d1 + d2 is symmetric, so it is fixed by its
         coefficients at the weakly decreasing exponents alpha, and
         c_alpha = sum over beta <= alpha with |beta| = d1 of A[beta] * B[alpha - beta].
-        Both operands are symmetric too, so each factor is read at the sorted
-        exponent, from :func:`_split_keys`; each nonzero c_alpha is written to
-        every rearrangement of alpha, from :func:`_orbit_keys`. The product is
-        packed in base d + 1, the base the pair loop would use, and is
-        recorded as symmetric of degree d. Each cached table entry holds at
-        most the degree-d monomials in ``width`` variables.
+        Both operands are symmetric too, so each factor is read from their
+        dominant tables at the sorted exponent, from :func:`_split_keys`. The
+        product keeps only those c_alpha, packed in base d + 1, the base the
+        pair loop would use; its orbits are written on first use. Each cached
+        table entry holds at most the degree-d monomials in ``width`` variables.
         """
-        width, low = self._width, self._symmetric_degree
-        degree = low + other._symmetric_degree
+        width, low = self._width, self._base - 1
+        degree = low + other._base - 1
         base = degree + 1
-        left, right = self._packed.get, other._packed.get
-        packed: dict[int, int] = {}
-        for alpha in _exponent_partitions(degree, width):
-            coeff = sum(m * left(k1, 0) * right(k2, 0) for k1, k2, m in _split_keys(alpha, low))
-            if coeff:
-                packed.update(dict.fromkeys(_orbit_keys(alpha, base), coeff))
-        return Polynomial._from_packed(width, base, packed, degree)
+        left, right = self._dominant.get, other._dominant.get
+        dominant = {
+            _pack(alpha, base): sum(m * left(k1, 0) * right(k2, 0) for k1, k2, m in _split_keys(alpha, low))
+            for alpha in _exponent_partitions(degree, width)
+        }
+        return Polynomial._symmetric(width, degree, dominant)
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        if self._width != other._width or len(self._packed) != len(other._packed):
+        if self._width != other._width or len(self._filled()) != len(other._filled()):
             return False
         base = max(self._base, other._base)
         return self._rebased(base) == other._rebased(base)
@@ -283,8 +320,9 @@ class Polynomial:
 class _Terms(Mapping):
     """Tuple-keyed, read-only view of a polynomial's terms, in stored order.
 
-    Length, lookups and values read the packed terms; iterating unpacks
-    every key once, into the polynomial's cached view.
+    Lookups and values read the packed terms, and the length the dominant
+    table while it is unfilled; iterating unpacks every key once, into the
+    polynomial's cached view.
     """
 
     __slots__ = ("_poly",)
@@ -293,7 +331,7 @@ class _Terms(Mapping):
         self._poly = poly
 
     def __len__(self) -> int:
-        return len(self._poly._packed)
+        return self._poly._term_count()
 
     def __getitem__(self, exps) -> int:
         coeff = self._poly.coefficient(exps)
@@ -308,7 +346,7 @@ class _Terms(Mapping):
         return self._poly._tuples().items()
 
     def values(self):
-        return self._poly._packed.values()
+        return self._poly._filled().values()
 
 
 def _pack(exps: tuple[int, ...], base: int) -> int:
@@ -381,6 +419,11 @@ def _orbit_keys(alpha: tuple[int, ...], base: int) -> tuple[int, ...]:
     )
 
 
+def _orbit_size(alpha: tuple[int, ...]) -> int:
+    """Number of distinct rearrangements of ``alpha``."""
+    return factorial(len(alpha)) // prod(factorial(m) for m in Counter(alpha).values())
+
+
 @lru_cache(maxsize=1024)
 def _split_keys(alpha: tuple[int, ...], low: int) -> tuple[tuple[int, int, int], ...]:
     """The splits ``alpha = beta + gamma`` with ``|beta| = low``, as sorted packed pairs.
@@ -414,6 +457,13 @@ def _split_keys(alpha: tuple[int, ...], low: int) -> tuple[tuple[int, int, int],
         )
         counts[pair] = counts.get(pair, 0) + 1
     return tuple((k1, k2, m) for (k1, k2), m in counts.items())
+
+
+def _unpacked(keys: list[int], width: int, base: int) -> list[tuple[int, ...]]:
+    """Exponent vectors of packed ``keys``, in their order."""
+    if width:
+        return list(zip(*_digit_columns(keys, width, base)))
+    return [()] * len(keys)
 
 
 def _digit_columns(keys: list[int], width: int, base: int) -> list[list[int]]:

@@ -2,14 +2,11 @@
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import lru_cache
-from itertools import product
-from math import factorial, prod
 from typing import Iterator
 
 from .partitions import Partition
-from .polynomials import Polynomial, _dominant_exponents_below, _orbit_keys, _pack
+from .polynomials import Polynomial, _dominant_exponents_below, _orbit_size, _pack
 
 
 class NotSymmetricError(ValueError):
@@ -29,15 +26,17 @@ def schur_polynomial(shape: Partition, width: int) -> Polynomial:
     the shape has more rows than ``width``; the empty shape gives the
     constant 1. Terms are stored in lex-descending exponent order.
 
-    Built one orbit at a time: s_shape = sum over partitions alpha of
-    K_{shape, alpha} m_alpha (Macdonald I.6), each Kostka number from the
-    horizontal-strip recursion of :func:`_kostka` and written to every
-    rearrangement of alpha. The result is recorded as symmetric of degree
-    |shape|, so products of Schur polynomials take the orbit route of
-    ``Polynomial.__mul__``. :func:`enumerate_ssyt` stays an independent
-    route. The orbit table cached per alpha holds at most the monomials of
-    degree |shape| in ``width`` variables.
+    Built from s_shape = sum over partitions alpha of K_{shape, alpha}
+    m_alpha (Macdonald I.6), each Kostka number from the horizontal-strip
+    recursion of :func:`_kostka`. The result is symmetric of degree
+    |shape| by construction and keeps only these K_{shape, alpha}, the
+    table that products (the orbit route of ``Polynomial.__mul__``) and
+    :func:`schur_expand` read; each alpha is written to all its
+    rearrangements on the first read of a monomial. :func:`enumerate_ssyt`
+    stays an independent route.
     """
+    if not isinstance(shape, Partition):
+        raise TypeError(f"shape must be a Partition, got {shape!r}")
     if not isinstance(width, int) or isinstance(width, bool):
         raise TypeError(f"width must be an integer, got {width!r}")
     if width < 0:
@@ -45,16 +44,12 @@ def schur_polynomial(shape: Partition, width: int) -> Polynomial:
     # Every s_shape is packed in base |shape| + 1, zero included: no exponent
     # exceeds the size, and schur_expand reads Kostka numbers in this base.
     base = shape.size + 1
-    terms: dict[int, int] = {}
+    dominant: dict[int, int] = {}
     if shape.nrows <= width:
         memo: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {((), ()): 1}
         for alpha in _dominant_exponents_below(shape.parts + (0,) * (width - shape.nrows)):
-            count = _kostka(shape.parts, tuple(a for a in alpha if a), memo)
-            if count:
-                terms.update(dict.fromkeys(_orbit_keys(alpha, base), count))
-    # packed keys order like their exponent vectors, so this is lex-descending
-    terms = dict(sorted(terms.items(), reverse=True))
-    return Polynomial._from_packed(width, base, terms, shape.size)
+            dominant[_pack(alpha, base)] = _kostka(shape.parts, tuple(a for a in alpha if a), memo)
+    return Polynomial._symmetric(width, shape.size, dominant)
 
 
 def _kostka(
@@ -72,56 +67,79 @@ def _kostka(
     whose depth would be the number of parts of ``weight``.
     """
     stack = [(shape, weight)]
+    waiting: dict[tuple[tuple[int, ...], tuple[int, ...]], list] = {}  # node -> its children
     while stack:
         node = stack[-1]
         if node in memo:
             stack.pop()
             continue
-        nu, rho = node
-        size = sum(nu) - rho[-1]
-        below = [(mu, rho[:-1]) for mu in _strip_removals(nu, len(rho)) if sum(mu) == size]
-        missing = [child for child in below if child not in memo]
-        if missing:
-            stack.extend(missing)
-        else:
-            memo[node] = sum(memo[child] for child in below)
-            stack.pop()
+        below = waiting.pop(node, None)
+        if below is None:
+            nu, rho = node
+            below = [(mu, rho[:-1]) for mu in _strip_removals(nu, len(rho), rho[-1])]
+            missing = [child for child in below if child not in memo]
+            if missing:
+                # every child is in the memo by the time this node is on top again
+                waiting[node] = below
+                stack.extend(missing)
+                continue
+        memo[node] = sum(memo[child] for child in below)
+        stack.pop()
     return memo[(shape, weight)]
 
 
-def _strip_removals(nu: tuple[int, ...], k: int) -> Iterator[tuple[int, ...]]:
-    """Shapes ``mu`` of at most ``k - 1`` rows with ``nu / mu`` a horizontal strip.
+def _strip_removals(nu: tuple[int, ...], k: int, boxes: int) -> Iterator[tuple[int, ...]]:
+    """Shapes ``mu`` of at most ``k - 1`` rows with ``nu / mu`` a horizontal strip of ``boxes`` boxes.
 
-    Those are the ``mu`` interlacing ``nu``: ``nu[i + 1] <= mu[i] <= nu[i]``.
-    None exist when ``nu`` has more than ``k`` rows: a column of ``nu`` would
-    lose two boxes.
+    Those are the ``mu`` interlacing ``nu``, ``nu[i + 1] <= mu[i] <= nu[i]``,
+    with ``|mu| = |nu| - boxes``. None exist when ``nu`` has more than ``k``
+    rows: a column of ``nu`` would lose two boxes. Row by row, only prefixes
+    that can still lose exactly ``boxes`` boxes are kept.
     """
     if len(nu) > k:
         return
     rows = min(len(nu), k - 1)
     below = nu[1:] + (0,)
-    for mu in product(*(range(below[i], nu[i] + 1) for i in range(rows))):
-        yield tuple(p for p in mu if p)
+    slack = [nu[i] - below[i] for i in range(rows)]
+    room = sum(slack)
+    prefixes = [((), boxes - sum(nu[rows:]))]  # (mu so far, boxes still to remove)
+    for i in range(rows):
+        room -= slack[i]
+        prefixes = [
+            (prefix + (nu[i] - t,), left - t)
+            for prefix, left in prefixes
+            for t in range(max(0, left - room), min(slack[i], left) + 1)
+        ]
+    for mu, left in prefixes:
+        if not left:  # with no row to choose, the loop above checked no count
+            yield tuple(p for p in mu if p)
 
 
 def schur_expand(poly: Polynomial) -> dict[Partition, int]:
     """Coefficients of ``poly`` written in the Schur basis of its width.
 
-    Checks symmetry on every stored term, then peels leading terms: the
-    leading exponent vector ``nu`` of a symmetric homogeneous polynomial
-    is weakly decreasing, hence a partition; subtract ``coeff * s_nu`` and
-    repeat. A symmetric polynomial is fixed by its coefficients at weakly
-    decreasing exponents, so the elimination runs on those alone. They
-    are packed once per call, in base ``degree + 1``, and each Kostka
-    number it subtracts is one lookup of such a key in the packed terms of
-    the cached ``schur_polynomial(nu, width)``, which is built in that
-    base. Partitions come out in lex-descending order. Negative
+    Peels leading terms: the leading exponent vector ``nu`` of a symmetric
+    homogeneous polynomial is weakly decreasing, hence a partition;
+    subtract ``coeff * s_nu`` and repeat. A symmetric polynomial is fixed
+    by its coefficients at weakly decreasing exponents, so the elimination
+    runs on those alone, packed once per call in base ``degree + 1``. Each
+    Kostka number it subtracts is one lookup of such a key in the dominant
+    table of the cached ``schur_polynomial(nu, width)``, which is built in
+    that base. Partitions come out in lex-descending order. Negative
     coefficients are returned as data, never clamped.
+
+    A Schur polynomial or a product of such is symmetric and homogeneous by
+    construction: its dominant table is read as it is, and no monomial
+    outside it is written. Every other polynomial is checked for symmetry
+    on every stored term, and its orbits must fill its terms exactly.
 
     Raises :class:`NotHomogeneousError` for mixed total degrees, before
     :class:`NotSymmetricError` when both apply.
     """
-    if not poly.is_symmetric():
+    if not isinstance(poly, Polynomial):
+        raise TypeError(f"poly must be a Polynomial, got {poly!r}")
+    dominant = poly._dominant
+    if dominant is None and not poly.is_symmetric():
         if not poly.is_homogeneous():
             raise NotHomogeneousError("expansion requires a homogeneous polynomial")
         raise NotSymmetricError("polynomial is not invariant under permuting its variables")
@@ -130,19 +148,23 @@ def schur_expand(poly: Polynomial) -> dict[Partition, int]:
     lead, _ = poly.leading_term()
     candidates = list(_dominant_exponents_below(lead))
     # Candidate entries are at most lead[0], which is below the poly's base
-    # and at most the degree; every s_nu of this degree is packed in degree + 1.
+    # and at most the degree; every s_nu of this degree is packed in degree + 1,
+    # as is the dominant table of a polynomial symmetric by construction.
     base = sum(lead) + 1
     keys = [_pack(nu, base) for nu in candidates]
-    own = keys if poly._base == base else [_pack(nu, poly._base) for nu in candidates]
-    get = poly._packed.get
-    residual = [get(key, 0) for key in own]
-    # The support is a union of whole orbits. The lead is the greatest stored
-    # exponent, so every orbit of its degree has its weakly decreasing member
-    # among the candidates; their orbits fill the support exactly when no
-    # other degree is present.
-    orbits = sum(_orbit_size(nu) for nu, c in zip(candidates, residual) if c)
-    if orbits != len(poly._packed):
-        raise NotHomogeneousError("expansion requires a homogeneous polynomial")
+    if dominant is not None:
+        residual = [dominant.get(key, 0) for key in keys]
+    else:
+        own = keys if poly._base == base else [_pack(nu, poly._base) for nu in candidates]
+        get = poly._packed.get
+        residual = [get(key, 0) for key in own]
+        # The support is a union of whole orbits. The lead is the greatest stored
+        # exponent, so every orbit of its degree has its weakly decreasing member
+        # among the candidates; their orbits fill the support exactly when no
+        # other degree is present.
+        orbits = sum(_orbit_size(nu) for nu, c in zip(candidates, residual) if c)
+        if orbits != len(poly._packed):
+            raise NotHomogeneousError("expansion requires a homogeneous polynomial")
     result: dict[Partition, int] = {}
     for i, nu in enumerate(candidates):
         coeff = residual[i]
@@ -150,7 +172,7 @@ def schur_expand(poly: Polynomial) -> dict[Partition, int]:
             continue
         shape = Partition(nu)
         result[shape] = coeff
-        kostka = schur_polynomial(shape, poly.width)._packed.get
+        kostka = schur_polynomial(shape, poly.width)._dominant.get
         for j in range(i + 1, len(keys)):
             count = kostka(keys[j])
             if count:
@@ -174,8 +196,3 @@ def _product_expansion(lam: Partition, mu: Partition) -> dict[Partition, int]:
         return dict(sorted(((nu.conjugate(), c) for nu, c in dual.items()),
                            key=lambda item: item[0].parts, reverse=True))
     return schur_expand(schur_polynomial(lam, width) * schur_polynomial(mu, width))
-
-
-def _orbit_size(exps: tuple[int, ...]) -> int:
-    """Number of distinct rearrangements of ``exps``."""
-    return factorial(len(exps)) // prod(factorial(m) for m in Counter(exps).values())

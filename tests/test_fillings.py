@@ -347,6 +347,11 @@ class TestEnumerateSsyt:
             with pytest.raises(TypeError):
                 enumerate_ssyt(Partition((1,)), bound)
 
+    def test_rejects_non_shapes(self):
+        for shape in ((2, 1), 3):
+            with pytest.raises(TypeError, match="shape"):
+                enumerate_ssyt(shape, 2)
+
     def test_yields_semistandard(self):
         for filling in enumerate_ssyt(SkewShape(Partition((3, 2)), Partition((1,))), 3):
             assert filling.is_semistandard()

@@ -1,5 +1,6 @@
 from math import comb
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from tableaux import (
@@ -234,6 +235,19 @@ class TestCoefficient:
 
     def test_long_row_does_not_recurse(self):
         assert lr_coefficient(EMPTY, Partition((1200,)), Partition((1200,))) == 1
+
+    def test_rejects_non_partitions(self):
+        one, two = Partition((1,)), Partition((2,))
+        for args, name in [
+            (((1,), one, two), "inner"),
+            ((one, (1,), two), "content"),
+            ((one, one, (2,)), "outer"),
+            (((1,), (1,), (2,)), "outer"),
+        ]:
+            with pytest.raises(TypeError, match=name):
+                lr_coefficient(*args)
+            with pytest.raises(TypeError, match=name):
+                enumerate_lr_fillings(args[2], args[0], args[1])
 
     def test_not_contained_is_zero(self):
         assert lr_coefficient(Partition((3,)), Partition((1,)), Partition((2, 2))) == 0

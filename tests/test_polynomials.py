@@ -447,9 +447,19 @@ class TestStructure:
             X1.terms[(5, 5)] = 1
 
 
+def lazy_values(p):
+    """What a polynomial answers from its dominant table while unfilled."""
+    try:
+        lead = p.leading_term()
+    except ValueError:
+        lead = None
+    return len(p.terms), lead, p.is_zero
+
+
 class TestLazyView:
-    # The tuple-keyed view is the only state set after construction: one
-    # assignment of a complete dict, so threads that race to build it agree.
+    # The orbits of a polynomial symmetric by construction and the tuple-keyed
+    # view are the only state set after construction, each one assignment of a
+    # complete dict, so threads that race to build them agree.
 
     def test_threads_read_one_fresh_schur_polynomial(self):
         # 4410 terms: long enough a build that a view filled in place is seen half done
@@ -460,7 +470,7 @@ class TestLazyView:
         for _ in range(3):
             schur_polynomial.cache_clear()
             poly = schur_polynomial(shape, width)
-            assert poly._view is None
+            assert poly._packed is None and poly._view is None
             results: list = [None] * 4
 
             def work(t):
@@ -468,6 +478,57 @@ class TestLazyView:
 
             race(work, len(results))
             assert results == [expected] * len(results)
+
+    def test_threads_race_the_first_fill_of_a_product(self):
+        # each thread reads the product its own way: the lazy length and lead,
+        # then a comparison, a symmetry scan and a scalar product, which fill it
+        width = 8
+        s, t = (schur_polynomial.__wrapped__(Partition(p), width) for p in ((3, 2, 1), (2, 1)))
+        reference = unflagged(s) * unflagged(t)
+        readers = [
+            lambda p: (lazy_values(p), p == reference),
+            lambda p: (lazy_values(p), p.is_symmetric(), p.sorted_terms() == reference.sorted_terms()),
+            lambda p: (lazy_values(p), (p * 2 - reference).coefficient((3, 2, 1, 1, 1, 1, 0, 0))),
+            lambda p: (lazy_values(p), dict(p.terms) == dict(reference.terms)),
+        ]
+        expected = [reader(reference) for reader in readers]
+        for _ in range(3):
+            product = s * t
+            assert product._packed is None
+            results: list = [None] * len(readers)
+
+            def work(k):
+                results[k] = readers[k](product)
+
+            race(work, len(readers))
+            assert results == expected
+            assert list(product.terms.items()) == reference.sorted_terms()
+
+
+class TestDominantTable:
+    # Schur polynomials and their products keep only their coefficients at
+    # weakly decreasing exponents until a monomial is read.
+
+    def test_lazy_values_survive_the_fill(self):
+        shapes = [shape for n in range(9) for shape in partitions_of(n)]
+        values = []
+        for width in range(9):
+            for shape in shapes:
+                values.append(schur_polynomial.__wrapped__(shape, width))
+        operands = {shape: schur_polynomial.__wrapped__(shape, 8) for shape in shapes}
+        for i, lam in enumerate(shapes):
+            for mu in shapes[i:]:
+                if lam.size + mu.size <= 8:
+                    values.append(operands[lam] * operands[mu])
+        for p in values:
+            assert p._packed is None
+            before = lazy_values(p)
+            terms = list(p.terms.items())
+            assert p._packed is not None
+            assert lazy_values(p) == before
+            # the fill is stored lex-descending
+            assert terms == p.sorted_terms()
+            assert before == (len(terms), terms[0] if terms else None, not terms)
 
 
 class TestRendering:

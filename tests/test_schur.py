@@ -104,6 +104,11 @@ class TestSchurPolynomial:
     def test_cache_is_bounded(self):
         assert schur_polynomial.cache_info().maxsize is not None
 
+    def test_rejects_non_partition_shapes(self):
+        for shape in ((2, 1), 3, None):
+            with pytest.raises(TypeError, match="shape"):
+                schur_polynomial(shape, 3)
+
     def test_rejects_non_integer_width(self):
         one = Partition((1,))
         schur_polynomial.cache_clear()
@@ -149,15 +154,20 @@ def horizontal_strip_reference(nu, k):
 
 class TestStripRemovals:
     def test_more_rows_than_letters_give_no_strip(self):
-        assert list(_strip_removals((1, 1), 1)) == []
-        assert list(_strip_removals((2, 1, 1), 2)) == []
+        for boxes in range(5):
+            assert list(_strip_removals((1, 1), 1, boxes)) == []
+            assert list(_strip_removals((2, 1, 1), 2, boxes)) == []
 
     def test_matches_brute_force(self):
         for n in range(8):
             for nu in partitions_of(n):
                 for k in range(1, nu.nrows + 3):
-                    got = list(_strip_removals(nu.parts, k))
-                    assert sorted(got) == horizontal_strip_reference(nu.parts, k), (nu, k)
+                    reference = horizontal_strip_reference(nu.parts, k)
+                    # one more box than nu holds gives no strip
+                    for boxes in range(n + 2):
+                        got = list(_strip_removals(nu.parts, k, boxes))
+                        expected = [mu for mu in reference if sum(mu) == n - boxes]
+                        assert sorted(got) == expected, (nu, k, boxes)
 
 
 class TestSchurExpand:
@@ -243,6 +253,55 @@ class TestSchurExpand:
                 poly = poly + schur_polynomial(shape, width) * c
         expected = {shape: c for shape, c in zip(shapes, coeffs) if c}
         assert schur_expand(poly) == expected
+
+    def test_rejects_non_polynomials(self):
+        with pytest.raises(TypeError, match="poly"):
+            schur_expand(5)
+
+    def test_dominant_tables_expand_like_unflagged_copies(self):
+        # an unflagged copy takes the symmetry scan and the orbit count; the
+        # dominant table of a Schur polynomial or product takes neither
+        shapes = [shape for n in range(8) for shape in partitions_of(n)]
+        values = [schur_polynomial.__wrapped__(shape, w) for w in range(8) for shape in shapes]
+        operands = {shape: schur_polynomial.__wrapped__(shape, 7) for shape in shapes}
+        values += [
+            operands[lam] * operands[mu]
+            for i, lam in enumerate(shapes)
+            for mu in shapes[i:]
+            if lam.size + mu.size <= 7
+        ]
+        for p in values:
+            expansion = schur_expand(p)
+            assert p._packed is None
+            copy = Polynomial(p.width, dict(p.terms))
+            assert copy._symmetric_degree is None
+            assert schur_expand(copy) == expansion
+
+    def test_oracle_query_fills_no_orbit(self):
+        # the product route reads dominant tables only: neither operand, nor the
+        # product, nor any s_nu whose Kostka numbers the elimination reads is filled
+        schur_polynomial.cache_clear()
+        width = 7
+        for a in range(8):
+            for lam in partitions_of(a):
+                for mu in partitions_of(7 - a):
+                    left, right = schur_polynomial(lam, width), schur_polynomial(mu, width)
+                    product = left * right
+                    expansion = schur_expand(product)
+                    read = [schur_polynomial(nu, width) for nu in expansion]
+                    for p in (left, right, product, *read):
+                        assert p._packed is None and p._view is None, (lam, mu)
+
+    def test_power_sums_are_alternating_hooks(self):
+        # Murnaghan-Nakayama: p_k = sum over j < min(k, w) of (-1)^j s_(k - j, 1^j);
+        # each p_k has w terms, so the elimination reads s_nu of degree k alone
+        for k in range(1, 21):
+            for width in range(1, 9):
+                power_sum = Polynomial(width, {
+                    tuple(k if i == j else 0 for i in range(width)): 1 for j in range(width)
+                })
+                hooks = {Partition((k - j,) + (1,) * j): (-1) ** j for j in range(min(k, width))}
+                assert schur_expand(power_sum) == hooks, (k, width)
 
     def test_coefficients_stable_in_width(self):
         # c^nu_{lam mu} != 0 forces l(nu) <= l(lam) + l(mu), so that many variables suffice
