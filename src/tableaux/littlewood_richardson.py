@@ -71,9 +71,11 @@ def enumerate_lr_fillings(
 
 def _admissible(outer: Partition, inner: Partition, content: Partition) -> bool:
     """Whether outer/inner can hold a witness at all: containment, size, dominance window."""
-    for name, value in (("outer", outer), ("inner", inner), ("content", content)):
-        if not isinstance(value, Partition):
-            raise TypeError(f"{name} must be a Partition, got {value!r}")
+    # one test on the hot path; the loop only names the offending argument
+    if not (isinstance(outer, Partition) and isinstance(inner, Partition) and isinstance(content, Partition)):
+        for name, value in (("outer", outer), ("inner", inner), ("content", content)):
+            if not isinstance(value, Partition):
+                raise TypeError(f"{name} must be a Partition, got {value!r}")
     lam, mu, nu = inner.parts, content.parts, outer.parts
     if not outer.contains(inner) or sum(nu) - sum(lam) != sum(mu):
         return False
