@@ -293,8 +293,8 @@ class TestSchurExpand:
                         assert p._packed is None and p._view is None, (lam, mu)
 
     def test_power_sums_are_alternating_hooks(self):
-        # Murnaghan-Nakayama: p_k = sum over j < min(k, w) of (-1)^j s_(k - j, 1^j);
-        # each p_k has w terms, so the elimination reads s_nu of degree k alone
+        # Murnaghan-Nakayama: p_k = sum over j < min(k, w) of (-1)^j s_(k - j, 1^j).
+        # Only w terms, but each hook's Kostka table spans the partitions of k
         for k in range(1, 21):
             for width in range(1, 9):
                 power_sum = Polynomial(width, {
