@@ -295,7 +295,9 @@ class Polynomial:
         base = degree + 1
         left, right = self._dominant.get, other._dominant.get
         dominant = {
-            _pack(alpha, base): sum(m * left(k1, 0) * right(k2, 0) for k1, k2, m in _split_keys(alpha, low))
+            _pack(alpha, base): sum(
+                m * left(k1, 0) * right(k2, 0) for k1, k2, m in _split_keys(alpha, low)
+            )
             for alpha in _exponent_partitions(degree, width)
         }
         return Polynomial._symmetric(width, degree, dominant)

@@ -89,7 +89,7 @@ def _kostka(
 
 
 def _strip_removals(nu: tuple[int, ...], k: int, boxes: int) -> Iterator[tuple[int, ...]]:
-    """Shapes ``mu`` of at most ``k - 1`` rows with ``nu / mu`` a horizontal strip of ``boxes`` boxes.
+    """Shapes ``mu`` of at most ``k - 1`` rows with ``nu / mu`` a horizontal ``boxes``-strip.
 
     Those are the ``mu`` interlacing ``nu``, ``nu[i + 1] <= mu[i] <= nu[i]``,
     with ``|mu| = |nu| - boxes``. None exist when ``nu`` has more than ``k``
