@@ -227,6 +227,8 @@ def enumerate_syt(shape: Partition) -> Iterator[Filling]:
     value used exactly once and entries capped by how many larger values
     the boxes to the right and below still need.
     """
+    if not isinstance(shape, Partition):
+        raise TypeError(f"shape must be a Partition, got {shape!r}")
     n = shape.size
     conj = shape.conjugate().parts
     cap = [n - (shape.parts[r] - 1 - c) - (conj[c] - 1 - r) for r, c in shape.boxes()]

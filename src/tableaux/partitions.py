@@ -172,6 +172,8 @@ def count_standard_tableaux(shape: Partition) -> int:
     always an integer; a remainder means the hook computation is broken
     and raises rather than returning garbage.
     """
+    if not isinstance(shape, Partition):
+        raise TypeError(f"shape must be a Partition, got {shape!r}")
     count, rest = divmod(factorial(shape.size), prod(shape.hooks()))
     if rest:
         raise ArithmeticError(f"hook product does not divide {shape.size}! for {shape}")
@@ -191,6 +193,8 @@ def partitions_of(n: int) -> Iterator[Partition]:
     Each step lowers ``parts[h]`` by one and refills the slots after it
     in place, so the trailing ones are never scanned.
     """
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise TypeError(f"n must be an integer, got {n!r}")
     if n < 0:
         raise ValueError(f"cannot partition {n}")
     if n == 0:
@@ -226,6 +230,35 @@ def partitions_of(n: int) -> Iterator[Partition]:
             if rest > 1:
                 h += 1
                 parts[h] = rest
+
+
+def _partitions_below(lead: tuple[int, ...], width: int) -> Iterator[tuple[int, ...]]:
+    """Partitions of ``|lead|`` into at most ``width`` parts, lex-descending from ``lead``.
+
+    Each is a tuple without zeros; every partition not lex-greater than
+    ``lead`` and of at most ``width`` parts comes once. The current one is
+    kept padded to ``width``; each successor lowers by one the rightmost part
+    whose lost box still fits after it, then refills the parts after it as
+    high as they go. When ``lead`` has more than ``width`` parts, its parts
+    past ``width`` start out as boxes still to place, so the walk begins at
+    the greatest partition below ``lead`` that fits.
+    """
+    parts = list(lead[:width]) + [0] * (width - len(lead))
+    rest = sum(lead[width:])  # boxes to place after the part that is lowered next
+    while True:
+        if not rest:
+            yield tuple(filter(None, parts))
+        for i in range(width - 1, -1, -1):
+            if parts[i] and rest < (width - 1 - i) * (parts[i] - 1):
+                break
+            rest += parts[i]
+        else:
+            return
+        parts[i] -= 1
+        rest += 1
+        for j in range(i + 1, width):
+            parts[j] = min(parts[i], rest)
+            rest -= parts[j]
 
 
 def parse_partition(text: str) -> Partition:

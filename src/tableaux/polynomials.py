@@ -7,7 +7,9 @@ from collections.abc import Mapping
 from functools import lru_cache
 from itertools import combinations, groupby
 from math import factorial, prod
-from typing import Iterable, Iterator
+from typing import Iterable
+
+from .partitions import _partitions_below
 
 
 class WidthMismatchError(ValueError):
@@ -28,13 +30,13 @@ class Polynomial:
     operands to a common one. Tuple keys are a view unpacked on first use.
 
     A polynomial symmetric and homogeneous of degree ``d`` by construction
-    (a Schur polynomial, or a product of two such) is packed in base
-    ``d + 1`` and stores only its coefficients at weakly decreasing
-    exponents, its dominant table. Its length, leading term and zero test
-    read that table; the first read of a monomial writes every orbit into
-    the packed terms, in lex-descending order. Products of two of them
-    take the orbit route of :meth:`__mul__`. Nothing else is built this
-    way, whatever its terms.
+    (a Schur polynomial, or a product of two such) stores only its
+    dominant table: its coefficient at each partition of ``d`` into at most
+    ``width`` parts, keyed by the partition's tuple without zeros. Its
+    length, leading term and zero test read that table; the first read of
+    a monomial writes every orbit into the packed terms, in base ``d + 1``
+    and lex-descending order. Products of two of them take the orbit route
+    of :meth:`__mul__`. Nothing else is built this way, whatever its terms.
     """
 
     __slots__ = ("_width", "_base", "_packed", "_view", "_dominant")
@@ -78,10 +80,13 @@ class Polynomial:
         return poly
 
     @classmethod
-    def _symmetric(cls, width: int, degree: int, dominant: dict[int, int]) -> "Polynomial":
+    def _symmetric(
+        cls, width: int, degree: int, dominant: dict[tuple[int, ...], int]
+    ) -> "Polynomial":
         # internal: symmetric and homogeneous of ``degree`` by construction;
-        # ``dominant`` maps each weakly decreasing exponent vector, packed in
-        # base degree + 1, to its coefficient, and zero coefficients drop here.
+        # ``dominant`` maps partitions of ``degree`` into at most ``width``
+        # parts, as tuples without zeros, to their coefficients; zero
+        # coefficients drop here.
         poly = object.__new__(cls)
         poly._width = width
         poly._base = degree + 1
@@ -89,11 +94,6 @@ class Polynomial:
         poly._view = None
         poly._dominant = {key: c for key, c in dominant.items() if c}
         return poly
-
-    @property
-    def _symmetric_degree(self) -> int | None:
-        """The degree of a polynomial symmetric by construction, else None."""
-        return None if self._dominant is None else self._base - 1
 
     @classmethod
     def zero(cls, width: int) -> "Polynomial":
@@ -126,10 +126,11 @@ class Polynomial:
         # below: one assignment of a complete dict, so threads that race agree.
         packed = self._packed
         if packed is None:
-            base, dominant = self._base, self._dominant
+            width, base = self._width, self._base
             packed = {}
-            for alpha, coeff in zip(_unpacked(list(dominant), self._width, base), dominant.values()):
-                packed.update(dict.fromkeys(_orbit_keys(alpha, base), coeff))
+            for alpha, coeff in self._dominant.items():
+                padded = alpha + (0,) * (width - len(alpha))
+                packed.update(dict.fromkeys(_orbit_keys(padded, base), coeff))
             packed = dict(sorted(packed.items(), reverse=True))
             self._packed = packed
         return packed
@@ -145,7 +146,7 @@ class Polynomial:
         # the number of terms, read from the dominant table while it is unfilled
         packed = self._packed
         if packed is None:
-            return sum(map(_orbit_size, _unpacked(list(self._dominant), self._width, self._base)))
+            return sum(_orbit_size(alpha, self._width) for alpha in self._dominant)
         return len(packed)
 
     def coefficient(self, exps: Iterable[int]) -> int:
@@ -163,12 +164,16 @@ class Polynomial:
     def leading_term(self) -> tuple[tuple[int, ...], int]:
         """Lexicographically greatest exponent vector and its coefficient."""
         # an exponent vector is lex-greatest in its orbit when weakly decreasing,
-        # so a dominant table holds the leading term
-        packed = self._packed if self._dominant is None else self._dominant
-        if not packed:
+        # so a dominant table holds the leading term; partitions of one size
+        # compare like their padded exponent vectors
+        dominant = self._dominant
+        table = self._packed if dominant is None else dominant
+        if not table:
             raise ValueError("the zero polynomial has no leading term")
-        key = max(packed)
-        return _unpacked([key], self._width, self._base)[0], packed[key]
+        key = max(table)
+        if dominant is None:
+            return _unpacked([key], self._width, self._base)[0], table[key]
+        return key + (0,) * (self._width - len(key)), table[key]
 
     def is_homogeneous(self) -> bool:
         return len({sum(exps) for exps in self._tuples()}) <= 1
@@ -286,19 +291,18 @@ class Polynomial:
         c_alpha = sum over beta <= alpha with |beta| = d1 of A[beta] * B[alpha - beta].
         Both operands are symmetric too, so each factor is read from their
         dominant tables at the sorted exponent, from :func:`_split_keys`. The
-        product keeps only those c_alpha, packed in base d + 1, the base the
-        pair loop would use; its orbits are written on first use. Each cached
-        table entry holds at most the degree-d monomials in ``width`` variables.
+        product keeps only those c_alpha; its orbits are written on first use,
+        in base d + 1, the base the pair loop would use. Each cached table
+        entry holds at most the degree-d monomials in len(alpha) variables.
         """
         width, low = self._width, self._base - 1
         degree = low + other._base - 1
-        base = degree + 1
         left, right = self._dominant.get, other._dominant.get
         dominant = {
-            _pack(alpha, base): sum(
-                m * left(k1, 0) * right(k2, 0) for k1, k2, m in _split_keys(alpha, low)
+            alpha: sum(
+                m * left(beta, 0) * right(gamma, 0) for beta, gamma, m in _split_keys(alpha, low)
             )
-            for alpha in _exponent_partitions(degree, width)
+            for alpha in _partitions_below((degree,) if degree else (), width)
         }
         return Polynomial._symmetric(width, degree, dominant)
 
@@ -358,37 +362,6 @@ def _pack(exps: tuple[int, ...], base: int) -> int:
     return key
 
 
-def _exponent_partitions(degree: int, width: int) -> Iterator[tuple[int, ...]]:
-    """Weakly decreasing exponent vectors of ``width`` entries summing to ``degree``."""
-    if width:
-        return _dominant_exponents_below((degree,) + (0,) * (width - 1))
-    return iter([()] if degree == 0 else [])
-
-
-def _dominant_exponents_below(lead: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """Weakly decreasing vectors of ``lead``'s length and sum, lex-descending from ``lead``.
-
-    Each successor lowers by one the rightmost part whose lost box still
-    fits after it, then refills the parts after it as high as they go.
-    """
-    parts = list(lead)
-    width = len(parts)
-    while True:
-        yield tuple(parts)
-        rest = 0
-        for i in range(width - 1, -1, -1):
-            if parts[i] and rest < (width - 1 - i) * (parts[i] - 1):
-                break
-            rest += parts[i]
-        else:
-            return
-        parts[i] -= 1
-        rest += 1
-        for j in range(i + 1, width):
-            parts[j] = min(parts[i], rest)
-            rest -= parts[j]
-
-
 @lru_cache(maxsize=1024)
 def _orbit_keys(alpha: tuple[int, ...], base: int) -> tuple[int, ...]:
     """Packed keys in ``base`` of every distinct rearrangement of ``alpha``.
@@ -421,44 +394,43 @@ def _orbit_keys(alpha: tuple[int, ...], base: int) -> tuple[int, ...]:
     )
 
 
-def _orbit_size(alpha: tuple[int, ...]) -> int:
-    """Number of distinct rearrangements of ``alpha``."""
-    return factorial(len(alpha)) // prod(factorial(m) for m in Counter(alpha).values())
+def _orbit_size(alpha: tuple[int, ...], width: int) -> int:
+    """Number of distinct rearrangements of the partition ``alpha`` padded to ``width``."""
+    repeats = prod(factorial(m) for m in Counter(alpha).values())
+    return factorial(width) // (factorial(width - len(alpha)) * repeats)
 
 
 @lru_cache(maxsize=1024)
-def _split_keys(alpha: tuple[int, ...], low: int) -> tuple[tuple[int, int, int], ...]:
-    """The splits ``alpha = beta + gamma`` with ``|beta| = low``, as sorted packed pairs.
+def _split_keys(
+    alpha: tuple[int, ...], low: int
+) -> tuple[tuple[tuple[int, ...], tuple[int, ...], int], ...]:
+    """The splits ``alpha = beta + gamma`` with ``|beta| = low``, as sorted partition pairs.
 
-    ``alpha`` is weakly decreasing, and ``beta`` runs over the vectors with
-    ``0 <= beta <= alpha`` entrywise. Each split gives the key of ``beta``
-    sorted weakly decreasing in base ``low + 1`` and that of ``gamma`` sorted
-    in base ``|gamma| + 1``; equal key pairs are merged, with their count.
-    The betas are built one nonzero part of ``alpha`` at a time, keeping only
-    prefixes that can still reach ``low``. An entry holds at most one triple
-    per monomial of degree |alpha| in len(alpha) variables.
+    ``alpha`` is a partition, and ``beta`` runs over the vectors with
+    ``0 <= beta <= alpha`` entrywise. Each split gives ``beta`` and ``gamma``
+    sorted weakly decreasing, zeros stripped; equal pairs are merged, with
+    their count. The betas are built one part of ``alpha`` at a time,
+    keeping only prefixes that can still reach ``low``. An entry holds at
+    most one triple per monomial of degree |alpha| in len(alpha) variables.
     """
-    parts = [a for a in alpha if a]
-    zeros = (0,) * (len(alpha) - len(parts))
-    room = sum(parts)
-    high = room - low
+    room = sum(alpha)
     betas = [((), low)]  # (prefix, boxes still to place)
-    for a in parts:
+    for a in alpha:
         room -= a
         betas = [
             (prefix + (b,), left - b)
             for prefix, left in betas
             for b in range(max(0, left - room), min(a, left) + 1)
         ]
-    counts: dict[tuple[int, int], int] = {}
+    counts: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
     for beta, _ in betas:
-        gamma = [a - b for a, b in zip(parts, beta)]
+        gamma = [a - b for a, b in zip(alpha, beta)]
         pair = (
-            _pack(tuple(sorted(beta, reverse=True)) + zeros, low + 1),
-            _pack(tuple(sorted(gamma, reverse=True)) + zeros, high + 1),
+            tuple(sorted(filter(None, beta), reverse=True)),
+            tuple(sorted(filter(None, gamma), reverse=True)),
         )
         counts[pair] = counts.get(pair, 0) + 1
-    return tuple((k1, k2, m) for (k1, k2), m in counts.items())
+    return tuple((beta, gamma, m) for (beta, gamma), m in counts.items())
 
 
 def _unpacked(keys: list[int], width: int, base: int) -> list[tuple[int, ...]]:

@@ -88,9 +88,12 @@ def row_insert(tableau: Filling, value: int) -> tuple[Filling, tuple[int, int]]:
     In each row the incoming value replaces the leftmost strictly larger
     entry, which is then inserted into the next row; when nothing is
     larger it lands in a new box at the end of the row. Requires a
-    tableau with distinct entries and ``value`` not among them. Returns
-    the grown tableau and the coordinate of the created box.
+    tableau with distinct entries; a ``value`` already among them raises
+    ``ValueError``. Returns the grown tableau and the coordinate of the
+    created box.
     """
+    if any(value in row for row in tableau.rows):
+        raise ValueError(f"{value} is already an entry of the tableau")
     rows = [list(row) for row in tableau.rows]
     r = _insert(rows, value)
     return Filling.from_rows(rows), (r, len(rows[r]) - 1)

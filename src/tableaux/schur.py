@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import ge
 from typing import Iterator
 
-from .partitions import Partition
-from .polynomials import Polynomial, _dominant_exponents_below, _orbit_size, _pack
+from .partitions import Partition, _partitions_below
+from .polynomials import Polynomial
 
 
 class NotSymmetricError(ValueError):
@@ -28,12 +29,14 @@ def schur_polynomial(shape: Partition, width: int) -> Polynomial:
 
     Built from s_shape = sum over partitions alpha of K_{shape, alpha}
     m_alpha (Macdonald I.6), each Kostka number from the horizontal-strip
-    recursion of :func:`_kostka`. The result is symmetric of degree
-    |shape| by construction and keeps only these K_{shape, alpha}, the
-    table that products (the orbit route of ``Polynomial.__mul__``) and
-    :func:`schur_expand` read; each alpha is written to all its
-    rearrangements on the first read of a monomial. :func:`enumerate_ssyt`
-    stays an independent route.
+    recursion of :func:`_kostka`, for every partition alpha of at most
+    ``width`` parts lex-below ``shape`` (K_{shape, alpha} is zero for the
+    others, and for every alpha when ``shape`` has more rows). The result
+    is symmetric of degree |shape| by construction and keeps only these
+    K_{shape, alpha}, keyed by alpha: the table that products (the orbit
+    route of ``Polynomial.__mul__``) and :func:`schur_expand` read. Each
+    alpha is written to all its rearrangements on the first read of a
+    monomial. :func:`enumerate_ssyt` stays an independent route.
     """
     if not isinstance(shape, Partition):
         raise TypeError(f"shape must be a Partition, got {shape!r}")
@@ -41,14 +44,10 @@ def schur_polynomial(shape: Partition, width: int) -> Polynomial:
         raise TypeError(f"width must be an integer, got {width!r}")
     if width < 0:
         raise ValueError(f"width must be nonnegative, got {width}")
-    # Every s_shape is packed in base |shape| + 1, zero included: no exponent
-    # exceeds the size, and schur_expand reads Kostka numbers in this base.
-    base = shape.size + 1
-    dominant: dict[int, int] = {}
-    if shape.nrows <= width:
-        memo: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {((), ()): 1}
-        for alpha in _dominant_exponents_below(shape.parts + (0,) * (width - shape.nrows)):
-            dominant[_pack(alpha, base)] = _kostka(shape.parts, tuple(a for a in alpha if a), memo)
+    memo: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {((), ()): 1}
+    lam = shape.parts
+    alphas = _partitions_below(lam, width) if shape.nrows <= width else ()
+    dominant = {alpha: _kostka(lam, alpha, memo) for alpha in alphas}
     return Polynomial._symmetric(width, shape.size, dominant)
 
 
@@ -121,17 +120,18 @@ def schur_expand(poly: Polynomial) -> dict[Partition, int]:
     Peels leading terms: the leading exponent vector ``nu`` of a symmetric
     homogeneous polynomial is weakly decreasing, hence a partition;
     subtract ``coeff * s_nu`` and repeat. A symmetric polynomial is fixed
-    by its coefficients at weakly decreasing exponents, so the elimination
-    runs on those alone, packed once per call in base ``degree + 1``. Each
-    Kostka number it subtracts is one lookup of such a key in the dominant
-    table of the cached ``schur_polynomial(nu, width)``, which is built in
-    that base. Partitions come out in lex-descending order. Negative
-    coefficients are returned as data, never clamped.
+    by its coefficients at partitions, its dominant table, so the
+    elimination runs on that table alone, over the partitions lex-below
+    the lead. Each Kostka number it subtracts is one lookup in the dominant
+    table of the cached ``schur_polynomial(nu, width)``. Partitions come
+    out in lex-descending order. Negative coefficients are returned as
+    data, never clamped.
 
     A Schur polynomial or a product of such is symmetric and homogeneous by
     construction: its dominant table is read as it is, and no monomial
-    outside it is written. Every other polynomial is checked for symmetry
-    on every stored term, and its orbits must fill its terms exactly.
+    outside it is written. Every other polynomial is checked for
+    homogeneity and then for symmetry on every stored term, and its table
+    is read from its terms at weakly decreasing exponents.
 
     Raises :class:`NotHomogeneousError` for mixed total degrees, before
     :class:`NotSymmetricError` when both apply.
@@ -139,32 +139,20 @@ def schur_expand(poly: Polynomial) -> dict[Partition, int]:
     if not isinstance(poly, Polynomial):
         raise TypeError(f"poly must be a Polynomial, got {poly!r}")
     dominant = poly._dominant
-    if dominant is None and not poly.is_symmetric():
+    if dominant is None:
         if not poly.is_homogeneous():
             raise NotHomogeneousError("expansion requires a homogeneous polynomial")
-        raise NotSymmetricError("polynomial is not invariant under permuting its variables")
-    if poly.is_zero:
+        if not poly.is_symmetric():
+            raise NotSymmetricError("polynomial is not invariant under permuting its variables")
+        dominant = {
+            tuple(filter(None, exps)): coeff
+            for exps, coeff in poly.terms.items()
+            if all(map(ge, exps, exps[1:]))
+        }
+    if not dominant:
         return {}
-    lead, _ = poly.leading_term()
-    candidates = list(_dominant_exponents_below(lead))
-    # Candidate entries are at most lead[0], which is below the poly's base
-    # and at most the degree; every s_nu of this degree is packed in degree + 1,
-    # as is the dominant table of a polynomial symmetric by construction.
-    base = sum(lead) + 1
-    keys = [_pack(nu, base) for nu in candidates]
-    if dominant is not None:
-        residual = [dominant.get(key, 0) for key in keys]
-    else:
-        own = keys if poly._base == base else [_pack(nu, poly._base) for nu in candidates]
-        get = poly._packed.get
-        residual = [get(key, 0) for key in own]
-        # The support is a union of whole orbits. The lead is the greatest stored
-        # exponent, so every orbit of its degree has its weakly decreasing member
-        # among the candidates; their orbits fill the support exactly when no
-        # other degree is present.
-        orbits = sum(_orbit_size(nu) for nu, c in zip(candidates, residual) if c)
-        if orbits != len(poly._packed):
-            raise NotHomogeneousError("expansion requires a homogeneous polynomial")
+    candidates = list(_partitions_below(max(dominant), poly.width))
+    residual = [dominant.get(nu, 0) for nu in candidates]
     result: dict[Partition, int] = {}
     for i, nu in enumerate(candidates):
         coeff = residual[i]
@@ -173,8 +161,8 @@ def schur_expand(poly: Polynomial) -> dict[Partition, int]:
         shape = Partition(nu)
         result[shape] = coeff
         kostka = schur_polynomial(shape, poly.width)._dominant.get
-        for j in range(i + 1, len(keys)):
-            count = kostka(keys[j])
+        for j in range(i + 1, len(candidates)):
+            count = kostka(candidates[j])
             if count:
                 residual[j] -= coeff * count
     return result

@@ -18,6 +18,7 @@ from tableaux import (
     parse_partition,
     partitions_of,
 )
+from tableaux.partitions import _partitions_below
 
 
 @st.composite
@@ -238,6 +239,11 @@ class TestCountStandard:
         n = 50
         assert count_standard_tableaux(Partition((n, n))) == math.comb(2 * n, n) // (n + 1)
 
+    def test_rejects_non_partitions(self):
+        for shape in ((2, 1), 3):
+            with pytest.raises(TypeError, match="shape"):
+                count_standard_tableaux(shape)
+
     def test_wrong_hooks_raise(self, monkeypatch):
         # every hook one too long: 7! = 5040 is no multiple of 7*5*3*2*4*2*2 = 6720
         true_hooks = Partition.hooks
@@ -259,6 +265,11 @@ class TestPartitionsOf:
     def test_negative(self):
         with pytest.raises(ValueError):
             list(partitions_of(-1))
+
+    def test_rejects_non_integer_sizes(self):
+        for n in (2.0, 0.0, True, False, "2"):
+            with pytest.raises(TypeError, match="n must be an integer"):
+                list(partitions_of(n))
 
     @pytest.mark.parametrize("n", range(21))
     def test_complete_distinct_and_ordered(self, n):
@@ -292,6 +303,23 @@ class TestPartitionsOf:
         assert counts[50] == 204226 and counts[60] == 966467
         for n in [*range(46), 50, 60]:
             assert sum(1 for _ in partitions_of(n)) == counts[n], n
+
+
+class TestPartitionsBelow:
+    def test_equals_filtered_partitions_of(self):
+        # every lead through 9 boxes, including leads taller than the width
+        for n in range(10):
+            shapes = [shape.parts for shape in partitions_of(n)]
+            for lead in shapes:
+                for width in range(11):
+                    expected = [p for p in shapes if p <= lead and len(p) <= width]
+                    assert list(_partitions_below(lead, width)) == expected, (lead, width)
+
+    def test_long_row_and_tall_leads(self):
+        assert list(_partitions_below((1200,), 1)) == [(1200,)]
+        assert list(_partitions_below((1,) * 1200, 1)) == []
+        assert list(_partitions_below((2, 1, 1), 2)) == []
+        assert list(_partitions_below((3, 1, 1, 1), 3)) == [(2, 2, 2)]
 
 
 class TestSkewShape:

@@ -1,3 +1,4 @@
+import itertools
 import sys
 import threading
 from itertools import permutations
@@ -319,10 +320,10 @@ class TestOrbitProduct:
                     if degree > 8:
                         continue
                     reference = copies[lam] * copies[mu]
-                    assert reference._symmetric_degree is None
+                    assert reference._dominant is None
                     for product in (operands[lam] * operands[mu], operands[mu] * operands[lam]):
                         assert product == reference, (lam, mu, width)
-                        assert product._symmetric_degree == degree
+                        assert product._dominant is not None
                         assert product._base == degree + 1
 
     def test_triple_products(self):
@@ -343,7 +344,7 @@ class TestOrbitProduct:
         t = schur_polynomial(Partition((1,)), 3)
         reference = unflagged(s) * unflagged(t)
         for product in (s * unflagged(t), unflagged(s) * t, (3 * s) * t, s * (t * 3)):
-            assert product._symmetric_degree is None
+            assert product._dominant is None
         assert s * unflagged(t) == unflagged(s) * t == reference
         assert (3 * s) * t == s * (t * 3) == reference * 3
         # a sum of two degrees is not symmetric of either
@@ -353,15 +354,34 @@ class TestOrbitProduct:
     def test_only_schur_polynomials_and_their_products_are_flagged(self):
         s = schur_polynomial(Partition((2, 1)), 3)
         t = schur_polynomial(Partition((1,)), 3)
-        assert s._symmetric_degree == 3 and (s * t)._symmetric_degree == 4
+        assert s._dominant is not None and (s * t)._dominant is not None
+        assert s._base == 4 and (s * t)._base == 5
         equal = Polynomial(3, dict(s.terms))
         assert equal == s
         for other in (s + s, s + t, t + 1, s - s, -s, 2 * s, s * 1, equal, Polynomial.constant(3, 1)):
-            assert other._symmetric_degree is None
+            assert other._dominant is None
 
     def test_tables_are_bounded(self):
         for table in (_orbit_keys, _split_keys):
             assert table.cache_info().maxsize is not None
+
+    def test_split_keys_match_every_split_through_degree_eight(self):
+        # brute force over every beta with 0 <= beta <= alpha entrywise
+        for n in range(9):
+            for alpha in (shape.parts for shape in partitions_of(n)):
+                for low in range(n + 1):
+                    expected: dict = {}
+                    for beta in itertools.product(*(range(a + 1) for a in alpha)):
+                        if sum(beta) != low:
+                            continue
+                        gamma = [a - b for a, b in zip(alpha, beta)]
+                        pair = tuple(
+                            tuple(sorted(filter(None, v), reverse=True)) for v in (beta, gamma)
+                        )
+                        expected[pair] = expected.get(pair, 0) + 1
+                    got = _split_keys(alpha, low)
+                    assert len(got) == len(expected), (alpha, low)
+                    assert {(beta, gamma): m for beta, gamma, m in got} == expected, (alpha, low)
 
     def test_orbit_keys_are_the_distinct_rearrangements(self):
         for alpha in ((), (0, 0), (3,), (2, 1, 1, 0), (2, 2, 1, 0, 0), (1, 1, 1)):
@@ -371,8 +391,8 @@ class TestOrbitProduct:
 
     def test_threads_share_cached_schur_operands(self):
         # Every operand and partner is a cached Schur polynomial, so each
-        # product takes the orbit route and reads the shared operands' packed
-        # terms and the shared orbit and split tables; each thread takes the
+        # product takes the orbit route and reads the shared operands' dominant
+        # tables and the shared split and orbit tables; each thread takes the
         # partners, of four different degrees, in its own rotation, while the
         # sequential reference multiplies unflagged copies by the pair loop.
         width = 3
@@ -507,7 +527,25 @@ class TestLazyView:
 
 class TestDominantTable:
     # Schur polynomials and their products keep only their coefficients at
-    # weakly decreasing exponents until a monomial is read.
+    # partitions until a monomial is read.
+
+    def test_table_is_the_filled_terms_at_partitions(self):
+        # every s_lam and every product through degree 8, at widths 0 to 8
+        shapes = [shape for n in range(9) for shape in partitions_of(n)]
+        for width in range(9):
+            operands = {shape: schur_polynomial.__wrapped__(shape, width) for shape in shapes}
+            values = list(operands.values())
+            for i, lam in enumerate(shapes):
+                for mu in shapes[i:]:
+                    if lam.size + mu.size <= 8:
+                        values.append(operands[lam] * operands[mu])
+            for p in values:
+                table = dict(p._dominant)
+                assert table == {
+                    tuple(filter(None, exps)): coeff
+                    for exps, coeff in p.terms.items()
+                    if list(exps) == sorted(exps, reverse=True)
+                }, width
 
     def test_lazy_values_survive_the_fill(self):
         shapes = [shape for n in range(9) for shape in partitions_of(n)]

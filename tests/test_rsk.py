@@ -99,6 +99,12 @@ class TestRowInsert:
         assert grown.rows == ((1, 4, 5), (2,))
         assert box == (0, 2)
 
+    def test_rejects_a_value_already_present(self):
+        # bumping an equal entry would stack two 1s in the first column
+        for rows, value in [([[1, 2]], 1), ([[1, 2]], 2), ([[1, 3], [2]], 2)]:
+            with pytest.raises(ValueError, match=f"{value} is already an entry"):
+                row_insert(Filling.from_rows(rows), value)
+
 
 class TestRsk:
     def test_worked_example(self):

@@ -81,7 +81,8 @@ class TestSchurPolynomial:
                     )
 
     def test_terms_stored_lex_descending(self):
-        # schur_expand reads Kostka numbers by key packed in base |shape| + 1
+        # the orbits of s_shape are packed in base |shape| + 1, the base of
+        # the pair loop's products, and written lex-descending
         for n in range(8):
             for shape in partitions_of(n):
                 for width in range(9):
@@ -274,7 +275,7 @@ class TestSchurExpand:
             expansion = schur_expand(p)
             assert p._packed is None
             copy = Polynomial(p.width, dict(p.terms))
-            assert copy._symmetric_degree is None
+            assert copy._dominant is None
             assert schur_expand(copy) == expansion
 
     def test_oracle_query_fills_no_orbit(self):
