@@ -91,6 +91,8 @@ class Filling:
 
     def weight(self, bound: int) -> tuple[int, ...]:
         """Multiplicity vector of width ``bound``: slot i-1 counts the i's."""
+        if not isinstance(bound, int) or isinstance(bound, bool):
+            raise TypeError(f"bound must be an integer, got {bound!r}")
         counts = [0] * bound
         for row in self.rows:
             for v in row:
@@ -245,6 +247,10 @@ def bender_knuth(filling: Filling, index: int) -> Filling:
     and ``b`` large becomes ``b`` small and ``a`` large. Everything else
     stays put, so applying the operation twice returns the input.
     """
+    if not isinstance(filling, Filling):
+        raise TypeError(f"filling must be a Filling, got {filling!r}")
+    if not isinstance(index, int) or isinstance(index, bool):
+        raise TypeError(f"index must be an integer, got {index!r}")
     if index < 1:
         raise ValueError(f"index must be at least 1, got {index}")
     if not filling.is_semistandard():

@@ -126,6 +126,9 @@ class SkewShape:
     inner: Partition = EMPTY
 
     def __post_init__(self):
+        for name in ("outer", "inner"):
+            if not isinstance(getattr(self, name), Partition):
+                raise TypeError(f"{name} must be a Partition, got {getattr(self, name)!r}")
         if not self.outer.contains(self.inner):
             raise NotContainedError(f"{self.inner} is not contained in {self.outer}")
 

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Mapping
+from collections.abc import Collection, Mapping
 from functools import lru_cache
 from itertools import combinations, groupby
 from math import factorial, prod
+from operator import itemgetter
 from typing import Iterable
 
 from .partitions import _partitions_below
@@ -21,25 +22,19 @@ class Polynomial:
 
     Immutable. Zero coefficients are never stored. The variable count
     (``width``) is fixed per polynomial and checked on every binary
-    operation.
-
-    Each exponent vector is stored packed into one integer, its digits in
-    base ``base`` (larger than every stored exponent) with x1 the most
-    significant, so packed keys order like their exponent vectors. Two
-    equal polynomials may hold different bases; operations bring both
-    operands to a common one. Tuple keys are a view unpacked on first use.
+    operation. The terms are one dict keyed by exponent tuples.
 
     A polynomial symmetric and homogeneous of degree ``d`` by construction
     (a Schur polynomial, or a product of two such) stores only its
     dominant table: its coefficient at each partition of ``d`` into at most
     ``width`` parts, keyed by the partition's tuple without zeros. Its
     length, leading term and zero test read that table; the first read of
-    a monomial writes every orbit into the packed terms, in base ``d + 1``
-    and lex-descending order. Products of two of them take the orbit route
-    of :meth:`__mul__`. Nothing else is built this way, whatever its terms.
+    a monomial writes every orbit into the terms, lex-descending. Products
+    of two of them take the orbit route of :meth:`__mul__`. Nothing else is
+    built this way, whatever its terms.
     """
 
-    __slots__ = ("_width", "_base", "_packed", "_view", "_dominant")
+    __slots__ = ("_width", "_terms", "_degree", "_dominant")
 
     def __init__(self, width: int, terms: Mapping[Iterable[int], int] | None = None):
         if not isinstance(width, int) or isinstance(width, bool):
@@ -59,23 +54,20 @@ class Polynomial:
                 raise TypeError(f"coefficients must be integers, got {coeff!r}")
             if coeff != 0:
                 cleaned[key] = coeff
-        base = max(map(max, cleaned), default=0) + 1 if width else 1
         self._width = width
-        self._base = base
-        self._packed = {_pack(exps, base): coeff for exps, coeff in cleaned.items()}
-        self._view = cleaned
+        self._terms = cleaned
+        self._degree = None
         self._dominant = None
 
     @classmethod
-    def _from_packed(cls, width: int, base: int, packed: dict[int, int]) -> "Polynomial":
-        # internal: keys packed in ``base`` as above; zero coefficients drop here.
-        if 0 in packed.values():
-            packed = {key: c for key, c in packed.items() if c}
+    def _from_terms(cls, width: int, terms: dict[tuple[int, ...], int]) -> "Polynomial":
+        # internal: ``terms`` has valid keys of length ``width``; zero coefficients drop here.
+        if 0 in terms.values():
+            terms = {key: c for key, c in terms.items() if c}
         poly = object.__new__(cls)
         poly._width = width
-        poly._base = base
-        poly._packed = packed
-        poly._view = None
+        poly._terms = terms
+        poly._degree = None
         poly._dominant = None
         return poly
 
@@ -89,9 +81,8 @@ class Polynomial:
         # coefficients drop here.
         poly = object.__new__(cls)
         poly._width = width
-        poly._base = degree + 1
-        poly._packed = None
-        poly._view = None
+        poly._terms = None
+        poly._degree = degree
         poly._dominant = {key: c for key, c in dominant.items() if c}
         return poly
 
@@ -118,65 +109,52 @@ class Polynomial:
 
     @property
     def is_zero(self) -> bool:
-        return not (self._packed if self._dominant is None else self._dominant)
+        return not (self._terms if self._dominant is None else self._dominant)
 
-    def _filled(self) -> dict[int, int]:
-        # the packed terms. A polynomial symmetric by construction writes every
-        # orbit of its dominant table on first use, lex-descending, like the view
-        # below: one assignment of a complete dict, so threads that race agree.
-        packed = self._packed
-        if packed is None:
-            width, base = self._width, self._base
-            packed = {}
+    def _filled(self) -> dict[tuple[int, ...], int]:
+        # the terms. A polynomial symmetric by construction writes every orbit
+        # of its dominant table on first use, lex-descending: one assignment of
+        # a complete dict, so threads that race agree.
+        terms = self._terms
+        if terms is None:
+            width = self._width
+            terms = {}
             for alpha, coeff in self._dominant.items():
-                padded = alpha + (0,) * (width - len(alpha))
-                packed.update(dict.fromkeys(_orbit_keys(padded, base), coeff))
-            packed = dict(sorted(packed.items(), reverse=True))
-            self._packed = packed
-        return packed
-
-    def _tuples(self) -> dict[tuple[int, ...], int]:
-        # the unpacked view, built once; safe to keep since the polynomial never changes.
-        if self._view is None:
-            packed = self._filled()
-            self._view = dict(zip(_unpacked(list(packed), self._width, self._base), packed.values()))
-        return self._view
+                terms.update(dict.fromkeys(_orbit(alpha + (0,) * (width - len(alpha))), coeff))
+            terms = dict(sorted(terms.items(), reverse=True))
+            self._terms = terms
+        return terms
 
     def _term_count(self) -> int:
         # the number of terms, read from the dominant table while it is unfilled
-        packed = self._packed
-        if packed is None:
+        terms = self._terms
+        if terms is None:
             return sum(_orbit_size(alpha, self._width) for alpha in self._dominant)
-        return len(packed)
+        return len(terms)
 
     def coefficient(self, exps: Iterable[int]) -> int:
         exps = tuple(exps)
         if not all(isinstance(e, int) and not isinstance(e, bool) for e in exps):
             raise TypeError(f"exponents must be integers, got {exps}")
-        if len(exps) != self._width or not all(0 <= e < self._base for e in exps):
-            return 0
-        return self._filled().get(_pack(exps, self._base), 0)
+        return self._filled().get(exps, 0)
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
         """Terms in lexicographically descending exponent order."""
-        return sorted(self._tuples().items(), key=lambda item: item[0], reverse=True)
+        return sorted(self._filled().items(), key=lambda item: item[0], reverse=True)
 
     def leading_term(self) -> tuple[tuple[int, ...], int]:
         """Lexicographically greatest exponent vector and its coefficient."""
         # an exponent vector is lex-greatest in its orbit when weakly decreasing,
         # so a dominant table holds the leading term; partitions of one size
         # compare like their padded exponent vectors
-        dominant = self._dominant
-        table = self._packed if dominant is None else dominant
+        table = self._terms if self._dominant is None else self._dominant
         if not table:
             raise ValueError("the zero polynomial has no leading term")
         key = max(table)
-        if dominant is None:
-            return _unpacked([key], self._width, self._base)[0], table[key]
         return key + (0,) * (self._width - len(key)), table[key]
 
     def is_homogeneous(self) -> bool:
-        return len({sum(exps) for exps in self._tuples()}) <= 1
+        return len(set(map(sum, self._filled()))) <= 1
 
     def is_symmetric(self) -> bool:
         """Invariance under every permutation of the variables.
@@ -184,25 +162,15 @@ class Polynomial:
         The swap (x1 x2) and the cycle (x1 x2 ... xN) generate S_N. The
         check is that each maps every stored exponent to a stored one with
         the same coefficient: an injective map of the finite support into
-        itself is onto, so the polynomial is invariant under both. On a
-        packed key the cycle moves the top digit to the bottom and the swap
-        exchanges the two top digits.
+        itself is onto, so the polynomial is invariant under both.
         """
-        width, base, packed = self._width, self._base, self._filled()
+        width, terms = self._width, self._filled()
         if width < 2:
             return True
-        top = base ** (width - 1)
-        second = top // base
-        keys = list(packed)
-        coeffs = list(packed.values())
-        firsts = [key // top for key in keys]
-        rests = [key - d * top for key, d in zip(keys, firsts)]
-        get = packed.get
-        if list(map(get, [rest * base + d for rest, d in zip(rests, firsts)])) != coeffs:
-            return False
-        shift = top - second
-        swapped = [key + (rest // second - d) * shift for key, rest, d in zip(keys, rests, firsts)]
-        return list(map(get, swapped)) == coeffs
+        coeffs = list(terms.values())
+        cycle = itemgetter(*range(1, width), 0)
+        swap = itemgetter(1, 0, *range(2, width))
+        return all(list(map(terms.get, map(move, terms))) == coeffs for move in (cycle, swap))
 
     def _check_width(self, other: "Polynomial") -> None:
         if self._width != other._width:
@@ -215,36 +183,21 @@ class Polynomial:
             return Polynomial.constant(self._width, value)
         return None
 
-    def _rebased(self, base: int) -> dict[int, int]:
-        """The packed terms with keys in ``base``, at least this polynomial's own.
-
-        In its own base this is the stored dict, so callers must not mutate it.
-        """
-        packed = self._filled()
-        if base == self._base:
-            return packed
-        keys = [0] * len(packed)
-        for digits in _digit_columns(list(packed), self._width, self._base):
-            keys = [key * base + d for key, d in zip(keys, digits)]
-        return dict(zip(keys, packed.values()))
-
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         self._check_width(other)
-        base = max(self._base, other._base)
-        terms = dict(self._rebased(base))
+        terms = dict(self._filled())
         get = terms.get
-        for key, coeff in other._rebased(base).items():
+        for key, coeff in other._filled().items():
             terms[key] = get(key, 0) + coeff
-        return Polynomial._from_packed(self._width, base, terms)
+        return Polynomial._from_terms(self._width, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        negated = {key: -c for key, c in self._filled().items()}
-        return Polynomial._from_packed(self._width, self._base, negated)
+        return Polynomial._from_terms(self._width, {key: -c for key, c in self._filled().items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -261,25 +214,31 @@ class Polynomial:
     def __mul__(self, other):
         if isinstance(other, int) and not isinstance(other, bool):
             scaled = {key: c * other for key, c in self._filled().items()}
-            return Polynomial._from_packed(self._width, self._base, scaled)
+            return Polynomial._from_terms(self._width, scaled)
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_width(other)
         if self._dominant is not None and other._dominant is not None:
             return self._orbit_product(other)
-        # Every exponent of the product is at most the sum of the operands'
-        # largest, so in this base adding keys never carries and multiplying
-        # monomials is adding integers; zero coefficients drop once, at the end.
-        base = self._base + other._base - 1
-        left = list(self._rebased(base).items())
-        right = list(other._rebased(base).items())
+        width, left, right = self._width, self._filled(), other._filled()
+        if not width:
+            return Polynomial._from_terms(0, {(): sum(left.values()) * sum(right.values())})
+        # Each exponent vector is packed into one integer, its digits in a base
+        # above the sum of the operands' largest exponents, x1 the most
+        # significant (Monagan and Pearce). No digit of a product carries, so
+        # multiplying monomials is adding integers; zero coefficients drop once,
+        # at the end, and the keys are unpacked once.
+        base = max(map(max, left), default=0) + max(map(max, right), default=0) + 1
+        left_pairs = list(zip(_pack(left, base), left.values()))
+        right_pairs = list(zip(_pack(right, base), right.values()))
         packed: dict[int, int] = {}
         get = packed.get
-        for k1, c1 in left:
-            for k2, c2 in right:
+        for k1, c1 in left_pairs:
+            for k2, c2 in right_pairs:
                 key = k1 + k2
                 packed[key] = get(key, 0) + c1 * c2
-        return Polynomial._from_packed(self._width, base, packed)
+        exponents = zip(*_digit_columns(list(packed), width, base))
+        return Polynomial._from_terms(width, dict(zip(exponents, packed.values())))
 
     __rmul__ = __mul__
 
@@ -291,12 +250,12 @@ class Polynomial:
         c_alpha = sum over beta <= alpha with |beta| = d1 of A[beta] * B[alpha - beta].
         Both operands are symmetric too, so each factor is read from their
         dominant tables at the sorted exponent, from :func:`_split_keys`. The
-        product keeps only those c_alpha; its orbits are written on first use,
-        in base d + 1, the base the pair loop would use. Each cached table
-        entry holds at most the degree-d monomials in len(alpha) variables.
+        product keeps only those c_alpha; its orbits are written on first use.
+        Each cached table entry holds at most the degree-d monomials in
+        len(alpha) variables.
         """
-        width, low = self._width, self._base - 1
-        degree = low + other._base - 1
+        width, low = self._width, self._degree
+        degree = low + other._degree
         left, right = self._dominant.get, other._dominant.get
         dominant = {
             alpha: sum(
@@ -309,10 +268,7 @@ class Polynomial:
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        if self._width != other._width or len(self._filled()) != len(other._filled()):
-            return False
-        base = max(self._base, other._base)
-        return self._rebased(base) == other._rebased(base)
+        return self._width == other._width and self._filled() == other._filled()
 
     __hash__ = None  # equality is structural over a dict; not hashable
 
@@ -324,11 +280,11 @@ class Polynomial:
 
 
 class _Terms(Mapping):
-    """Tuple-keyed, read-only view of a polynomial's terms, in stored order.
+    """Read-only view of a polynomial's terms, in stored order.
 
-    Lookups and values read the packed terms, and the length the dominant
-    table while it is unfilled; iterating unpacks every key once, into the
-    polynomial's cached view.
+    Every read but the length goes to the stored dict, filling the orbits
+    of a dominant table first; the length reads the dominant table while
+    it is unfilled.
     """
 
     __slots__ = ("_poly",)
@@ -346,52 +302,57 @@ class _Terms(Mapping):
         return coeff
 
     def __iter__(self):
-        return iter(self._poly._tuples())
+        return iter(self._poly._filled())
 
     def items(self):
-        return self._poly._tuples().items()
+        return self._poly._filled().items()
 
     def values(self):
         return self._poly._filled().values()
 
 
-def _pack(exps: tuple[int, ...], base: int) -> int:
-    key = 0
-    for e in exps:
-        key = key * base + e
-    return key
+def _pack(vectors: Collection[tuple[int, ...]], base: int) -> list[int]:
+    """One integer per exponent vector, its digits in ``base``, x1 the most significant."""
+    keys = [0] * len(vectors)
+    for column in zip(*vectors):
+        keys = [key * base + e for key, e in zip(keys, column)]
+    return keys
 
 
 @lru_cache(maxsize=1024)
-def _orbit_keys(alpha: tuple[int, ...], base: int) -> tuple[int, ...]:
-    """Packed keys in ``base`` of every distinct rearrangement of ``alpha``.
+def _orbit(alpha: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Every distinct rearrangement of ``alpha``.
 
-    Positions are chosen for one distinct nonzero value at a time, the last
-    value's by summing place values over combinations, so the work is a loop
-    over the distinct values and never over the width. An entry holds at
+    Positions are chosen for one distinct nonzero value at a time, and the
+    last value's choices complete each vector, so the loop runs over the
+    distinct values and never recurses over the width. An entry holds at
     most the monomials of degree |alpha| in len(alpha) variables.
     """
     width = len(alpha)
-    places = [base ** (width - 1 - p) for p in range(width)]
     runs = [(value, len(list(run))) for value, run in groupby(alpha) if value]
     if not runs:
-        return (0,)
-    partial = [(0, tuple(range(width)))]  # (key so far, free positions)
+        return (alpha,)
+    partial = [((0,) * width, tuple(range(width)))]  # (vector so far, free positions)
     for value, count in runs[:-1]:
         partial = [
-            (
-                key + value * sum(places[p] for p in chosen),
-                tuple(p for p in free if p not in chosen),
-            )
-            for key, free in partial
+            (_placed(exps, chosen, value), tuple(p for p in free if p not in chosen))
+            for exps, free in partial
             for chosen in combinations(free, count)
         ]
     value, count = runs[-1]
     return tuple(
-        key + step
-        for key, free in partial
-        for step in map(sum, combinations([value * places[p] for p in free], count))
+        _placed(exps, chosen, value)
+        for exps, free in partial
+        for chosen in combinations(free, count)
     )
+
+
+def _placed(exps: tuple[int, ...], positions: tuple[int, ...], value: int) -> tuple[int, ...]:
+    """``exps`` with ``value`` written at each of ``positions``."""
+    placed = list(exps)
+    for p in positions:
+        placed[p] = value
+    return tuple(placed)
 
 
 def _orbit_size(alpha: tuple[int, ...], width: int) -> int:
@@ -431,13 +392,6 @@ def _split_keys(
         )
         counts[pair] = counts.get(pair, 0) + 1
     return tuple((beta, gamma, m) for (beta, gamma), m in counts.items())
-
-
-def _unpacked(keys: list[int], width: int, base: int) -> list[tuple[int, ...]]:
-    """Exponent vectors of packed ``keys``, in their order."""
-    if width:
-        return list(zip(*_digit_columns(keys, width, base)))
-    return [()] * len(keys)
 
 
 def _digit_columns(keys: list[int], width: int, base: int) -> list[list[int]]:

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -166,6 +167,24 @@ class TestSchur:
     def test_guard(self, capsys):
         code, _, err = run(capsys, "schur", "[21]", "2")
         assert code == 1 and "error" in err
+
+    def test_filled_output_is_pinned(self, capsys):
+        # 4410 terms at width 10, and exponents of two digits: the sha256 of stdout
+        golden = {
+            ("[3,2,1]", "10"): (
+                "fe867d86f06524903bc667fdc4b78172981c7cd6730dcfe30e60845d8b9b3734",
+                "3ac6946238bb26ca8359af937dd5d235248d3f2fe1770b85f8c6ae5cbe736945",
+            ),
+            ("[12]", "3"): (
+                "fb99be5cd84d1538524d664867eaef4d9b2657f0ac1e86054e54130a06285b3b",
+                "1e43f80006b4ae6ddd4d35ccbab3b10db834d297b0332d0385ad86457bce3362",
+            ),
+        }
+        for (shape, bound), (text, as_json) in golden.items():
+            for flags, digest in (((), text), (("--json",), as_json)):
+                code, out, _ = run(capsys, "schur", shape, bound, *flags)
+                assert code == 0
+                assert hashlib.sha256(out.encode()).hexdigest() == digest, (shape, flags)
 
 
 class TestLr:

@@ -306,6 +306,12 @@ class TestWeight:
         with pytest.raises(EntryExceedsBoundError):
             Filling.from_rows([[1, 3], [2]]).weight(2)
 
+    def test_rejects_non_integer_bounds(self):
+        filling = Filling.from_rows([[1]])
+        for bound in (True, 1.5, 1.0):
+            with pytest.raises(TypeError, match="bound"):
+                filling.weight(bound)
+
 
 class TestEnumerateSsyt:
     def test_the_eight_fillings(self):
@@ -516,6 +522,17 @@ class TestBenderKnuth:
     def test_requires_positive_index(self):
         with pytest.raises(ValueError):
             bender_knuth(SEMISTANDARD_EXAMPLE, 0)
+
+    def test_rejects_non_integer_index(self):
+        # a float index once returned the filling unchanged, and True read as an entry
+        for index in (1.5, 1.0, True):
+            with pytest.raises(TypeError, match="index"):
+                bender_knuth(SEMISTANDARD_EXAMPLE, index)
+
+    def test_rejects_non_fillings(self):
+        for filling in ([[1, 2]], ((1, 2),), None):
+            with pytest.raises(TypeError, match="filling"):
+                bender_knuth(filling, 1)
 
     def test_involution_and_weight_swap_exhaustive(self):
         # every shape with at most 6 boxes, entries bounded by 4

@@ -337,6 +337,14 @@ class TestSkewShape:
         with pytest.raises(NotContainedError):
             SkewShape(Partition((2, 2)), Partition((3,)))
 
+    def test_rejects_non_partitions(self):
+        with pytest.raises(TypeError, match="outer"):
+            SkewShape((2, 1))
+        with pytest.raises(TypeError, match="outer"):
+            SkewShape((2, 1), Partition((1,)))
+        with pytest.raises(TypeError, match="inner"):
+            SkewShape(Partition((2, 1)), (1,))
+
     def test_row_with_no_boxes(self):
         skew = SkewShape(Partition((2, 2)), Partition((2,)))
         assert list(skew.boxes()) == [(1, 0), (1, 1)]

@@ -16,7 +16,7 @@ from tableaux import (
     schur_expand,
     schur_polynomial,
 )
-from tableaux.polynomials import _orbit_keys
+from tableaux.polynomials import _orbit
 from tableaux.schur import _strip_removals
 
 EIGHT_TABLEAU_EXPANSION = Polynomial(
@@ -81,13 +81,13 @@ class TestSchurPolynomial:
                     )
 
     def test_terms_stored_lex_descending(self):
-        # the orbits of s_shape are packed in base |shape| + 1, the base of
-        # the pair loop's products, and written lex-descending
+        # s_shape is homogeneous of degree |shape|, and its orbits are
+        # written lex-descending
         for n in range(8):
             for shape in partitions_of(n):
                 for width in range(9):
                     poly = schur_polynomial(shape, width)
-                    assert poly._base == n + 1, (shape, width)
+                    assert poly._degree == n, (shape, width)
                     assert list(poly.terms.items()) == poly.sorted_terms()
                     # keys and values of the view keep the same order
                     assert list(zip(poly.terms, poly.terms.values())) == poly.sorted_terms()
@@ -124,7 +124,7 @@ class TestSchurPolynomial:
 
     def test_wide_builds_need_no_recursion(self):
         # a recursion over the 40 or 1500 variables would pass the lowered limit
-        _orbit_keys.cache_clear()
+        _orbit.cache_clear()
         build = schur_polynomial.__wrapped__
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(len(inspect.stack()) + 25)
@@ -273,7 +273,7 @@ class TestSchurExpand:
         ]
         for p in values:
             expansion = schur_expand(p)
-            assert p._packed is None
+            assert p._terms is None
             copy = Polynomial(p.width, dict(p.terms))
             assert copy._dominant is None
             assert schur_expand(copy) == expansion
@@ -291,7 +291,7 @@ class TestSchurExpand:
                     expansion = schur_expand(product)
                     read = [schur_polynomial(nu, width) for nu in expansion]
                     for p in (left, right, product, *read):
-                        assert p._packed is None and p._view is None, (lam, mu)
+                        assert p._terms is None, (lam, mu)
 
     def test_power_sums_are_alternating_hooks(self):
         # Murnaghan-Nakayama: p_k = sum over j < min(k, w) of (-1)^j s_(k - j, 1^j).

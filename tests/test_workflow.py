@@ -16,3 +16,14 @@ def test_workflow_steps_are_well_formed():
         for step in spec["steps"]:
             assert "name" in step, (job, step)
             assert ("run" in step) != ("uses" in step), (job, step["name"])
+
+
+def test_every_run_step_has_a_timeout():
+    # without one, a step that hangs holds the runner until the job's own limit
+    yaml = pytest.importorskip("yaml")
+    workflow = yaml.safe_load(WORKFLOW.read_text())
+    for job, spec in workflow["jobs"].items():
+        for step in spec["steps"]:
+            if "run" in step:
+                minutes = step.get("timeout-minutes")
+                assert isinstance(minutes, int) and minutes > 0, (job, step["name"])
