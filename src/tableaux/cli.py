@@ -66,6 +66,7 @@ def _filling_payload(filling: Filling) -> dict:
 
 
 # A handler returns the JSON fields that follow "command", in output order, and the text form.
+# A handler whose output can be large may leave empty the form that args.json does not select.
 Output = tuple[dict, str]
 
 
@@ -94,9 +95,10 @@ def _cmd_schur(args: argparse.Namespace) -> Output:
     if args.list_tableaux:
         return _listing(inputs, enumerate_ssyt(args.shape, args.bound))
     poly = schur_polynomial(args.shape, args.bound)
+    if not args.json:  # a large shape has many terms: build only the form main prints
+        return {}, format_polynomial(poly)
     terms = [{"exponents": list(exps), "coefficient": c} for exps, c in poly.sorted_terms()]
-    result = {"width": args.bound, "terms": terms}
-    return {"inputs": inputs, "result": result}, format_polynomial(poly)
+    return {"inputs": inputs, "result": {"width": args.bound, "terms": terms}}, ""
 
 
 def _cmd_lr(args: argparse.Namespace) -> Output:

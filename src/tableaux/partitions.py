@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import factorial, prod
 from operator import le
 from typing import Iterator
@@ -235,7 +236,8 @@ def partitions_of(n: int) -> Iterator[Partition]:
                 parts[h] = rest
 
 
-def _partitions_below(lead: tuple[int, ...], width: int) -> Iterator[tuple[int, ...]]:
+@lru_cache(maxsize=256)
+def _partitions_below(lead: tuple[int, ...], width: int) -> tuple[tuple[int, ...], ...]:
     """Partitions of ``|lead|`` into at most ``width`` parts, lex-descending from ``lead``.
 
     Each is a tuple without zeros; every partition not lex-greater than
@@ -245,18 +247,23 @@ def _partitions_below(lead: tuple[int, ...], width: int) -> Iterator[tuple[int, 
     high as they go. When ``lead`` has more than ``width`` parts, its parts
     past ``width`` start out as boxes still to place, so the walk begins at
     the greatest partition below ``lead`` that fits.
+
+    A bounded table: one entry holds the whole walk for one ``(lead, width)``
+    as a tuple, shared by every caller, so Schur builds, orbit products and
+    expansions that meet the same lead walk it once.
     """
+    walk = []
     parts = list(lead[:width]) + [0] * (width - len(lead))
     rest = sum(lead[width:])  # boxes to place after the part that is lowered next
     while True:
         if not rest:
-            yield tuple(filter(None, parts))
+            walk.append(tuple(filter(None, parts)))
         for i in range(width - 1, -1, -1):
             if parts[i] and rest < (width - 1 - i) * (parts[i] - 1):
                 break
             rest += parts[i]
         else:
-            return
+            return tuple(walk)
         parts[i] -= 1
         rest += 1
         for j in range(i + 1, width):

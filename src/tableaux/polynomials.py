@@ -140,7 +140,10 @@ class Polynomial:
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
         """Terms in lexicographically descending exponent order."""
-        return sorted(self._filled().items(), key=lambda item: item[0], reverse=True)
+        terms = self._filled()
+        if self._dominant is not None:  # filled from the dominant table, already in this order
+            return list(terms.items())
+        return sorted(terms.items(), key=lambda item: item[0], reverse=True)
 
     def leading_term(self) -> tuple[tuple[int, ...], int]:
         """Lexicographically greatest exponent vector and its coefficient."""

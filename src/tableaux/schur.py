@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 from operator import ge
-from typing import Iterator
 
 from .partitions import Partition, _partitions_below
 from .polynomials import Polynomial
@@ -31,12 +30,16 @@ def schur_polynomial(shape: Partition, width: int) -> Polynomial:
     m_alpha (Macdonald I.6), each Kostka number from the horizontal-strip
     recursion of :func:`_kostka`, for every partition alpha of at most
     ``width`` parts lex-below ``shape`` (K_{shape, alpha} is zero for the
-    others, and for every alpha when ``shape`` has more rows). The result
-    is symmetric of degree |shape| by construction and keeps only these
-    K_{shape, alpha}, keyed by alpha: the table that products (the orbit
-    route of ``Polynomial.__mul__``) and :func:`schur_expand` read. Each
-    alpha is written to all its rearrangements on the first read of a
-    monomial. :func:`enumerate_ssyt` stays an independent route.
+    others, and for every alpha when ``shape`` has more rows). Those alpha
+    are one entry of the walk table ``partitions._partitions_below``. The
+    Kostka memo lives for this call; only the strips it reads, entries of
+    the table :func:`_strip_removals`, are kept between calls, and they
+    hold no coefficient. The result is symmetric of degree |shape| by
+    construction and keeps only these K_{shape, alpha}, keyed by alpha:
+    the table that products (the orbit route of ``Polynomial.__mul__``)
+    and :func:`schur_expand` read. Each alpha is written to all its
+    rearrangements on the first read of a monomial. :func:`enumerate_ssyt`
+    stays an independent route.
     """
     if not isinstance(shape, Partition):
         raise TypeError(f"shape must be a Partition, got {shape!r}")
@@ -60,7 +63,8 @@ def _kostka(
 
     The entries equal to the last letter k = len(weight) form a horizontal
     strip ``nu / mu`` of ``weight[-1]`` boxes (Macdonald I (5.11)), so
-    K_{nu, rho} = sum of K_{mu, rho[:-1]} over those ``mu``. ``weight`` has
+    K_{nu, rho} = sum of K_{mu, rho[:-1]} over those ``mu``, each list of
+    ``mu`` one read of the table :func:`_strip_removals`. ``weight`` has
     no zero parts and ``memo``, seeded with ``K_{(), ()} = 1``, is shared
     by the calls for one shape. An explicit stack stands in for recursion,
     whose depth would be the number of parts of ``weight``.
@@ -87,16 +91,21 @@ def _kostka(
     return memo[(shape, weight)]
 
 
-def _strip_removals(nu: tuple[int, ...], k: int, boxes: int) -> Iterator[tuple[int, ...]]:
+@lru_cache(maxsize=8192)
+def _strip_removals(nu: tuple[int, ...], k: int, boxes: int) -> tuple[tuple[int, ...], ...]:
     """Shapes ``mu`` of at most ``k - 1`` rows with ``nu / mu`` a horizontal ``boxes``-strip.
 
     Those are the ``mu`` interlacing ``nu``, ``nu[i + 1] <= mu[i] <= nu[i]``,
     with ``|mu| = |nu| - boxes``. None exist when ``nu`` has more than ``k``
     rows: a column of ``nu`` would lose two boxes. Row by row, only prefixes
     that can still lose exactly ``boxes`` boxes are kept.
+
+    A bounded table: one entry holds every such ``mu`` for one
+    ``(nu, k, boxes)`` as a tuple, shared by the Kostka recursions of every
+    shape and weight that reach that node.
     """
     if len(nu) > k:
-        return
+        return ()
     rows = min(len(nu), k - 1)
     below = nu[1:] + (0,)
     slack = [nu[i] - below[i] for i in range(rows)]
@@ -109,9 +118,8 @@ def _strip_removals(nu: tuple[int, ...], k: int, boxes: int) -> Iterator[tuple[i
             for prefix, left in prefixes
             for t in range(max(0, left - room), min(slack[i], left) + 1)
         ]
-    for mu, left in prefixes:
-        if not left:  # with no row to choose, the loop above checked no count
-            yield tuple(p for p in mu if p)
+    # with no row to choose, the loop above checked no count
+    return tuple(tuple(p for p in mu if p) for mu, left in prefixes if not left)
 
 
 def schur_expand(poly: Polynomial) -> dict[Partition, int]:
@@ -122,10 +130,11 @@ def schur_expand(poly: Polynomial) -> dict[Partition, int]:
     subtract ``coeff * s_nu`` and repeat. A symmetric polynomial is fixed
     by its coefficients at partitions, its dominant table, so the
     elimination runs on that table alone, over the partitions lex-below
-    the lead. Each Kostka number it subtracts is one lookup in the dominant
-    table of the cached ``schur_polynomial(nu, width)``. Partitions come
-    out in lex-descending order. Negative coefficients are returned as
-    data, never clamped.
+    the lead: one entry of the walk table ``partitions._partitions_below``,
+    read as it is. Each Kostka number it subtracts is one lookup in the
+    dominant table of the cached ``schur_polynomial(nu, width)``.
+    Partitions come out in lex-descending order. Negative coefficients are
+    returned as data, never clamped.
 
     A Schur polynomial or a product of such is symmetric and homogeneous by
     construction: its dominant table is read as it is, and no monomial
@@ -151,7 +160,7 @@ def schur_expand(poly: Polynomial) -> dict[Partition, int]:
         }
     if not dominant:
         return {}
-    candidates = list(_partitions_below(max(dominant), poly.width))
+    candidates = _partitions_below(max(dominant), poly.width)
     residual = [dominant.get(nu, 0) for nu in candidates]
     result: dict[Partition, int] = {}
     for i, nu in enumerate(candidates):

@@ -321,6 +321,14 @@ class TestPartitionsBelow:
         assert list(_partitions_below((2, 1, 1), 2)) == []
         assert list(_partitions_below((3, 1, 1, 1), 3)) == [(2, 2, 2)]
 
+    def test_table_entries_are_shared_tuples(self):
+        # an entry is handed to every caller, so no caller may be able to change it
+        _partitions_below.cache_clear()
+        walk = _partitions_below((4, 1), 3)
+        assert type(walk) is tuple and all(type(alpha) is tuple for alpha in walk)
+        assert _partitions_below((4, 1), 3) is walk
+        assert _partitions_below.cache_info().hits == 1
+
 
 class TestSkewShape:
     def test_staircase_skew_boxes(self):

@@ -14,7 +14,9 @@ from tableaux import (
     partitions_of,
     schur_polynomial,
 )
+from tableaux.partitions import _partitions_below
 from tableaux.polynomials import _orbit, _split_keys
+from tableaux.schur import _strip_removals
 
 
 def poly_terms(width, max_degree=3, max_terms=6):
@@ -361,7 +363,7 @@ class TestOrbitProduct:
             assert other._dominant is None
 
     def test_tables_are_bounded(self):
-        for table in (_orbit, _split_keys):
+        for table in (_orbit, _split_keys, _partitions_below, _strip_removals):
             assert table.cache_info().maxsize is not None
 
     def test_split_keys_match_every_split_through_degree_eight(self):
@@ -558,8 +560,8 @@ class TestDominantTable:
             terms = list(p.terms.items())
             assert p._terms is not None
             assert lazy_values(p) == before
-            # the fill is stored lex-descending
-            assert terms == p.sorted_terms()
+            # the fill is stored lex-descending, the order sorted_terms returns unsorted
+            assert terms == sorted(terms, reverse=True) == p.sorted_terms()
             assert before == (len(terms), terms[0] if terms else None, not terms)
 
 

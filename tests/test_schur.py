@@ -17,7 +17,8 @@ from tableaux import (
     schur_polynomial,
 )
 from tableaux.polynomials import _orbit
-from tableaux.schur import _strip_removals
+from tableaux.partitions import _partitions_below
+from tableaux.schur import _product_expansion, _strip_removals
 
 EIGHT_TABLEAU_EXPANSION = Polynomial(
     3,
@@ -88,9 +89,11 @@ class TestSchurPolynomial:
                 for width in range(9):
                     poly = schur_polynomial(shape, width)
                     assert poly._degree == n, (shape, width)
-                    assert list(poly.terms.items()) == poly.sorted_terms()
+                    # sorted_terms returns this stored order as it is, so sort apart from it
+                    expected = sorted(poly.terms.items(), reverse=True)
+                    assert list(poly.terms.items()) == expected == poly.sorted_terms()
                     # keys and values of the view keep the same order
-                    assert list(zip(poly.terms, poly.terms.values())) == poly.sorted_terms()
+                    assert list(zip(poly.terms, poly.terms.values())) == expected
 
     def test_long_row_in_one_variable(self):
         # no recursion over the 1200 boxes
@@ -169,6 +172,32 @@ class TestStripRemovals:
                         got = list(_strip_removals(nu.parts, k, boxes))
                         expected = [mu for mu in reference if sum(mu) == n - boxes]
                         assert sorted(got) == expected, (nu, k, boxes)
+
+    def test_table_entries_are_shared_tuples(self):
+        # an entry is handed to every caller, so no caller may be able to change it
+        _strip_removals.cache_clear()
+        strips = _strip_removals((3, 2), 3, 2)
+        assert type(strips) is tuple and all(type(mu) is tuple for mu in strips)
+        assert sorted(strips) == [(2, 1), (3,)]
+        assert _strip_removals((3, 2), 3, 2) is strips
+        assert _strip_removals.cache_info().hits == 1
+
+    def test_products_from_cold_tables_equal_warm(self):
+        # every pair through degree 7, each built again from cleared tables and
+        # a cleared schur_polynomial cache, gives what the warm tables give
+        pairs = [
+            (lam, mu)
+            for total in range(8)
+            for a in range(total + 1)
+            for lam in partitions_of(a)
+            for mu in partitions_of(total - a)
+        ]
+        warm = [_product_expansion(lam, mu) for lam, mu in pairs]
+        for (lam, mu), expected in zip(pairs, warm):
+            for table in (_partitions_below, _strip_removals, schur_polynomial):
+                table.cache_clear()
+            cold = _product_expansion(lam, mu)
+            assert list(cold.items()) == list(expected.items()), (lam, mu)
 
 
 class TestSchurExpand:
