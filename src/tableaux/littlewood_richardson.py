@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate
 from operator import add, ge
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .fillings import Filling, _leaves
 from .partitions import Partition, SkewShape
@@ -50,13 +51,16 @@ def enumerate_lr_fillings(
     search is :func:`fillings._leaves` over the :func:`_lr_boxes` tables,
     with the content as budget and the lattice condition on, so both
     prune prefixes of the reverse reading word instead of filtering
-    finished fillings; each leaf becomes one witness.
+    finished fillings; each leaf becomes one witness. ℓ(μ) and the
+    budget are read from the pair's entry of :func:`_pair_bounds`, which
+    :func:`_admissible` returns.
     """
-    if not _admissible(outer, inner, content):
+    pair = _admissible(outer, inner, content)
+    if pair is None:
         return iter(())
-    lam, mu, nu = inner.parts, content.parts, outer.parts
+    lam, nu = inner.parts, outer.parts
     skew = SkewShape._trusted(outer, inner)
-    cap, right, up = _lr_boxes(lam, len(mu), nu)
+    cap, right, up = _lr_boxes(lam, pair[3], nu)
     # box k of reverse reading order is values[k + 1], so row r reads its slots backwards
     rows: list[slice] = []
     end = 0
@@ -64,24 +68,70 @@ def enumerate_lr_fillings(
         start, end = end, end + hi - (lam[r] if r < len(lam) else 0)
         rows.append(slice(end, start, -1))
     return (
-        LrWitness(Filling._trusted(skew, tuple([tuple(values[s]) for s in rows])), mu)
-        for values in _leaves(cap, up, right, up, (0,) + mu, lattice=True)
+        LrWitness(Filling._trusted(skew, tuple([tuple(values[s]) for s in rows])), content.parts)
+        for values in _leaves(cap, up, right, up, pair[4], lattice=True)
     )
 
 
-def _admissible(outer: Partition, inner: Partition, content: Partition) -> bool:
-    """Whether outer/inner can hold a witness at all: containment, size, dominance window."""
+def _admissible(
+    outer: Partition, inner: Partition, content: Partition
+) -> tuple[int, tuple[int, ...], tuple[int, ...], int, tuple[int, ...]] | None:
+    """The pair's entry of :func:`_pair_bounds` if outer/inner can hold a witness, else None.
+
+    A witness needs containment, |ν| = |λ| + |μ| and the dominance
+    window λ ∪ μ ⊴ ν ⊴ λ + μ. The partial sums of ν are formed once and
+    held to the two bounds of the entry, which callers then read for
+    ℓ(μ) and the budget.
+    """
     # one test on the hot path; the loop only names the offending argument
     if not (isinstance(outer, Partition) and isinstance(inner, Partition) and isinstance(content, Partition)):
         for name, value in (("outer", outer), ("inner", inner), ("content", content)):
             if not isinstance(value, Partition):
                 raise TypeError(f"{name} must be a Partition, got {value!r}")
-    lam, mu, nu = inner.parts, content.parts, outer.parts
-    if not outer.contains(inner) or sum(nu) - sum(lam) != sum(mu):
-        return False
-    # the lower bound is the upper one for conjugates: c^ν_{λμ} = c^ν′_{λ′μ′}, (λ ∪ μ)′ = λ′ + μ′
+    if not outer.contains(inner):
+        return None
+    pair = _pair_bounds(inner.parts, content.parts)
+    size, upper, lower = pair[:3]
+    sums = [*accumulate(outer.parts, initial=0)]
+    if sums[-1] != size or not all(map(ge, upper, sums)) or not all(map(ge, sums, lower)):
+        return None
+    return pair
+
+
+@lru_cache(maxsize=64)
+def _pair_bounds(
+    lam: tuple[int, ...], mu: tuple[int, ...]
+) -> tuple[int, tuple[int, ...], tuple[int, ...], int, tuple[int, ...]]:
+    """What an LR query needs of (λ, μ) alone, whatever ν is asked.
+
+    One entry is (|λ| + |μ|, the partial sums of λ + μ, the partial sums
+    of λ ∪ μ, ℓ(μ), the budget (0,) + μ). The sums start at 0, as do
+    those of ν, so an empty ν has a last sum too. λ + μ adds the rows and
+    keeps the longer one's tail; λ ∪ μ is the parts of both, sorted. The
+    lower bound is the upper one for conjugates: c^ν_{λμ} = c^ν′_{λ′μ′}
+    and (λ ∪ μ)′ = λ′ + μ′.
+
+    Dominance between partitions of one size compares partial sums up to
+    the shorter length only, as ``zip`` and ``map`` stop there. Past it
+    nothing new can fail: a shorter dominating side has reached the
+    total, and a shorter dominated side reached the total at its last
+    part, so the other side either reached it there too or already
+    failed.
+
+    A bounded table, smaller than the 110 pairs of a degree-7 sweep, so
+    a sweep run again misses on every pair once more: the gain comes from
+    the many ν asked of one pair in a row, not from entries kept between
+    sweeps.
+    """
     row_sum = [*map(add, lam, mu), *(lam[len(mu) :] or mu[len(lam) :])]  # the longer one's tail
-    return _dominates(row_sum, nu) and _dominates(nu, sorted(lam + mu, reverse=True))
+    union = sorted(lam + mu, reverse=True)
+    return (
+        sum(row_sum),
+        tuple(accumulate(row_sum, initial=0)),
+        tuple(accumulate(union, initial=0)),
+        len(mu),
+        (0,) + mu,
+    )
 
 
 def _lr_boxes(
@@ -118,25 +168,17 @@ def _lr_boxes(
     return cap, right, up
 
 
-def _dominates(big: Sequence[int], small: Sequence[int]) -> bool:
-    """``small`` ⊴ ``big`` in dominance order, for partitions of one size.
-
-    Partial sums are compared up to the shorter length only. Past it
-    nothing new can fail: a shorter ``big`` has reached the total, and a
-    shorter ``small`` already failed at its last part.
-    """
-    return all(map(ge, accumulate(big), accumulate(small)))
-
-
 def lr_coefficient(inner: Partition, content: Partition, outer: Partition) -> int:
     """Number of witnesses; zero on containment failure, size mismatch or outside the window.
 
     Counts the leaves of the same :func:`fillings._leaves` search as
     :func:`enumerate_lr_fillings`, after the same checks, without building
-    a shape, filling or witness.
+    a shape, filling or witness. What depends on (inner, content) alone,
+    the window bounds, ℓ(content) and the budget, is one entry of the
+    table :func:`_pair_bounds`, shared by the queries for every ``outer``.
     """
-    if not _admissible(outer, inner, content):
+    pair = _admissible(outer, inner, content)
+    if pair is None:
         return 0
-    mu = content.parts
-    cap, right, up = _lr_boxes(inner.parts, len(mu), outer.parts)
-    return sum(1 for _ in _leaves(cap, up, right, up, (0,) + mu, lattice=True))
+    cap, right, up = _lr_boxes(inner.parts, pair[3], outer.parts)
+    return sum(1 for _ in _leaves(cap, up, right, up, pair[4], lattice=True))

@@ -133,8 +133,10 @@ def schur_expand(poly: Polynomial) -> dict[Partition, int]:
     the lead: one entry of the walk table ``partitions._partitions_below``,
     read as it is. Each Kostka number it subtracts is one lookup in the
     dominant table of the cached ``schur_polynomial(nu, width)``.
-    Partitions come out in lex-descending order. Negative coefficients are
-    returned as data, never clamped.
+    Partitions come out in lex-descending order, each key built unchecked
+    by ``Partition._trusted``: every ``nu`` of the walk is a weakly
+    decreasing tuple without zeros. Negative coefficients are returned as
+    data, never clamped.
 
     A Schur polynomial or a product of such is symmetric and homogeneous by
     construction: its dominant table is read as it is, and no monomial
@@ -167,7 +169,7 @@ def schur_expand(poly: Polynomial) -> dict[Partition, int]:
         coeff = residual[i]
         if not coeff:
             continue
-        shape = Partition(nu)
+        shape = Partition._trusted(nu)
         result[shape] = coeff
         kostka = schur_polynomial(shape, poly.width)._dominant.get
         for j in range(i + 1, len(candidates)):

@@ -1,4 +1,6 @@
+from itertools import accumulate
 from math import comb
+from operator import add, ge
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +19,7 @@ from tableaux import (
     schur_expand,
     schur_polynomial,
 )
-from tableaux.littlewood_richardson import _lr_boxes
+from tableaux.littlewood_richardson import _admissible, _lr_boxes, _pair_bounds
 from tableaux.schur import _product_expansion
 
 LAM = Partition((2, 1))
@@ -112,6 +114,27 @@ def frozen_lr_rows(outer, inner, content):
                 counts[v] -= 1
 
     return list(frozen_reverse_search(SkewShape(outer, inner), candidates))
+
+
+def frozen_window(outer, inner, content):
+    """A frozen copy of the earlier per-query check: containment, size, dominance window.
+
+    It rebuilds the row sums λ + μ and the sorted λ ∪ μ on every call and
+    shares no table with the library.
+    """
+
+    def dominates(big, small):
+        return all(map(ge, accumulate(big), accumulate(small)))
+
+    lam, mu, nu = inner.parts, content.parts, outer.parts
+    if not outer.contains(inner) or sum(nu) - sum(lam) != sum(mu):
+        return False
+    row_sum = [*map(add, lam, mu), *(lam[len(mu) :] or mu[len(lam) :])]
+    return dominates(row_sum, nu) and dominates(nu, sorted(lam + mu, reverse=True))
+
+
+def pairs_of_degree(total):
+    return [(lam, mu) for a in range(total + 1) for lam in partitions_of(a) for mu in partitions_of(total - a)]
 
 
 def witness_count_three_ways(lam, mu, nu):
@@ -340,3 +363,62 @@ class TestCoefficient:
                     for mu in partitions_of(total - a):
                         for nu in partitions_of(total):
                             assert lr_coefficient(lam, mu, nu) == lr_coefficient(mu, lam, nu)
+
+
+class TestPairTable:
+    def test_table_is_bounded_and_holds_tuples(self):
+        # fewer entries than the 110 pairs of a degree-7 sweep, so no sweep is kept whole
+        assert _pair_bounds.cache_info().maxsize < 110
+        _pair_bounds.cache_clear()
+        assert lr_coefficient(LAM, LAM, NU) == 2
+        assert lr_coefficient(LAM, LAM, NU) == 2
+        info = _pair_bounds.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+        entry = _pair_bounds(LAM.parts, LAM.parts)
+        assert type(entry) is tuple
+        size, upper, lower, m, budget = entry
+        assert (size, upper, lower, m, budget) == (6, (0, 4, 6), (0, 2, 4, 5, 6), 2, (0, 2, 1))
+        assert all(type(part) is tuple for part in (upper, lower, budget))
+        assert _admissible(NU, LAM, LAM) is entry
+
+    def test_admissible_matches_frozen_window(self):
+        # every triple with |nu| <= 9, sizes that cannot balance and empty shapes included
+        shapes = [nu for total in range(10) for nu in partitions_of(total)]
+        for total in range(10):
+            for lam, mu in pairs_of_degree(total):
+                for nu in shapes:
+                    got = _admissible(nu, lam, mu)
+                    assert (got is not None) == frozen_window(nu, lam, mu), (lam, mu, nu)
+                    assert got is None or got is _pair_bounds(lam.parts, mu.parts)
+        # every nu of the mid-size pairs, and of each of their shapes with the empty one
+        for lam, mu in MID_SIZE_PAIRS:
+            lam, mu = Partition(lam), Partition(mu)
+            for inner, content in ((lam, mu), (mu, lam), (lam, EMPTY), (EMPTY, mu)):
+                for nu in partitions_of(inner.size + content.size):
+                    got = _admissible(nu, inner, content)
+                    assert (got is not None) == frozen_window(nu, inner, content), (inner, content, nu)
+
+    def test_coefficients_warm_cold_and_interleaved_through_degree_eight(self):
+        # the pair's entry may come from this query, an earlier one or another pair's
+        # eviction; each way must give the coefficient of the expansion route
+        for total in range(9):
+            pairs = pairs_of_degree(total)
+            nus = list(partitions_of(total))
+            expected = [[_product_expansion(lam, mu).get(nu, 0) for nu in nus] for lam, mu in pairs]
+            _pair_bounds.cache_clear()
+            warm = [[lr_coefficient(lam, mu, nu) for nu in nus] for lam, mu in pairs]
+            assert warm == expected, total
+            cold = []
+            for lam, mu in pairs:
+                cold.append([])
+                for nu in nus:
+                    _pair_bounds.cache_clear()
+                    cold[-1].append(lr_coefficient(lam, mu, nu))
+            assert cold == expected, total
+            # pair i alternates with pair -1 - i, nu by nu
+            for i in range((len(pairs) + 1) // 2):
+                rows = ([], [])
+                for nu in nus:
+                    for (lam, mu), row in zip((pairs[i], pairs[-1 - i]), rows):
+                        row.append(lr_coefficient(lam, mu, nu))
+                assert rows == (expected[i], expected[-1 - i]), (pairs[i], pairs[-1 - i])

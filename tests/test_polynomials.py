@@ -14,6 +14,7 @@ from tableaux import (
     partitions_of,
     schur_polynomial,
 )
+from tableaux.littlewood_richardson import _pair_bounds
 from tableaux.partitions import _partitions_below
 from tableaux.polynomials import _orbit, _split_keys
 from tableaux.schur import _strip_removals
@@ -363,7 +364,7 @@ class TestOrbitProduct:
             assert other._dominant is None
 
     def test_tables_are_bounded(self):
-        for table in (_orbit, _split_keys, _partitions_below, _strip_removals):
+        for table in (_orbit, _split_keys, _partitions_below, _strip_removals, _pair_bounds):
             assert table.cache_info().maxsize is not None
 
     def test_split_keys_match_every_split_through_degree_eight(self):

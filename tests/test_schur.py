@@ -322,6 +322,22 @@ class TestSchurExpand:
                     for p in (left, right, product, *read):
                         assert p._terms is None, (lam, mu)
 
+    def test_result_keys_are_valid_partitions(self):
+        # the keys are built unchecked from the walk table; each must be what the
+        # checking constructor builds from its parts, on both branches of the route
+        conjugated = 0
+        for total in range(9):
+            for a in range(total + 1):
+                for lam in partitions_of(a):
+                    for mu in partitions_of(total - a):
+                        conjugated += lam.part(0) + mu.part(0) < lam.nrows + mu.nrows
+                        for key in _product_expansion(lam, mu):
+                            assert type(key) is Partition, (lam, mu, key)
+                            assert 0 not in key.parts, (lam, mu, key)
+                            checked = Partition(key.parts)
+                            assert key == checked and hash(key) == hash(checked), (lam, mu, key)
+        assert conjugated
+
     def test_power_sums_are_alternating_hooks(self):
         # Murnaghan-Nakayama: p_k = sum over j < min(k, w) of (-1)^j s_(k - j, 1^j).
         # Only w terms, but each hook's Kostka table spans the partitions of k
