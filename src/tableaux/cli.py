@@ -39,6 +39,16 @@ def _partition_arg(text: str) -> Partition:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _box_limit(text: str) -> int:
+    try:
+        limit = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if limit < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {limit}")
+    return limit
+
+
 def _parse_rows(text: str) -> tuple[tuple[int, ...], ...]:
     """Rows separated by ``/``, entries by commas: ``1,3,5/2,4``."""
     compact = "".join(text.split())
@@ -70,10 +80,11 @@ def _filling_payload(filling: Filling) -> dict:
 Output = tuple[dict, str]
 
 
-def _listing(inputs: dict, fillings: Iterable[Filling]) -> Output:
-    fillings = list(fillings)
-    result = [_filling_payload(f) for f in fillings]
-    return {"inputs": inputs, "result": result}, "\n\n".join(_ascii_block(f) for f in fillings)
+def _listing(args: argparse.Namespace, inputs: dict, fillings: Iterable[Filling]) -> Output:
+    # a listing can be long: build only the form main prints
+    if args.json:
+        return {"inputs": inputs, "result": [_filling_payload(f) for f in fillings]}, ""
+    return {}, "\n\n".join(_ascii_block(f) for f in fillings)
 
 
 def _cmd_count_syt(args: argparse.Namespace) -> Output:
@@ -82,18 +93,18 @@ def _cmd_count_syt(args: argparse.Namespace) -> Output:
 
 
 def _cmd_list_syt(args: argparse.Namespace) -> Output:
-    return _listing({"shape": list(args.shape.parts)}, enumerate_syt(args.shape))
+    return _listing(args, {"shape": list(args.shape.parts)}, enumerate_syt(args.shape))
 
 
 def _cmd_list_ssyt(args: argparse.Namespace) -> Output:
     inputs = {"shape": list(args.shape.parts), "inner": list(args.inner.parts), "bound": args.bound}
-    return _listing(inputs, enumerate_ssyt(SkewShape(args.shape, args.inner), args.bound))
+    return _listing(args, inputs, enumerate_ssyt(SkewShape(args.shape, args.inner), args.bound))
 
 
 def _cmd_schur(args: argparse.Namespace) -> Output:
     inputs = {"shape": list(args.shape.parts), "bound": args.bound}
     if args.list_tableaux:
-        return _listing(inputs, enumerate_ssyt(args.shape, args.bound))
+        return _listing(args, inputs, enumerate_ssyt(args.shape, args.bound))
     poly = schur_polynomial(args.shape, args.bound)
     if not args.json:  # a large shape has many terms: build only the form main prints
         return {}, format_polynomial(poly)
@@ -201,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="emit one JSON object instead of text",
     )
     common.add_argument(
-        "--max-boxes", type=int, default=argparse.SUPPRESS, metavar="N",
+        "--max-boxes", type=_box_limit, default=argparse.SUPPRESS, metavar="N",
         help="override the per-command size guard",
     )
 
@@ -210,7 +221,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Young tableaux: counting, Schur polynomials, product expansion, insertion.",
     )
     parser.add_argument("--json", action="store_true", help=argparse.SUPPRESS)
-    parser.add_argument("--max-boxes", type=int, default=None, help=argparse.SUPPRESS, metavar="N")
+    parser.add_argument(
+        "--max-boxes", type=_box_limit, default=None, help=argparse.SUPPRESS, metavar="N"
+    )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
     p = sub.add_parser(

@@ -5,7 +5,6 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Collection, Mapping
 from functools import lru_cache
-from itertools import combinations, groupby
 from math import factorial, prod
 from operator import itemgetter
 from typing import Iterable
@@ -324,38 +323,30 @@ def _pack(vectors: Collection[tuple[int, ...]], base: int) -> list[int]:
 
 @lru_cache(maxsize=1024)
 def _orbit(alpha: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """Every distinct rearrangement of ``alpha``.
+    """Every distinct rearrangement of ``alpha``, lex-descending.
 
-    Positions are chosen for one distinct nonzero value at a time, and the
-    last value's choices complete each vector, so the loop runs over the
-    distinct values and never recurses over the width. An entry holds at
-    most the monomials of degree |alpha| in len(alpha) variables.
+    Knuth's Algorithm L run downward (TAOCP 7.2.1.2): from the weakly
+    decreasing rearrangement, each next vector takes the weakly increasing
+    tail, swaps the entry just left of it with the rightmost smaller entry
+    in it, then reverses the tail. No vector repeats and nothing recurses
+    over the width. An entry holds at most the monomials of degree |alpha|
+    in len(alpha) variables.
     """
-    width = len(alpha)
-    runs = [(value, len(list(run))) for value, run in groupby(alpha) if value]
-    if not runs:
-        return (alpha,)
-    partial = [((0,) * width, tuple(range(width)))]  # (vector so far, free positions)
-    for value, count in runs[:-1]:
-        partial = [
-            (_placed(exps, chosen, value), tuple(p for p in free if p not in chosen))
-            for exps, free in partial
-            for chosen in combinations(free, count)
-        ]
-    value, count = runs[-1]
-    return tuple(
-        _placed(exps, chosen, value)
-        for exps, free in partial
-        for chosen in combinations(free, count)
-    )
-
-
-def _placed(exps: tuple[int, ...], positions: tuple[int, ...], value: int) -> tuple[int, ...]:
-    """``exps`` with ``value`` written at each of ``positions``."""
-    placed = list(exps)
-    for p in positions:
-        placed[p] = value
-    return tuple(placed)
+    exps = sorted(alpha, reverse=True)
+    orbit = [tuple(exps)]
+    last = len(exps) - 1
+    while True:
+        j = last - 1
+        while j >= 0 and exps[j] <= exps[j + 1]:
+            j -= 1
+        if j < 0:
+            return tuple(orbit)
+        i = last
+        while exps[i] >= exps[j]:
+            i -= 1
+        exps[j], exps[i] = exps[i], exps[j]
+        exps[j + 1:] = exps[:j:-1]
+        orbit.append(tuple(exps))
 
 
 def _orbit_size(alpha: tuple[int, ...], width: int) -> int:

@@ -27,19 +27,18 @@ def schur_polynomial(shape: Partition, width: int) -> Polynomial:
     constant 1. Terms are stored in lex-descending exponent order.
 
     Built from s_shape = sum over partitions alpha of K_{shape, alpha}
-    m_alpha (Macdonald I.6), each Kostka number from the horizontal-strip
-    recursion of :func:`_kostka`, for every partition alpha of at most
-    ``width`` parts lex-below ``shape`` (K_{shape, alpha} is zero for the
-    others, and for every alpha when ``shape`` has more rows). Those alpha
-    are one entry of the walk table ``partitions._partitions_below``. The
-    Kostka memo lives for this call; only the strips it reads, entries of
-    the table :func:`_strip_removals`, are kept between calls, and they
-    hold no coefficient. The result is symmetric of degree |shape| by
-    construction and keeps only these K_{shape, alpha}, keyed by alpha:
-    the table that products (the orbit route of ``Polynomial.__mul__``)
-    and :func:`schur_expand` read. Each alpha is written to all its
-    rearrangements on the first read of a monomial. :func:`enumerate_ssyt`
-    stays an independent route.
+    m_alpha (Macdonald I.6), each Kostka number from the level pass of
+    :func:`_kostka`, for every partition alpha of at most ``width`` parts
+    lex-below ``shape`` (K_{shape, alpha} is zero for the others, and for
+    every alpha when ``shape`` has more rows). Those alpha are one entry of
+    the walk table ``partitions._partitions_below``. Only the strips a
+    pass reads, entries of the table :func:`_strip_removals`, are kept
+    between calls, and they hold no coefficient. The result is symmetric
+    of degree |shape| by construction and keeps only these K_{shape, alpha},
+    keyed by alpha: the table that products (the orbit route of
+    ``Polynomial.__mul__``) and :func:`schur_expand` read. Each alpha is
+    written to all its rearrangements on the first read of a monomial.
+    :func:`enumerate_ssyt` stays an independent route.
     """
     if not isinstance(shape, Partition):
         raise TypeError(f"shape must be a Partition, got {shape!r}")
@@ -47,48 +46,32 @@ def schur_polynomial(shape: Partition, width: int) -> Polynomial:
         raise TypeError(f"width must be an integer, got {width!r}")
     if width < 0:
         raise ValueError(f"width must be nonnegative, got {width}")
-    memo: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {((), ()): 1}
     lam = shape.parts
     alphas = _partitions_below(lam, width) if shape.nrows <= width else ()
-    dominant = {alpha: _kostka(lam, alpha, memo) for alpha in alphas}
+    dominant = {alpha: _kostka(lam, alpha) for alpha in alphas}
     return Polynomial._symmetric(width, shape.size, dominant)
 
 
-def _kostka(
-    shape: tuple[int, ...],
-    weight: tuple[int, ...],
-    memo: dict[tuple[tuple[int, ...], tuple[int, ...]], int],
-) -> int:
+def _kostka(shape: tuple[int, ...], weight: tuple[int, ...]) -> int:
     """Number of semistandard fillings of ``shape`` with content ``weight``.
 
     The entries equal to the last letter k = len(weight) form a horizontal
     strip ``nu / mu`` of ``weight[-1]`` boxes (Macdonald I (5.11)), so
-    K_{nu, rho} = sum of K_{mu, rho[:-1]} over those ``mu``, each list of
-    ``mu`` one read of the table :func:`_strip_removals`. ``weight`` has
-    no zero parts and ``memo``, seeded with ``K_{(), ()} = 1``, is shared
-    by the calls for one shape. An explicit stack stands in for recursion,
-    whose depth would be the number of parts of ``weight``.
+    K_{nu, rho} = sum of K_{mu, rho[:-1]} over those ``mu``. One pass per
+    letter, from the last down, carries the level: each shape still to fill
+    with the letters so far, and the number of ways to reach it. Each list
+    of ``mu`` is one read of the table :func:`_strip_removals`. ``weight``
+    may hold zero parts, and nothing recurses over its length.
     """
-    stack = [(shape, weight)]
-    waiting: dict[tuple[tuple[int, ...], tuple[int, ...]], list] = {}  # node -> its children
-    while stack:
-        node = stack[-1]
-        if node in memo:
-            stack.pop()
-            continue
-        below = waiting.pop(node, None)
-        if below is None:
-            nu, rho = node
-            below = [(mu, rho[:-1]) for mu in _strip_removals(nu, len(rho), rho[-1])]
-            missing = [child for child in below if child not in memo]
-            if missing:
-                # every child is in the memo by the time this node is on top again
-                waiting[node] = below
-                stack.extend(missing)
-                continue
-        memo[node] = sum(memo[child] for child in below)
-        stack.pop()
-    return memo[(shape, weight)]
+    level = {shape: 1}
+    for k in range(len(weight), 0, -1):
+        below: dict[tuple[int, ...], int] = {}
+        get = below.get
+        for nu, count in level.items():
+            for mu in _strip_removals(nu, k, weight[k - 1]):
+                below[mu] = get(mu, 0) + count
+        level = below
+    return level.get((), 0)
 
 
 @lru_cache(maxsize=8192)
@@ -101,7 +84,7 @@ def _strip_removals(nu: tuple[int, ...], k: int, boxes: int) -> tuple[tuple[int,
     that can still lose exactly ``boxes`` boxes are kept.
 
     A bounded table: one entry holds every such ``mu`` for one
-    ``(nu, k, boxes)`` as a tuple, shared by the Kostka recursions of every
+    ``(nu, k, boxes)`` as a tuple, shared by the Kostka passes of every
     shape and weight that reach that node.
     """
     if len(nu) > k:

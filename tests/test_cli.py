@@ -96,6 +96,16 @@ class TestCountSyt:
         code, out, err = run(capsys, "count-syt", "[102]", "--max-boxes", "102")
         assert (code, out) == (0, "1\n")
 
+    def test_negative_guard_is_a_usage_error(self):
+        # refused while parsing, as a non-integer N is, before any guard or handler runs
+        argvs = (["count-syt", "[]", "--max-boxes", "-1"], ["--max-boxes", "-5", "count-syt", "[]"])
+        for argv in argvs:
+            code, out, err = outcome(argv)
+            assert (code, out) == (2, "")
+            assert err.startswith("usage: ") and "--max-boxes: must be nonnegative" in err
+            assert "Traceback" not in err
+        assert outcome(["count-syt", "[]", "--max-boxes", "0"]) == (0, "1\n", "")
+
 
 class TestListCommands:
     def test_list_syt(self, capsys):

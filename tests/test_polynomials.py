@@ -386,9 +386,11 @@ class TestOrbitProduct:
                     assert {(beta, gamma): m for beta, gamma, m in got} == expected, (alpha, low)
 
     def test_orbit_keys_are_the_distinct_rearrangements(self):
-        for alpha in ((), (0, 0), (3,), (2, 1, 1, 0), (2, 2, 1, 0, 0), (1, 1, 1)):
+        # each once, lex-descending
+        alphas = ((), (0, 0), (3,), (2, 1, 1, 0), (2, 2, 1, 0, 0), (1, 1, 1), (3, 3, 2, 1, 1, 0, 0))
+        for alpha in alphas:
             orbit = _orbit(alpha)
-            assert sorted(orbit) == sorted(set(permutations(alpha))), alpha
+            assert list(orbit) == sorted(set(permutations(alpha)), reverse=True), alpha
 
     def test_threads_share_cached_schur_operands(self):
         # Every operand and partner is a cached Schur polynomial, so each

@@ -18,7 +18,7 @@ from tableaux import (
 )
 from tableaux.polynomials import _orbit
 from tableaux.partitions import _partitions_below
-from tableaux.schur import _product_expansion, _strip_removals
+from tableaux.schur import _kostka, _product_expansion, _strip_removals
 
 EIGHT_TABLEAU_EXPANSION = Polynomial(
     3,
@@ -134,12 +134,32 @@ class TestSchurPolynomial:
         try:
             one_box = build(Partition((1,)), 1500)
             complete = build(Partition((4,)), 40)
+            # a weight of 300 parts: one level per letter
+            column = build(Partition((1,) * 300), 300)
         finally:
             sys.setrecursionlimit(limit)
+        assert column.terms == {(1,) * 300: 1}
         assert len(one_box.terms) == 1500
         # h_4 in 40 variables: every monomial of degree 4, once
         assert len(complete.terms) == 123410
         assert set(complete.terms.values()) == {1}
+
+
+class TestKostka:
+    def test_weight_order_does_not_matter(self):
+        # K_{lambda, beta} = K_{lambda, alpha} for every rearrangement beta of alpha,
+        # since s_lambda is symmetric; the builds pass in partitions only, so this
+        # runs the level pass on weights with zeros and ascents, 40,504 of them
+        checks = 0
+        for n in range(8):
+            for lam in partitions_of(n):
+                for alpha in partitions_of(n):
+                    expected = _kostka(lam.parts, alpha.parts)
+                    padded = alpha.parts + (0,) * (7 - alpha.nrows)
+                    for beta in set(permutations(padded)):
+                        assert _kostka(lam.parts, beta) == expected, (lam, beta)
+                        checks += 1
+        assert checks == 40504
 
 
 def horizontal_strip_reference(nu, k):
