@@ -62,6 +62,8 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--max-n", type=int, default=7)
     args = parser.parse_args()
+    if args.max_n < 0:  # an empty sweep would report success having checked nothing
+        parser.error(f"--max-n must be nonnegative, got {args.max_n}")
     return sweep(args.max_n)
 
 

@@ -60,6 +60,8 @@ def main() -> int:
     parser.add_argument("--max-total", type=int, default=6)
     parser.add_argument("-v", "--verbose", action="store_true")
     args = parser.parse_args()
+    if args.max_total < 0:  # an empty sweep would report success having checked nothing
+        parser.error(f"--max-total must be nonnegative, got {args.max_total}")
     return sweep(args.max_total, args.verbose)
 
 

@@ -271,6 +271,27 @@ def _partitions_below(lead: tuple[int, ...], width: int) -> tuple[tuple[int, ...
             rest -= parts[j]
 
 
+def _capped_vectors(caps: tuple[int, ...], total: int) -> list[tuple[int, ...]]:
+    """Every vector ``t`` with ``0 <= t[i] <= caps[i]`` and ``sum(t) == total``, lex-ascending.
+
+    Built one entry at a time, keeping only prefixes that can still reach
+    ``total`` with the caps left. Empty ``caps`` give ``[()]`` at total 0
+    and nothing otherwise. The horizontal strips of the Kostka passes and
+    the splits of the orbit product both read this walk.
+    """
+    room = sum(caps)
+    prefixes = [((), total)]  # (vector so far, amount still to place)
+    for cap in caps:
+        room -= cap
+        prefixes = [
+            (prefix + (t,), left - t)
+            for prefix, left in prefixes
+            for t in range(max(0, left - room), min(cap, left) + 1)
+        ]
+    # with no entry to choose, the loop above checked no amount
+    return [vector for vector, left in prefixes if not left]
+
+
 def parse_partition(text: str) -> Partition:
     """Parse the bracket format used everywhere: ``[4,2,1]``; ``[]`` is empty.
 

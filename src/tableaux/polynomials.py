@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Collection, Mapping
+from collections.abc import Mapping
 from functools import lru_cache
 from math import factorial, prod
-from operator import itemgetter
+from operator import add, itemgetter, sub
 from typing import Iterable
 
-from .partitions import _partitions_below
+from .partitions import _capped_vectors, _partitions_below
 
 
 class WidthMismatchError(ValueError):
@@ -214,6 +214,15 @@ class Polynomial:
         return other + (-self)
 
     def __mul__(self, other):
+        """Product with a polynomial of the same width, or with an integer.
+
+        Two polynomials symmetric and homogeneous by construction take the
+        orbit route, :meth:`_orbit_product`. Any other pair takes the pair
+        loop: one tuple-add per pair of terms, the product's terms in order
+        of first appearance, zero coefficients dropped once at the end. No
+        workload takes the loop; the tests keep it as the orbit route's
+        reference.
+        """
         if isinstance(other, int) and not isinstance(other, bool):
             scaled = {key: c * other for key, c in self._filled().items()}
             return Polynomial._from_terms(self._width, scaled)
@@ -222,25 +231,14 @@ class Polynomial:
         self._check_width(other)
         if self._dominant is not None and other._dominant is not None:
             return self._orbit_product(other)
-        width, left, right = self._width, self._filled(), other._filled()
-        if not width:
-            return Polynomial._from_terms(0, {(): sum(left.values()) * sum(right.values())})
-        # Each exponent vector is packed into one integer, its digits in a base
-        # above the sum of the operands' largest exponents, x1 the most
-        # significant (Monagan and Pearce). No digit of a product carries, so
-        # multiplying monomials is adding integers; zero coefficients drop once,
-        # at the end, and the keys are unpacked once.
-        base = max(map(max, left), default=0) + max(map(max, right), default=0) + 1
-        left_pairs = list(zip(_pack(left, base), left.values()))
-        right_pairs = list(zip(_pack(right, base), right.values()))
-        packed: dict[int, int] = {}
-        get = packed.get
-        for k1, c1 in left_pairs:
-            for k2, c2 in right_pairs:
-                key = k1 + k2
-                packed[key] = get(key, 0) + c1 * c2
-        exponents = zip(*_digit_columns(list(packed), width, base))
-        return Polynomial._from_terms(width, dict(zip(exponents, packed.values())))
+        terms: dict[tuple[int, ...], int] = {}
+        get = terms.get
+        right = other._filled().items()
+        for e1, c1 in self._filled().items():
+            for e2, c2 in right:
+                key = tuple(map(add, e1, e2))
+                terms[key] = get(key, 0) + c1 * c2
+        return Polynomial._from_terms(self._width, terms)
 
     __rmul__ = __mul__
 
@@ -313,14 +311,6 @@ class _Terms(Mapping):
         return self._poly._filled().values()
 
 
-def _pack(vectors: Collection[tuple[int, ...]], base: int) -> list[int]:
-    """One integer per exponent vector, its digits in ``base``, x1 the most significant."""
-    keys = [0] * len(vectors)
-    for column in zip(*vectors):
-        keys = [key * base + e for key, e in zip(keys, column)]
-    return keys
-
-
 @lru_cache(maxsize=1024)
 def _orbit(alpha: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """Every distinct rearrangement of ``alpha``, lex-descending.
@@ -364,41 +354,18 @@ def _split_keys(
     ``alpha`` is a partition, and ``beta`` runs over the vectors with
     ``0 <= beta <= alpha`` entrywise. Each split gives ``beta`` and ``gamma``
     sorted weakly decreasing, zeros stripped; equal pairs are merged, with
-    their count. The betas are built one part of ``alpha`` at a time,
-    keeping only prefixes that can still reach ``low``. An entry holds at
-    most one triple per monomial of degree |alpha| in len(alpha) variables.
+    their count. The betas are the walk :func:`partitions._capped_vectors`
+    capped by ``alpha``, in its order. An entry holds at most one triple per
+    monomial of degree |alpha| in len(alpha) variables.
     """
-    room = sum(alpha)
-    betas = [((), low)]  # (prefix, boxes still to place)
-    for a in alpha:
-        room -= a
-        betas = [
-            (prefix + (b,), left - b)
-            for prefix, left in betas
-            for b in range(max(0, left - room), min(a, left) + 1)
-        ]
     counts: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
-    for beta, _ in betas:
-        gamma = [a - b for a, b in zip(alpha, beta)]
+    for beta in _capped_vectors(alpha, low):
         pair = (
             tuple(sorted(filter(None, beta), reverse=True)),
-            tuple(sorted(filter(None, gamma), reverse=True)),
+            tuple(sorted(filter(None, map(sub, alpha, beta)), reverse=True)),
         )
         counts[pair] = counts.get(pair, 0) + 1
     return tuple((beta, gamma, m) for (beta, gamma), m in counts.items())
-
-
-def _digit_columns(keys: list[int], width: int, base: int) -> list[list[int]]:
-    """Exponents of packed ``keys``, one list per variable, x1 first.
-
-    Digits are read one variable at a time across all keys, from xN up.
-    """
-    columns = []
-    for _ in range(width):
-        columns.append([key % base for key in keys])
-        keys = [key // base for key in keys]
-    columns.reverse()
-    return columns
 
 
 def format_polynomial(poly: Polynomial) -> str:

@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import ge
+from operator import ge, sub
 
-from .partitions import Partition, _partitions_below
+from .partitions import Partition, _capped_vectors, _partitions_below
 from .polynomials import Polynomial
 
 
@@ -80,8 +80,11 @@ def _strip_removals(nu: tuple[int, ...], k: int, boxes: int) -> tuple[tuple[int,
 
     Those are the ``mu`` interlacing ``nu``, ``nu[i + 1] <= mu[i] <= nu[i]``,
     with ``|mu| = |nu| - boxes``. None exist when ``nu`` has more than ``k``
-    rows: a column of ``nu`` would lose two boxes. Row by row, only prefixes
-    that can still lose exactly ``boxes`` boxes are kept.
+    rows: a column of ``nu`` would lose two boxes. Row ``k`` of ``nu``, if
+    any, loses all its boxes; the rows above it lose the vectors ``t`` of
+    :func:`partitions._capped_vectors`, capped by the row slacks
+    ``nu[i] - nu[i + 1]``, and ``mu = nu - t`` with zeros stripped, in
+    the walk's order.
 
     A bounded table: one entry holds every such ``mu`` for one
     ``(nu, k, boxes)`` as a tuple, shared by the Kostka passes of every
@@ -90,19 +93,9 @@ def _strip_removals(nu: tuple[int, ...], k: int, boxes: int) -> tuple[tuple[int,
     if len(nu) > k:
         return ()
     rows = min(len(nu), k - 1)
-    below = nu[1:] + (0,)
-    slack = [nu[i] - below[i] for i in range(rows)]
-    room = sum(slack)
-    prefixes = [((), boxes - sum(nu[rows:]))]  # (mu so far, boxes still to remove)
-    for i in range(rows):
-        room -= slack[i]
-        prefixes = [
-            (prefix + (nu[i] - t,), left - t)
-            for prefix, left in prefixes
-            for t in range(max(0, left - room), min(slack[i], left) + 1)
-        ]
-    # with no row to choose, the loop above checked no count
-    return tuple(tuple(p for p in mu if p) for mu, left in prefixes if not left)
+    slack = tuple(map(sub, nu[:rows], nu[1:] + (0,)))
+    removals = _capped_vectors(slack, boxes - sum(nu[rows:]))
+    return tuple(tuple(filter(None, map(sub, nu, t))) for t in removals)
 
 
 def schur_expand(poly: Polynomial) -> dict[Partition, int]:

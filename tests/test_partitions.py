@@ -18,7 +18,7 @@ from tableaux import (
     parse_partition,
     partitions_of,
 )
-from tableaux.partitions import _partitions_below
+from tableaux.partitions import _capped_vectors, _partitions_below
 
 
 @st.composite
@@ -328,6 +328,23 @@ class TestPartitionsBelow:
         assert type(walk) is tuple and all(type(alpha) is tuple for alpha in walk)
         assert _partitions_below((4, 1), 3) is walk
         assert _partitions_below.cache_info().hits == 1
+
+
+class TestCappedVectors:
+    def test_equals_filtered_product_in_lex_order(self):
+        # itertools.product runs lex-ascending, so the filter keeps the walk's order
+        shapes = [caps for length in range(6) for caps in itertools.product(range(3), repeat=length)]
+        shapes += [(5, 0, 2), (1, 4), (0, 0), (6,), (3, 1, 0, 2)]
+        for caps in shapes:
+            vectors = list(itertools.product(*(range(cap + 1) for cap in caps)))
+            for total in range(-1, sum(caps) + 2):
+                expected = [v for v in vectors if sum(v) == total]
+                assert _capped_vectors(caps, total) == expected, (caps, total)
+
+    def test_empty_caps(self):
+        assert _capped_vectors((), 0) == [()]
+        for total in (-2, -1, 1, 5):
+            assert _capped_vectors((), total) == []
 
 
 class TestSkewShape:

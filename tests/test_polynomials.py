@@ -164,6 +164,8 @@ class TestPackedMultiply:
         q = Polynomial(width, data.draw(wide_terms(width, max_exponent)))
         product = p * q
         assert product == naive_product(p, q)
+        # generic products keep their terms in order of first appearance
+        assert list(product.terms) == list(naive_product(p, q).terms)
         assert 0 not in product.terms.values()
         assert all(len(e) == width for e in product.terms)
 
@@ -175,7 +177,7 @@ class TestPackedMultiply:
         assert p * q == naive_product(p, q)
 
     def test_large_exponents_do_not_carry(self):
-        # base 2 * 999 + 1: a digit of 1998 must not spill into x1
+        # exponents add variable by variable: no sum spills into another variable
         p = Polynomial(30, {(0,) * 29 + (999,): 1, (999,) + (0,) * 29: 2})
         square = p * p
         assert square == Polynomial(
@@ -214,8 +216,8 @@ def naive_sum(p, q):
 
 
 class TestMixedBases:
-    # The pair loop packs keys in a base above the sum of its operands' largest
-    # exponents; products, sums and equality must agree with tuple-built values.
+    # Products of operands with different largest exponents, sums and equality
+    # must agree with values built from tuples by the constructor.
 
     def test_product_equals_tuple_built(self):
         cases = [
@@ -244,7 +246,7 @@ class TestMixedBases:
             assert total == Polynomial(width, naive_sum(left, right))
 
     def test_coefficient_outside_the_base_is_zero(self):
-        # packed in base 2, the key of (0, 2) would be that of (1, 0)
+        # a lookup reads only its own exponent vector, never one of equal degree
         poly = Polynomial(2, {(1, 0): 5})
         assert poly.coefficient((0, 2)) == 0
         assert (0, 2) not in poly.terms
@@ -256,7 +258,7 @@ class TestMixedBases:
         width = data.draw(st.integers(0, 3))
         p = Polynomial(width, data.draw(wide_terms(width, 3)))
         partners = [Polynomial(width, data.draw(wide_terms(width, e))) for e in (1, 3, 12)]
-        # products hold bases above those of their tuple-built equals
+        # products reach larger exponents than either of their factors
         partners += [partners[0] * partners[1], partners[2] * partners[1]]
         steps = st.tuples(st.integers(0, len(partners) - 1), st.sampled_from(("mul", "add", "eq")))
         for index, op in data.draw(st.lists(steps, min_size=1, max_size=12)):
