@@ -98,7 +98,7 @@ def _admissible(
     return pair
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=1)
 def _pair_bounds(
     lam: tuple[int, ...], mu: tuple[int, ...]
 ) -> tuple[int, tuple[int, ...], tuple[int, ...], int, tuple[int, ...]]:
@@ -118,10 +118,9 @@ def _pair_bounds(
     part, so the other side either reached it there too or already
     failed.
 
-    A bounded table, smaller than the 110 pairs of a degree-7 sweep, so
-    a sweep run again misses on every pair once more: the gain comes from
-    the many ν asked of one pair in a row, not from entries kept between
-    sweeps.
+    A table of one entry, the pair in hand: the gain comes from the many ν
+    asked of one pair in a row, so a new pair evicts the last one and no
+    entry is kept between sweeps.
     """
     row_sum = [*map(add, lam, mu), *(lam[len(mu) :] or mu[len(lam) :])]  # the longer one's tail
     union = sorted(lam + mu, reverse=True)

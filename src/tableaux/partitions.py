@@ -189,86 +189,75 @@ def partitions_of(n: int) -> Iterator[Partition]:
 
     The order is fixed and documented because CLI output and golden
     tests depend on it: ``(n)`` first, all-ones last, tuple comparison
-    descending in between.
-
-    Generated by ZS1 (Zoghbi and Stojmenović, 1998) in constant
-    amortised time: one list holds the current partition, padded with
-    ones, and ``h`` indexes its last part greater than 1.
-    Each step lowers ``parts[h]`` by one and refills the slots after it
-    in place, so the trailing ones are never scanned.
+    descending in between. It is the walk from ``(n)`` at width ``n``,
+    lazy, so ``partitions_of(10**9)`` yields at once.
     """
     if not isinstance(n, int) or isinstance(n, bool):
         raise TypeError(f"n must be an integer, got {n!r}")
     if n < 0:
         raise ValueError(f"cannot partition {n}")
-    if n == 0:
-        yield EMPTY
-        return
-    parts = [n]  # the partition is parts[: last + 1]; every slot after h holds a 1
-    h = 0 if n > 1 else -1  # index of the last part > 1; -1 once only ones are left
-    last = 0  # index of the last part
+    yield from map(Partition._trusted, _walk((n,) if n else (), n))
+
+
+def _walk(lead: tuple[int, ...], width: int) -> Iterator[tuple[int, ...]]:
+    """Partitions of ``|lead|`` into at most ``width`` parts, lex-descending from ``lead``.
+
+    Each is a tuple without zeros; every partition not lex-greater than
+    ``lead`` and of at most ``width`` parts comes once. Each successor
+    lowers by one the rightmost part whose lost box, with the boxes after
+    it, still fits in the width left, then refills the parts after it as
+    high as they go (the reverse-lexicographic successor; Knuth, TAOCP 4A
+    §7.2.1.4). When ``lead`` has more than ``width`` parts, its parts past
+    ``width`` start out as boxes still to place, so the walk begins at the
+    greatest partition below ``lead`` that fits. Nothing is padded to the
+    width, so the cost of a step follows the parts, not the width.
+
+    As in ZS1 (Zoghbi and Stojmenović, 1998), ``h`` indexes the last part
+    greater than 1, so the trailing ones are counted, never scanned, and
+    a 2 with room after it splits into 1 + 1 in one append.
+    """
+    parts = list(lead[:width])
+    rest = sum(lead[width:])  # boxes not yet placed: only a lead taller than the width has any
+    h = len(parts) - 1  # the last part greater than 1, or -1
+    while h >= 0 and parts[h] == 1:
+        h -= 1
     while True:
-        yield Partition._trusted(tuple(parts[: last + 1]))
+        if not rest:
+            yield tuple(parts)
         if h < 0:
             return
-        if last + 1 == len(parts):  # a step adds at most one part: grow the list as needed
-            parts.append(1)
-        if parts[h] == 2:
+        if parts[h] == 2 and len(parts) < width:
             parts[h] = 1
+            parts.append(1)
             h -= 1
-            last += 1
             continue
-        # parts[h] drops by one; that unit and the trailing ones refill parts[h + 1:]
-        # in parts of size parts[h], with a smaller remainder last
-        part = parts[h] - 1
-        rest = last - h + 1
-        parts[h] = part
-        while rest >= part:
-            h += 1
-            parts[h] = part
-            rest -= part
-        if rest == 0:
-            last = h
-        else:
-            last = h + 1
+        rest += len(parts) - 1 - h  # the trailing ones
+        i = h
+        while rest >= (width - 1 - i) * (parts[i] - 1):
+            rest += parts[i]
+            i -= 1
+            if i < 0:
+                return
+        # parts[i] >= 3 here: a 2 that can split took the step above, and no 2 left of it can
+        part = parts[i] - 1
+        count, rest = divmod(rest + 1, part)
+        parts[i:] = [part] * (count + 1)
+        h = i + count
+        if rest:
+            parts.append(rest)
             if rest > 1:
                 h += 1
-                parts[h] = rest
+            rest = 0
 
 
 @lru_cache(maxsize=256)
 def _partitions_below(lead: tuple[int, ...], width: int) -> tuple[tuple[int, ...], ...]:
-    """Partitions of ``|lead|`` into at most ``width`` parts, lex-descending from ``lead``.
+    """The whole of ``_walk(lead, width)`` as a tuple, in a bounded table.
 
-    Each is a tuple without zeros; every partition not lex-greater than
-    ``lead`` and of at most ``width`` parts comes once. The current one is
-    kept padded to ``width``; each successor lowers by one the rightmost part
-    whose lost box still fits after it, then refills the parts after it as
-    high as they go. When ``lead`` has more than ``width`` parts, its parts
-    past ``width`` start out as boxes still to place, so the walk begins at
-    the greatest partition below ``lead`` that fits.
-
-    A bounded table: one entry holds the whole walk for one ``(lead, width)``
-    as a tuple, shared by every caller, so Schur builds, orbit products and
-    expansions that meet the same lead walk it once.
+    One entry is shared by every caller, so Schur builds, orbit products
+    and expansions that meet the same lead walk it once.
     """
-    walk = []
-    parts = list(lead[:width]) + [0] * (width - len(lead))
-    rest = sum(lead[width:])  # boxes to place after the part that is lowered next
-    while True:
-        if not rest:
-            walk.append(tuple(filter(None, parts)))
-        for i in range(width - 1, -1, -1):
-            if parts[i] and rest < (width - 1 - i) * (parts[i] - 1):
-                break
-            rest += parts[i]
-        else:
-            return tuple(walk)
-        parts[i] -= 1
-        rest += 1
-        for j in range(i + 1, width):
-            parts[j] = min(parts[i], rest)
-            rest -= parts[j]
+    return tuple(_walk(lead, width))
 
 
 def _capped_vectors(caps: tuple[int, ...], total: int) -> list[tuple[int, ...]]:
