@@ -47,20 +47,15 @@ def enumerate_lr_fillings(
     reading word is a lattice word and whose weight equals ``content``,
     in lexicographic order of that word. Empty when containment fails,
     the box counts cannot balance, or ``outer`` lies outside the
-    dominance window inner ∪ content ⊴ outer ⊴ inner + content. The
-    search is :func:`fillings._leaves` over the :func:`_lr_boxes` tables,
-    with the content as budget and the lattice condition on, so both
-    prune prefixes of the reverse reading word instead of filtering
-    finished fillings; each leaf becomes one witness. ℓ(μ) and the
-    budget are read from the pair's entry of :func:`_pair_bounds`, which
-    :func:`_admissible` returns.
+    dominance window inner ∪ content ⊴ outer ⊴ inner + content. Each
+    leaf of the :func:`_lr_leaves` search becomes one witness, its
+    slots cut into the rows of outer/inner.
     """
-    pair = _admissible(outer, inner, content)
-    if pair is None:
+    leaves = _lr_leaves(outer, inner, content)
+    if leaves is None:
         return iter(())
     lam, nu = inner.parts, outer.parts
     skew = SkewShape._trusted(outer, inner)
-    cap, right, up = _lr_boxes(lam, pair[3], nu)
     # box k of reverse reading order is values[k + 1], so row r reads its slots backwards
     rows: list[slice] = []
     end = 0
@@ -69,19 +64,22 @@ def enumerate_lr_fillings(
         rows.append(slice(end, start, -1))
     return (
         LrWitness(Filling._trusted(skew, tuple([tuple(values[s]) for s in rows])), content.parts)
-        for values in _leaves(cap, up, right, up, pair[4], lattice=True)
+        for values in leaves
     )
 
 
-def _admissible(
+def _lr_leaves(
     outer: Partition, inner: Partition, content: Partition
-) -> tuple[int, tuple[int, ...], tuple[int, ...], int, tuple[int, ...]] | None:
-    """The pair's entry of :func:`_pair_bounds` if outer/inner can hold a witness, else None.
+) -> Iterator[list[int]] | None:
+    """The witness search for outer/inner with weight ``content``, or None if no witness can exist.
 
     A witness needs containment, |ν| = |λ| + |μ| and the dominance
-    window λ ∪ μ ⊴ ν ⊴ λ + μ. The partial sums of ν are formed once and
-    held to the two bounds of the entry, which callers then read for
-    ℓ(μ) and the budget.
+    window λ ∪ μ ⊴ ν ⊴ λ + μ; the partial sums of ν are formed once and
+    held to the pair's bounds from :func:`_pair_bounds`. The search is
+    :func:`fillings._leaves` over the :func:`_lr_boxes` tables, with the
+    budget (0,) + μ and the lattice condition on, so both prune prefixes
+    of the reverse reading word instead of filtering finished fillings.
+    The type check and the window run at the call, before any leaf.
     """
     # one test on the hot path; the loop only names the offending argument
     if not (isinstance(outer, Partition) and isinstance(inner, Partition) and isinstance(content, Partition)):
@@ -90,26 +88,24 @@ def _admissible(
                 raise TypeError(f"{name} must be a Partition, got {value!r}")
     if not outer.contains(inner):
         return None
-    pair = _pair_bounds(inner.parts, content.parts)
-    size, upper, lower = pair[:3]
+    mu = content.parts
+    size, upper, lower = _pair_bounds(inner.parts, mu)
     sums = [*accumulate(outer.parts, initial=0)]
     if sums[-1] != size or not all(map(ge, upper, sums)) or not all(map(ge, sums, lower)):
         return None
-    return pair
+    cap, right, up = _lr_boxes(inner.parts, len(mu), outer.parts)
+    return _leaves(cap, up, right, up, (0,) + mu, lattice=True)
 
 
 @lru_cache(maxsize=1)
-def _pair_bounds(
-    lam: tuple[int, ...], mu: tuple[int, ...]
-) -> tuple[int, tuple[int, ...], tuple[int, ...], int, tuple[int, ...]]:
-    """What an LR query needs of (λ, μ) alone, whatever ν is asked.
+def _pair_bounds(lam: tuple[int, ...], mu: tuple[int, ...]) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """The dominance window of (λ, μ), whatever ν is asked.
 
     One entry is (|λ| + |μ|, the partial sums of λ + μ, the partial sums
-    of λ ∪ μ, ℓ(μ), the budget (0,) + μ). The sums start at 0, as do
-    those of ν, so an empty ν has a last sum too. λ + μ adds the rows and
-    keeps the longer one's tail; λ ∪ μ is the parts of both, sorted. The
-    lower bound is the upper one for conjugates: c^ν_{λμ} = c^ν′_{λ′μ′}
-    and (λ ∪ μ)′ = λ′ + μ′.
+    of λ ∪ μ). The sums start at 0, as do those of ν, so an empty ν has a
+    last sum too. λ + μ adds the rows and keeps the longer one's tail;
+    λ ∪ μ is the parts of both, sorted. The lower bound is the upper one
+    for conjugates: c^ν_{λμ} = c^ν′_{λ′μ′} and (λ ∪ μ)′ = λ′ + μ′.
 
     Dominance between partitions of one size compares partial sums up to
     the shorter length only, as ``zip`` and ``map`` stop there. Past it
@@ -124,13 +120,7 @@ def _pair_bounds(
     """
     row_sum = [*map(add, lam, mu), *(lam[len(mu) :] or mu[len(lam) :])]  # the longer one's tail
     union = sorted(lam + mu, reverse=True)
-    return (
-        sum(row_sum),
-        tuple(accumulate(row_sum, initial=0)),
-        tuple(accumulate(union, initial=0)),
-        len(mu),
-        (0,) + mu,
-    )
+    return sum(row_sum), tuple(accumulate(row_sum, initial=0)), tuple(accumulate(union, initial=0))
 
 
 def _lr_boxes(
@@ -170,14 +160,11 @@ def _lr_boxes(
 def lr_coefficient(inner: Partition, content: Partition, outer: Partition) -> int:
     """Number of witnesses; zero on containment failure, size mismatch or outside the window.
 
-    Counts the leaves of the same :func:`fillings._leaves` search as
-    :func:`enumerate_lr_fillings`, after the same checks, without building
-    a shape, filling or witness. What depends on (inner, content) alone,
-    the window bounds, ℓ(content) and the budget, is one entry of the
-    table :func:`_pair_bounds`, shared by the queries for every ``outer``.
+    Counts the leaves of the :func:`_lr_leaves` search that
+    :func:`enumerate_lr_fillings` turns into witnesses, without building a
+    shape, filling or witness. The window of (inner, content) is one entry
+    of the table :func:`_pair_bounds`, shared by the queries for every
+    ``outer``.
     """
-    pair = _admissible(outer, inner, content)
-    if pair is None:
-        return 0
-    cap, right, up = _lr_boxes(inner.parts, pair[3], outer.parts)
-    return sum(1 for _ in _leaves(cap, up, right, up, pair[4], lattice=True))
+    leaves = _lr_leaves(outer, inner, content)
+    return 0 if leaves is None else sum(1 for _ in leaves)

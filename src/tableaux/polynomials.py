@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Mapping
 from functools import lru_cache
-from math import factorial, prod
+from math import factorial, perm, prod
 from operator import add, itemgetter, sub
 from typing import Iterable
 
@@ -341,8 +341,8 @@ def _orbit(alpha: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
 
 def _orbit_size(alpha: tuple[int, ...], width: int) -> int:
     """Number of distinct rearrangements of the partition ``alpha`` padded to ``width``."""
-    repeats = prod(factorial(m) for m in Counter(alpha).values())
-    return factorial(width) // (factorial(width - len(alpha)) * repeats)
+    # the zeros' own factorial cancels, so nothing grows with the width but the result
+    return perm(width, len(alpha)) // prod(factorial(m) for m in Counter(alpha).values())
 
 
 @lru_cache(maxsize=1024)

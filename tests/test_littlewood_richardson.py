@@ -19,7 +19,7 @@ from tableaux import (
     schur_expand,
     schur_polynomial,
 )
-from tableaux.littlewood_richardson import _admissible, _lr_boxes, _pair_bounds
+from tableaux.littlewood_richardson import _lr_boxes, _lr_leaves, _pair_bounds
 from tableaux.schur import _product_expansion
 
 LAM = Partition((2, 1))
@@ -376,10 +376,11 @@ class TestPairTable:
         assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
         entry = _pair_bounds(LAM.parts, LAM.parts)
         assert type(entry) is tuple
-        size, upper, lower, m, budget = entry
-        assert (size, upper, lower, m, budget) == (6, (0, 4, 6), (0, 2, 4, 5, 6), 2, (0, 2, 1))
-        assert all(type(part) is tuple for part in (upper, lower, budget))
-        assert _admissible(NU, LAM, LAM) is entry
+        size, upper, lower = entry
+        assert (size, upper, lower) == (6, (0, 4, 6), (0, 2, 4, 5, 6))
+        assert all(type(part) is tuple for part in (upper, lower))
+        assert _lr_leaves(NU, LAM, LAM) is not None
+        assert _pair_bounds.cache_info().hits == info.hits + 2
 
     def test_admissible_matches_frozen_window(self):
         # every triple with |nu| <= 9, sizes that cannot balance and empty shapes included
@@ -387,15 +388,14 @@ class TestPairTable:
         for total in range(10):
             for lam, mu in pairs_of_degree(total):
                 for nu in shapes:
-                    got = _admissible(nu, lam, mu)
+                    got = _lr_leaves(nu, lam, mu)
                     assert (got is not None) == frozen_window(nu, lam, mu), (lam, mu, nu)
-                    assert got is None or got is _pair_bounds(lam.parts, mu.parts)
         # every nu of the mid-size pairs, and of each of their shapes with the empty one
         for lam, mu in MID_SIZE_PAIRS:
             lam, mu = Partition(lam), Partition(mu)
             for inner, content in ((lam, mu), (mu, lam), (lam, EMPTY), (EMPTY, mu)):
                 for nu in partitions_of(inner.size + content.size):
-                    got = _admissible(nu, inner, content)
+                    got = _lr_leaves(nu, inner, content)
                     assert (got is not None) == frozen_window(nu, inner, content), (inner, content, nu)
 
     def test_coefficients_warm_cold_and_interleaved_through_degree_eight(self):

@@ -2,6 +2,7 @@ import itertools
 import sys
 import threading
 from itertools import permutations
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +17,7 @@ from tableaux import (
 )
 from tableaux.littlewood_richardson import _pair_bounds
 from tableaux.partitions import _partitions_below
-from tableaux.polynomials import _orbit, _split_keys
+from tableaux.polynomials import _orbit, _orbit_size, _split_keys
 from tableaux.schur import _strip_removals
 
 
@@ -245,7 +246,7 @@ class TestMixedBases:
             assert total.terms == naive_sum(left, right)
             assert total == Polynomial(width, naive_sum(left, right))
 
-    def test_coefficient_outside_the_base_is_zero(self):
+    def test_coefficient_reads_only_its_own_exponents(self):
         # a lookup reads only its own exponent vector, never one of equal degree
         poly = Polynomial(2, {(1, 0): 5})
         assert poly.coefficient((0, 2)) == 0
@@ -393,6 +394,16 @@ class TestOrbitProduct:
         for alpha in alphas:
             orbit = _orbit(alpha)
             assert list(orbit) == sorted(set(permutations(alpha)), reverse=True), alpha
+
+    def test_orbit_size_counts_the_orbit_at_every_width(self):
+        # a width beyond sys.maxsize is counted without forming a factorial of the width
+        assert _orbit_size((2, 1), 10**23) == 10**23 * (10**23 - 1)
+        assert _orbit_size((1, 1, 1), 10**23) == comb(10**23, 3)
+        for n in range(7):
+            for alpha in (shape.parts for shape in partitions_of(n)):
+                for width in range(len(alpha), 9):
+                    padded = alpha + (0,) * (width - len(alpha))
+                    assert _orbit_size(alpha, width) == len(_orbit(padded)), (alpha, width)
 
     def test_threads_share_cached_schur_operands(self):
         # Every operand and partner is a cached Schur polynomial, so each
