@@ -33,7 +33,7 @@ class Polynomial:
     built this way, whatever its terms.
     """
 
-    __slots__ = ("_width", "_terms", "_degree", "_dominant")
+    __slots__ = ("_width", "_terms", "_dominant")
 
     def __init__(self, width: int, terms: Mapping[Iterable[int], int] | None = None):
         if not isinstance(width, int) or isinstance(width, bool):
@@ -55,7 +55,6 @@ class Polynomial:
                 cleaned[key] = coeff
         self._width = width
         self._terms = cleaned
-        self._degree = None
         self._dominant = None
 
     @classmethod
@@ -66,22 +65,18 @@ class Polynomial:
         poly = object.__new__(cls)
         poly._width = width
         poly._terms = terms
-        poly._degree = None
         poly._dominant = None
         return poly
 
     @classmethod
-    def _symmetric(
-        cls, width: int, degree: int, dominant: dict[tuple[int, ...], int]
-    ) -> "Polynomial":
-        # internal: symmetric and homogeneous of ``degree`` by construction;
-        # ``dominant`` maps partitions of ``degree`` into at most ``width``
-        # parts, as tuples without zeros, to their coefficients; zero
-        # coefficients drop here.
+    def _symmetric(cls, width: int, dominant: dict[tuple[int, ...], int]) -> "Polynomial":
+        # internal: symmetric and homogeneous by construction; ``dominant``
+        # maps partitions of one size into at most ``width`` parts, as tuples
+        # without zeros, to their coefficients, so any key gives the degree;
+        # zero coefficients drop here.
         poly = object.__new__(cls)
         poly._width = width
         poly._terms = None
-        poly._degree = degree
         poly._dominant = {key: c for key, c in dominant.items() if c}
         return poly
 
@@ -123,13 +118,6 @@ class Polynomial:
             terms = dict(sorted(terms.items(), reverse=True))
             self._terms = terms
         return terms
-
-    def _term_count(self) -> int:
-        # the number of terms, read from the dominant table while it is unfilled
-        terms = self._terms
-        if terms is None:
-            return sum(_orbit_size(alpha, self._width) for alpha in self._dominant)
-        return len(terms)
 
     def coefficient(self, exps: Iterable[int]) -> int:
         exps = tuple(exps)
@@ -252,10 +240,12 @@ class Polynomial:
         dominant tables at the sorted exponent, from :func:`_split_keys`. The
         product keeps only those c_alpha; its orbits are written on first use.
         Each cached table entry holds at most the degree-d monomials in
-        len(alpha) variables.
+        len(alpha) variables. An operand's degree is the size of any of its keys.
         """
-        width, low = self._width, self._degree
-        degree = low + other._degree
+        if not (self._dominant and other._dominant):
+            return Polynomial._symmetric(self._width, {})
+        width, low = self._width, sum(next(iter(self._dominant)))
+        degree = low + sum(next(iter(other._dominant)))
         left, right = self._dominant.get, other._dominant.get
         dominant = {
             alpha: sum(
@@ -263,7 +253,7 @@ class Polynomial:
             )
             for alpha in _partitions_below((degree,) if degree else (), width)
         }
-        return Polynomial._symmetric(width, degree, dominant)
+        return Polynomial._symmetric(width, dominant)
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
@@ -293,7 +283,10 @@ class _Terms(Mapping):
         self._poly = poly
 
     def __len__(self) -> int:
-        return self._poly._term_count()
+        poly = self._poly
+        if poly._terms is None:
+            return sum(_orbit_size(alpha, poly._width) for alpha in poly._dominant)
+        return len(poly._terms)
 
     def __getitem__(self, exps) -> int:
         coeff = self._poly.coefficient(exps)
@@ -311,7 +304,6 @@ class _Terms(Mapping):
         return self._poly._filled().values()
 
 
-@lru_cache(maxsize=1024)
 def _orbit(alpha: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """Every distinct rearrangement of ``alpha``, lex-descending.
 
@@ -319,8 +311,8 @@ def _orbit(alpha: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     decreasing rearrangement, each next vector takes the weakly increasing
     tail, swaps the entry just left of it with the rightmost smaller entry
     in it, then reverses the tail. No vector repeats and nothing recurses
-    over the width. An entry holds at most the monomials of degree |alpha|
-    in len(alpha) variables.
+    over the width. Nothing is kept: the only caller, ``Polynomial._filled``,
+    runs once per value and stores what it writes.
     """
     exps = sorted(alpha, reverse=True)
     orbit = [tuple(exps)]

@@ -17,7 +17,6 @@ class NotHomogeneousError(ValueError):
     """Schur-basis expansion met mixed total degrees."""
 
 
-@lru_cache(maxsize=1024, typed=True)
 def schur_polynomial(shape: Partition, width: int) -> Polynomial:
     """Generating polynomial of the semistandard fillings of ``shape``.
 
@@ -38,7 +37,8 @@ def schur_polynomial(shape: Partition, width: int) -> Polynomial:
     keyed by alpha: the table that products (the orbit route of
     ``Polynomial.__mul__``) and :func:`schur_expand` read. Each alpha is
     written to all its rearrangements on the first read of a monomial.
-    :func:`enumerate_ssyt` stays an independent route.
+    :func:`enumerate_ssyt` stays an independent route. Checked arguments key
+    the bounded table :func:`_schur`; ``cache_info`` and ``cache_clear`` are its.
     """
     if not isinstance(shape, Partition):
         raise TypeError(f"shape must be a Partition, got {shape!r}")
@@ -46,10 +46,18 @@ def schur_polynomial(shape: Partition, width: int) -> Polynomial:
         raise TypeError(f"width must be an integer, got {width!r}")
     if width < 0:
         raise ValueError(f"width must be nonnegative, got {width}")
-    lam = shape.parts
-    alphas = _partitions_below(lam, width) if shape.nrows <= width else ()
-    dominant = {alpha: _kostka(lam, alpha) for alpha in alphas}
-    return Polynomial._symmetric(width, shape.size, dominant)
+    return _schur(shape.parts, width)
+
+
+@lru_cache(maxsize=1024)
+def _schur(lam: tuple[int, ...], width: int) -> Polynomial:
+    """The Schur polynomial of the partition ``lam`` in ``width`` variables, arguments checked."""
+    alphas = _partitions_below(lam, width) if len(lam) <= width else ()
+    return Polynomial._symmetric(width, {alpha: _kostka(lam, alpha) for alpha in alphas})
+
+
+schur_polynomial.cache_info = _schur.cache_info
+schur_polynomial.cache_clear = _schur.cache_clear
 
 
 def _kostka(shape: tuple[int, ...], weight: tuple[int, ...]) -> int:
@@ -108,9 +116,9 @@ def schur_expand(poly: Polynomial) -> dict[Partition, int]:
     elimination runs on that table alone, over the partitions lex-below
     the lead: one entry of the walk table ``partitions._partitions_below``,
     read as it is. Each Kostka number it subtracts is one lookup in the
-    dominant table of the cached ``schur_polynomial(nu, width)``.
-    Partitions come out in lex-descending order, each key built unchecked
-    by ``Partition._trusted``: every ``nu`` of the walk is a weakly
+    dominant table ``_schur(nu, width)``, keyed by the walk's tuple ``nu``.
+    Partitions come out in lex-descending order, only the result's keys built
+    unchecked by ``Partition._trusted``: every ``nu`` of the walk is a weakly
     decreasing tuple without zeros. Negative coefficients are returned as
     data, never clamped.
 
@@ -145,9 +153,8 @@ def schur_expand(poly: Polynomial) -> dict[Partition, int]:
         coeff = residual[i]
         if not coeff:
             continue
-        shape = Partition._trusted(nu)
-        result[shape] = coeff
-        kostka = schur_polynomial(shape, poly.width)._dominant.get
+        result[Partition._trusted(nu)] = coeff
+        kostka = _schur(nu, poly.width)._dominant.get
         for j in range(i + 1, len(candidates)):
             count = kostka(candidates[j])
             if count:
