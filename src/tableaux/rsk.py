@@ -88,10 +88,13 @@ def row_insert(tableau: Filling, value: int) -> tuple[Filling, tuple[int, int]]:
     In each row the incoming value replaces the leftmost strictly larger
     entry, which is then inserted into the next row; when nothing is
     larger it lands in a new box at the end of the row. Requires a
-    tableau with distinct entries; a ``value`` already among them raises
-    ``ValueError``. Returns the grown tableau and the coordinate of the
-    created box.
+    straight semistandard tableau with distinct entries; a skew or
+    non-semistandard ``tableau``, or a ``value`` already among its
+    entries, raises ``ValueError``. Returns the grown tableau and the
+    coordinate of the created box.
     """
+    if tableau.shape.inner.parts or not tableau.is_semistandard():
+        raise ValueError(f"need a straight semistandard tableau, got rows {list(tableau.rows)}")
     if any(value in row for row in tableau.rows):
         raise ValueError(f"{value} is already an entry of the tableau")
     rows = [list(row) for row in tableau.rows]

@@ -1,5 +1,7 @@
 import faulthandler
+import importlib.util
 import os
+from pathlib import Path
 
 import pytest
 from hypothesis import settings
@@ -32,3 +34,13 @@ def pytest_runtest_call(item):
     faulthandler.dump_traceback_later(TEST_WALL_LIMIT_S, exit=True, file=_stderr)
     yield
     faulthandler.cancel_dump_traceback_later()
+
+
+@pytest.fixture
+def crosscheck():
+    """``scripts/crosscheck.py`` loaded as a fresh module, its ``CHECKS`` free to replace."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "crosscheck.py"
+    spec = importlib.util.spec_from_file_location("crosscheck", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

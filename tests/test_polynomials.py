@@ -216,7 +216,7 @@ def naive_sum(p, q):
     return {e: c for e, c in terms.items() if c}
 
 
-class TestMixedBases:
+class TestOperandsOfDifferentDegrees:
     # Products of operands with different largest exponents, sums and equality
     # must agree with values built from tuples by the constructor.
 

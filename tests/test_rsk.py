@@ -105,6 +105,13 @@ class TestRowInsert:
             with pytest.raises(ValueError, match=f"{value} is already an entry"):
                 row_insert(Filling.from_rows(rows), value)
 
+    def test_rejects_a_tableau_that_is_skew_or_not_semistandard(self):
+        # bumping into such rows returned ((3, 1, 2),) and ((1, 2), (1, 3)), and dropped the inner shape
+        for tableau in [Filling.from_rows([[3, 1]]), Filling.from_rows([[1, 3], [1]]),
+                        Filling.from_rows([[3], [4]], inner=[1])]:
+            with pytest.raises(ValueError, match="need a straight semistandard tableau"):
+                row_insert(tableau, 2)
+
 
 class TestRsk:
     def test_worked_example(self):

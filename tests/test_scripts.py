@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -8,18 +9,29 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize(
-    "script, option",
-    [("lr_oracle_sweep.py", "--max-total"), ("bijection_sweep.py", "--max-n")],
-)
-def test_sweep_rejects_a_negative_budget(script, option):
-    # an empty sweep would check nothing and still report that all checks passed
+@pytest.mark.parametrize("argv", [["-h"], ["--max-total", "12"], ["lr-rule-vs-expansion"]])
+def test_crosscheck_takes_no_arguments(argv):
+    # the table fixes every budget, so an argument could only be a mistake
     src = str(ROOT / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), option, "-1"],
+        [sys.executable, str(ROOT / "scripts" / "crosscheck.py"), *argv],
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert proc.returncode == 2
     assert proc.stdout == ""
-    assert f"{option} must be nonnegative" in proc.stderr
+    assert "takes no arguments" in proc.stderr
+
+
+def test_a_disagreement_ends_the_run_naming_the_check_and_the_case(crosscheck, capfd):
+    Check = crosscheck.Check
+    crosscheck.CHECKS = (
+        Check("agrees", lambda budget: iter([((budget,), True)]), 3, 60),
+        Check("planted", lambda budget: iter([(("[2,1]", budget), False)]), 5, 60),
+        Check("never-run", lambda budget: iter([((budget,), True)]), 7, 60),
+    )
+    assert crosscheck.main([]) == 1
+    out, err = capfd.readouterr()
+    lines = [json.loads(line) for line in out.splitlines()]
+    assert [(line["name"], line["budget"], line["cases"]) for line in lines] == [("agrees", 3, 1)]
+    assert err.splitlines() == ["error: planted disagrees at [2,1], 5"]

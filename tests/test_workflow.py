@@ -27,3 +27,17 @@ def test_every_run_step_has_a_timeout():
             if "run" in step:
                 minutes = step.get("timeout-minutes")
                 assert isinstance(minutes, int) and minutes > 0, (job, step["name"])
+
+
+def test_cross_checks_run_from_one_table(crosscheck):
+    # a new route registers in scripts/crosscheck.py, not as an inline one-liner or a sweep script
+    yaml = pytest.importorskip("yaml")
+    workflow = yaml.safe_load(WORKFLOW.read_text())
+    steps = [step for spec in workflow["jobs"].values() for step in spec["steps"] if "run" in step]
+    table = [step for step in steps if "scripts/crosscheck.py" in step["run"]]
+    assert [step["run"].strip() for step in table] == ["PYTHONPATH=src python scripts/crosscheck.py"]
+    assert table[0]["timeout-minutes"] * 60 >= max(check.limit_s for check in crosscheck.CHECKS)
+    for step in steps:
+        # the 1200-box step builds its argument with python -c, which imports nothing of the library
+        assert not any("python -c" in line and "tableaux" in line for line in step["run"].splitlines()), step["name"]
+        assert "_sweep.py" not in step["run"], step["name"]
