@@ -115,8 +115,12 @@ def schur_expand(poly: Polynomial) -> dict[Partition, int]:
     by its coefficients at partitions, its dominant table, so the
     elimination runs on that table alone, over the partitions lex-below
     the lead: one entry of the walk table ``partitions._partitions_below``,
-    read as it is. Each Kostka number it subtracts is one lookup in the
-    dominant table ``_schur(nu, width)``, keyed by the walk's tuple ``nu``.
+    read as it is. The residual is a copy of the table, so the operand's own
+    table is never written. Each ``nu`` with a nonzero residual subtracts
+    ``coeff * K_{nu, alpha}`` at every entry ``alpha`` of the dominant table
+    ``_schur(nu, width)``: each such ``alpha`` is a partition lex-below
+    ``nu`` of at most ``width`` parts, so the walk reaches it later, and
+    ``nu``'s own entry (K_{nu, nu} = 1) lands after ``nu`` has been read.
     Partitions come out in lex-descending order, only the result's keys built
     unchecked by ``Partition._trusted``: every ``nu`` of the walk is a weakly
     decreasing tuple without zeros. Negative coefficients are returned as
@@ -146,19 +150,15 @@ def schur_expand(poly: Polynomial) -> dict[Partition, int]:
         }
     if not dominant:
         return {}
-    candidates = _partitions_below(max(dominant), poly.width)
-    residual = [dominant.get(nu, 0) for nu in candidates]
+    residual = dict(dominant)
     result: dict[Partition, int] = {}
-    for i, nu in enumerate(candidates):
-        coeff = residual[i]
+    for nu in _partitions_below(max(dominant), poly.width):
+        coeff = residual.get(nu)
         if not coeff:
             continue
         result[Partition._trusted(nu)] = coeff
-        kostka = _schur(nu, poly.width)._dominant.get
-        for j in range(i + 1, len(candidates)):
-            count = kostka(candidates[j])
-            if count:
-                residual[j] -= coeff * count
+        for alpha, count in _schur(nu, poly.width)._dominant.items():
+            residual[alpha] = residual.get(alpha, 0) - coeff * count
     return result
 
 

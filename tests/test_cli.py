@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import tableaux.cli
+import tableaux.schur
 from tableaux import (
     Filling,
     Partition,
@@ -282,10 +283,19 @@ class TestExpand:
         code, _, err = run(capsys, "expand", "[11]", "[10]")
         assert code == 1 and "error" in err
 
-    def test_tall_columns_are_quick(self, capsys):
+    def test_tall_columns_are_quick(self, capsys, monkeypatch):
         # lam_1 + mu_1 = 2 < l(lam) + l(mu) = 16: expanded through the conjugates in 2 variables
+        widths = []
+        build = tableaux.schur.schur_polynomial
+
+        def recorded(shape, width):
+            widths.append(width)
+            return build(shape, width)
+
+        monkeypatch.setattr(tableaux.schur, "schur_polynomial", recorded)
         column = "[" + ",".join(["1"] * 8) + "]"
         code, out, _ = run(capsys, "expand", column, column)
+        assert widths == [2, 2]
         assert code == 0
         assert out.splitlines() == [
             format_partition(Partition((2,) * k + (1,) * (16 - 2 * k))) + ": 1"

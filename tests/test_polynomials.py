@@ -156,7 +156,7 @@ def wide_terms(width, max_exponent, max_terms=5):
     return st.dictionaries(exps, coeffs, max_size=max_terms)
 
 
-class TestPackedMultiply:
+class TestPairLoop:
     @given(st.data())
     def test_matches_naive_reference(self, data):
         width = data.draw(st.integers(0, 4))

@@ -1,3 +1,7 @@
+import os
+import re
+import shutil
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -41,3 +45,42 @@ def test_cross_checks_run_from_one_table(crosscheck):
         # the 1200-box step builds its argument with python -c, which imports nothing of the library
         assert not any("python -c" in line and "tableaux" in line for line in step["run"].splitlines()), step["name"]
         assert "_sweep.py" not in step["run"], step["name"]
+
+
+def _bench_steps():
+    yaml = pytest.importorskip("yaml")
+    workflow = yaml.safe_load(WORKFLOW.read_text())
+    return [step for spec in workflow["jobs"].values() for step in spec["steps"]
+            if "bench/run.py" in step.get("run", "")]
+
+
+def test_benchmark_self_checks_run_every_workload():
+    # a workload added to bench/run.py is self-checked by these steps, with no new step
+    commands = [re.search(r"python3 bench/run\.py[^)|]*", step["run"]).group(0).strip() for step in _bench_steps()]
+    assert commands == [
+        "python3 bench/run.py --workload all --seconds 1",
+        "python3 bench/run.py --workload all --seconds 1 --trace 1",
+        "python3 bench/run.py --workload lr_table --seed 2 --seconds 1",
+    ]
+
+
+@pytest.mark.skipif(shutil.which("bash") is None, reason="the workflow's run steps are bash scripts")
+@pytest.mark.parametrize("second, fails", [("true", False), ("false", True), (None, True)])
+def test_every_workload_step_fails_unless_each_result_is_correct(tmp_path, second, fails):
+    # a python3 that prints three workloads' reports stands in for bench/run.py;
+    # the second reads correct, not correct, or has no result line
+    lines = []
+    for name, correct in [("oracle", "true"), ("lr_table", second), ("cli", "true")]:
+        lines.append(f"workload {name}, seed 1, 1 s, trace 0, Python 3")
+        if correct is not None:
+            lines.append(f'{{"correct": {correct}, "attempted": 1, "failed": 0, "metrics": {{}}}}')
+    fake = tmp_path / "python3"
+    fake.write_text("#!/bin/sh\ncat <<'EOF'\n" + "\n".join(lines) + "\nEOF\n")
+    fake.chmod(0o755)
+    env = {**os.environ, "PATH": os.pathsep.join([str(tmp_path), os.environ.get("PATH", "")])}
+    steps = [step for step in _bench_steps() if "--workload all" in step["run"]]
+    assert len(steps) == 2
+    for step in steps:
+        proc = subprocess.run(["bash", "-e", "-c", step["run"]], capture_output=True, text=True, env=env,
+                              cwd=tmp_path, timeout=60)
+        assert (proc.returncode != 0) == fails, (step["name"], proc.stdout, proc.stderr)
