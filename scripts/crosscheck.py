@@ -21,8 +21,10 @@ import faulthandler
 import itertools
 import json
 import math
+import random
 import sys
 import time
+from bisect import bisect_left
 from collections import Counter
 from typing import Any, Callable, Iterator, NamedTuple
 
@@ -113,6 +115,43 @@ def insertion_bijection(max_n: int) -> Cases:
         yield (f"Σ (f^λ)² at n = {n}",), square_sum == math.factorial(n)
 
 
+def _row_streams(images: tuple[int, ...]) -> tuple[list[list[int]], list[list[int]]]:
+    """Schensted's pair built one row at a time, not one letter at a time.
+
+    Row 0 is a patience pass over the word; every entry it bumps, tagged
+    with the step that bumped it, forms the stream that row 1 takes in
+    the same way, and so on. A row grows at the steps its recording row
+    lists. (ROADMAP item 6 measured this route slower than letter-by-letter
+    insertion; it is kept here only as a reference.)
+    """
+    insertion, recording = [], []
+    stream = list(enumerate(images, start=1))
+    while stream:
+        row, steps, bumped = [], [], []
+        for step, v in stream:
+            j = bisect_left(row, v)
+            if j == len(row):
+                row.append(v)
+                steps.append(step)
+            else:
+                bumped.append((step, row[j]))
+                row[j] = v
+        insertion.append(row)
+        recording.append(steps)
+        stream = bumped
+    return insertion, recording
+
+
+def insertion_vs_row_streams(n: int) -> Cases:
+    """One permutation of n (seed 0): ``rsk`` against the row-by-row pair, then ``inverse_rsk`` back."""
+    perm = Permutation(tuple(random.Random(0).sample(range(1, n + 1), n)))
+    pair = rsk(perm)
+    insertion, recording = _row_streams(perm.images)
+    yield ("P and Q", f"seed 0, n = {n}"), (pair.insertion.rows, pair.recording.rows) == (
+        tuple(map(tuple, insertion)), tuple(map(tuple, recording)))
+    yield ("inverse_rsk", f"seed 0, n = {n}"), inverse_rsk(pair) == perm
+
+
 CHECKS = (
     Check("lr-rule-vs-expansion", lr_rule_vs_expansion, 12, 300),
     Check("kostka-vs-enumeration", kostka_vs_enumeration, 8, 300),
@@ -120,6 +159,7 @@ CHECKS = (
     Check("square-4321-vs-rule", square_vs_rule, [4, 3, 2, 1], 60),
     Check("power-sum-vs-hooks", power_sum_vs_hooks, 30, 20),
     Check("insertion-bijection", insertion_bijection, 7, 300),
+    Check("insertion-vs-row-streams", insertion_vs_row_streams, 20_000, 60),
 )
 
 

@@ -50,14 +50,17 @@ def _box_limit(text: str) -> int:
 
 
 def _parse_rows(text: str) -> tuple[tuple[int, ...], ...]:
-    """Rows separated by ``/``, entries by commas: ``1,3,5/2,4``."""
-    compact = "".join(text.split())
-    if not compact:
+    """Rows separated by ``/``, entries by commas: ``1,3,5/2,4``.
+
+    Whitespace around entries, commas and ``/`` is ignored; whitespace
+    inside an entry is an error, never a separator.
+    """
+    if not text.strip():
         return ()
     rows = []
-    for chunk in compact.split("/"):
+    for chunk in text.split("/"):
         try:
-            rows.append(tuple(int(v) for v in chunk.split(",")) if chunk else ())
+            rows.append(tuple(map(int, chunk.split(","))) if chunk.strip() else ())
         except ValueError:
             raise ValueError(f"bad row string {text!r}; expected e.g. 1,3,5/2,4") from None
     return tuple(rows)

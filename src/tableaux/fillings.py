@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 from .partitions import Partition, SkewShape
@@ -86,7 +87,7 @@ class Filling:
 
     def is_standard(self) -> bool:
         """Semistandard and using each of 1..n exactly once."""
-        entries = sorted(v for row in self.rows for v in row)
+        entries = sorted(chain.from_iterable(self.rows))
         return entries == list(range(1, self.shape.size + 1)) and self.is_semistandard()
 
     def weight(self, bound: int) -> tuple[int, ...]:
@@ -103,10 +104,9 @@ class Filling:
 
     def to_ascii(self) -> str:
         """One line per row, entries space-separated, inner boxes drawn as ``.``."""
-        lines = []
-        for r, row in enumerate(self.rows):
-            cells = ["."] * self.shape.inner.part(r) + [str(v) for v in row]
-            lines.append(" ".join(cells))
+        lines = [" ".join(map(str, row)) for row in self.rows]
+        for r, k in enumerate(self.shape.inner.parts):
+            lines[r] = (". " * k + lines[r]).rstrip()
         return "\n".join(lines)
 
 

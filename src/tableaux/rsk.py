@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -70,16 +70,28 @@ class RskPair:
 
 
 def _insert(rows: list[list[int]], value: int) -> int:
-    """Row-insert ``value`` into ``rows`` in place; return the row of the new box."""
+    """Row-insert ``value`` into ``rows`` in place; return the row of the new box.
+
+    Each row visited costs one ``bisect_right`` and one swap: the incoming
+    value displaces the leftmost strictly larger entry, so a bumped entry
+    goes after any equal entries of the next row and columns stay strict.
+    The first row with nothing larger raises ``IndexError`` at the swap and
+    takes the value at its end instead. A box created in row r visits
+    r + 1 rows, so inserting n letters into a final shape λ visits
+    n(λ) + n rows, where n(λ) = Σ (i − 1)·λ_i.
+    """
     v = value
-    for r, row in enumerate(rows):
-        idx = bisect_left(row, v)
-        if idx == len(row):
+    r = 0
+    for row in rows:
+        j = bisect_right(row, v)
+        try:
+            row[j], v = v, row[j]
+        except IndexError:
             row.append(v)
             return r
-        row[idx], v = v, row[idx]
+        r += 1
     rows.append([v])
-    return len(rows) - 1
+    return r
 
 
 def row_insert(tableau: Filling, value: int) -> tuple[Filling, tuple[int, int]]:
@@ -88,10 +100,11 @@ def row_insert(tableau: Filling, value: int) -> tuple[Filling, tuple[int, int]]:
     In each row the incoming value replaces the leftmost strictly larger
     entry, which is then inserted into the next row; when nothing is
     larger it lands in a new box at the end of the row. Requires a
-    straight semistandard tableau with distinct entries; a skew or
-    non-semistandard ``tableau``, or a ``value`` already among its
-    entries, raises ``ValueError``. Returns the grown tableau and the
-    coordinate of the created box.
+    straight semistandard tableau and a ``value`` that is not already
+    among its entries (entries of the tableau may repeat); a skew or
+    non-semistandard ``tableau``, or a ``value`` already present, raises
+    ``ValueError``. Returns the grown tableau and the coordinate of the
+    created box.
     """
     if tableau.shape.inner.parts or not tableau.is_semistandard():
         raise ValueError(f"need a straight semistandard tableau, got rows {list(tableau.rows)}")
@@ -155,6 +168,12 @@ def inverse_rsk(pair: RskPair) -> Permutation:
     bump it upward, each row passing along its rightmost entry smaller
     than the incoming one. Whatever leaves row 0 was the value inserted
     at step k.
+
+    The search in each row starts at the column the incoming entry left:
+    the entry above that column is smaller (columns increase downward),
+    so the rightmost smaller entry sits there or further right, and the
+    reverse path moves weakly right going up. Removing a box of row r
+    visits r + 1 rows, n(λ) + n in all, as many as the forward insertions.
     """
     t_rows = [list(row) for row in pair.insertion.rows]
     n = pair.shape.size
@@ -165,10 +184,10 @@ def inverse_rsk(pair: RskPair) -> Permutation:
     images = [0] * n
     for step in range(n, 0, -1):
         r = row_of[step]
+        j = len(t_rows[r]) - 1
         v = t_rows[r].pop()
-        for q in range(r - 1, -1, -1):
-            row = t_rows[q]
-            j = bisect_left(row, v) - 1  # rightmost entry below v; exists in valid pairs
+        for row in reversed(t_rows[:r]):
+            j = bisect_left(row, v, j) - 1  # rightmost entry below v; exists in valid pairs
             row[j], v = v, row[j]
         images[step - 1] = v
     return Permutation(tuple(images))
@@ -192,24 +211,25 @@ def lis_length(perm: Permutation | Sequence[int]) -> int:
 
 
 def parse_permutation(text: str) -> Permutation:
-    """Parse one-line notation: digits glued together, or comma-separated."""
-    compact = "".join(text.split())
-    if not compact:
-        return Permutation(())
-    if "," in compact:
+    """Parse one-line notation: digits glued together, or comma-separated.
+
+    Whitespace around entries and commas is ignored. In the comma form
+    it never joins two entries, so ``1,2,3,4,5,6,7,8,9,1 0`` is rejected
+    rather than read with 10 as its last entry.
+    """
+    if "," in text:
         try:
-            values = tuple(int(chunk) for chunk in compact.split(","))
+            values = tuple(map(int, text.split(",")))
         except ValueError:
             raise ValueError(f"bad one-line notation: {text!r}") from None
     else:
-        if not compact.isdigit():
+        compact = "".join(text.split())
+        if compact and not compact.isdigit():
             raise ValueError(f"bad one-line notation: {text!r}")
-        values = tuple(int(ch) for ch in compact)
+        values = tuple(map(int, compact))
     return Permutation(values)
 
 
 def format_permutation(perm: Permutation) -> str:
     """One-line notation: no separators up to n = 9, commas beyond."""
-    if perm.n <= 9:
-        return "".join(str(v) for v in perm.images)
-    return ",".join(str(v) for v in perm.images)
+    return ("" if perm.n <= 9 else ",").join(map(str, perm.images))

@@ -353,6 +353,20 @@ class TestRsk:
         code, _, err = run(capsys, "rsk", "2145")
         assert code == 1 and "error" in err
 
+    def test_whitespace_inside_an_entry_is_an_error(self, capsys):
+        # deleting the space would read "1 0" as 10, and "1 2" as 12 (then a shape error)
+        assert run(capsys, "rsk", "1,2,3,4,5,6,7,8,9,1 0") == (
+            1, "", "error: bad one-line notation: '1,2,3,4,5,6,7,8,9,1 0'\n")
+        assert run(capsys, "rsk", "--invert", "1 2/3", "1,3/2") == (
+            1, "", "error: bad row string '1 2/3'; expected e.g. 1,3,5/2,4\n")
+        assert run(capsys, "rsk", "--invert", "1,2/3", "1,3/ 2 4")[:2] == (1, "")
+
+    def test_whitespace_around_entries_is_ignored(self, capsys):
+        worked = run(capsys, "rsk", "21453")
+        assert run(capsys, "rsk", " 2, 1 ,4,\t5 , 3 ") == worked
+        assert run(capsys, "rsk", "2 1 4 5 3") == worked  # glued digits, one entry each
+        assert run(capsys, "rsk", "--invert", " 1 , 3 , 5 / 2 , 4 ", "1,3,4 /2,5") == (0, "21453\n", "")
+
     def test_trace_json_raw_text(self, capsys):
         assert run(capsys, "rsk", "21", "--trace", "--json") == (0, (
             '{"command": "rsk", "inputs": {"permutation": [2, 1]}, "trace": ['
@@ -403,6 +417,11 @@ class TestBenderKnuthCommand:
     def test_rejects_non_semistandard(self, capsys):
         code, _, err = run(capsys, "bk", "2,1/1", "1")
         assert code == 1 and "error" in err
+
+    def test_whitespace_inside_an_entry_is_an_error(self, capsys):
+        assert run(capsys, "bk", "1 1/2", "1") == (
+            1, "", "error: bad row string '1 1/2'; expected e.g. 1,3,5/2,4\n")
+        assert run(capsys, "bk", " 1 , 1 / 2 ", "1")[:2] == (0, "1 2\n2\n")
 
     def test_no_boxes_inside_inner_shape(self, capsys):
         # "" is one row of no boxes when the inner shape has one row

@@ -9,10 +9,12 @@ from tableaux import (
     MalformedPairError,
     Permutation,
     RskPair,
+    enumerate_ssyt,
     format_permutation,
     inverse_rsk,
     lis_length,
     parse_permutation,
+    partitions_of,
     row_insert,
     rsk,
     rsk_trace,
@@ -35,6 +37,35 @@ def brute_force_lis(images):
             if all(a < b for a, b in zip(values, values[1:])):
                 return size
     return 0
+
+
+def scan_insert(rows, value):
+    """Bump ``value`` into ``rows`` in place, each bump found by a left-to-right scan
+    for the first strictly larger entry; return the row of the new box.
+
+    A reference that shares no code with ``tableaux.rsk``: no ``bisect``.
+    """
+    for r, row in enumerate(rows):
+        for j, entry in enumerate(row):
+            if entry > value:
+                row[j], value = value, entry
+                break
+        else:
+            row.append(value)
+            return r
+    rows.append([value])
+    return len(rows) - 1
+
+
+def scan_insertion(images):
+    """The (insertion, recording) rows of a word, one ``scan_insert`` per letter."""
+    insertion, recording = [], []
+    for step, value in enumerate(images, start=1):
+        r = scan_insert(insertion, value)
+        if r == len(recording):
+            recording.append([])
+        recording[r].append(step)
+    return tuple(map(tuple, insertion)), tuple(map(tuple, recording))
 
 
 class TestPermutation:
@@ -77,6 +108,17 @@ class TestPermutation:
         with pytest.raises(ValueError):
             parse_permutation("2,a")
 
+    def test_parse_ignores_whitespace_around_entries(self):
+        assert parse_permutation(" 2 , 1,4 ,\t5,3 ") == SIGMA
+        assert parse_permutation(" 2 1 45 3 ") == SIGMA  # glued digits: each digit is an entry
+        assert parse_permutation("  ") == Permutation(())
+
+    def test_parse_rejects_whitespace_inside_an_entry(self):
+        # deleting the space would read "1 0" as 10 and print the identity on 1..10
+        for text in ("1,2,3,4,5,6,7,8,9,1 0", "1 0,2,3,4,5,6,7,8,9,1", "2,1 3"):
+            with pytest.raises(ValueError, match="bad one-line notation"):
+                parse_permutation(text)
+
 
 class TestRowInsert:
     def test_bump_into_single_row(self):
@@ -98,6 +140,25 @@ class TestRowInsert:
         grown, box = row_insert(Filling.from_rows([[1, 4], [2]]), 5)
         assert grown.rows == ((1, 4, 5), (2,))
         assert box == (0, 2)
+
+    def test_bumped_entry_goes_after_an_equal_entry(self):
+        # the 3 bumped out of row 0 meets a 3 in row 1; putting it first would stack 3 over 3
+        grown, box = row_insert(Filling.from_rows([[1, 3], [3]]), 2)
+        assert grown.rows == ((1, 2), (3, 3))
+        assert box == (1, 1)
+
+    def test_matches_scan_on_tableaux_with_repeated_entries(self):
+        for n in range(1, 7):
+            for shape in partitions_of(n):
+                for tableau in enumerate_ssyt(shape, 4):
+                    present = set(itertools.chain.from_iterable(tableau.rows))
+                    for value in sorted(set(range(1, 6)) - present):
+                        rows = [list(row) for row in tableau.rows]
+                        r = scan_insert(rows, value)
+                        grown, box = row_insert(tableau, value)
+                        assert grown.rows == tuple(map(tuple, rows))
+                        assert box == (r, len(rows[r]) - 1)
+                        assert grown.is_semistandard()
 
     def test_rejects_a_value_already_present(self):
         # bumping an equal entry would stack two 1s in the first column
@@ -216,6 +277,48 @@ class TestPlainListSteps:
             assert insertion.is_standard()
 
 
+class TestLinearScanReference:
+    """``rsk`` and ``rsk_trace`` against an insertion that shares none of their code."""
+
+    def test_every_permutation_up_to_seven(self):
+        for n in range(8):
+            for images in itertools.permutations(range(1, n + 1)):
+                want = scan_insertion(images)
+                pair = rsk(images)
+                assert (pair.insertion.rows, pair.recording.rows) == want
+                insertion, recording = rsk_trace(images)[-1]
+                assert (insertion.rows, recording.rows) == want
+
+    def test_seeded(self):
+        for perm in seeded_permutations((100, 2000, 5000), seed=2):
+            pair = rsk(perm)
+            assert (pair.insertion.rows, pair.recording.rows) == scan_insertion(perm.images)
+
+    def test_trace_seeded(self):
+        # a trace holds n + 1 snapshots, so it stops at the CLI's 1000-letter trace guard
+        for perm in seeded_permutations((100, 1000), seed=2):
+            insertion, recording = rsk_trace(perm)[-1]
+            assert (insertion.rows, recording.rows) == scan_insertion(perm.images)
+
+
+def filled_by_rows(parts):
+    """The standard tableau of shape ``parts`` numbered along its rows."""
+    ends = list(itertools.accumulate(parts))
+    return [list(range(end - p + 1, end + 1)) for p, end in zip(parts, ends)]
+
+
+def filled_by_columns(parts):
+    """The standard tableau of shape ``parts`` numbered down its columns."""
+    rows = [[] for _ in parts]
+    k = 0
+    for c in range(parts[0]):
+        for r in range(len(parts)):
+            if parts[r] > c:
+                k += 1
+                rows[r].append(k)
+    return rows
+
+
 class TestInverse:
     def test_worked_example(self):
         pair = rsk(SIGMA)
@@ -235,8 +338,25 @@ class TestInverse:
         assert inverse_rsk(rsk(perm)) == perm
 
     def test_round_trip_seeded_large(self):
-        for perm in seeded_permutations((100, 2000), seed=1):
+        for perm in seeded_permutations((100, 2000, 5000), seed=1):
             assert inverse_rsk(rsk(perm)) == perm
+
+    @pytest.mark.parametrize("parts", [
+        (12,), (1,) * 6, (7, 1, 1, 1), (2, 1, 1, 1, 1), (9, 1), (4, 3, 2, 1), tuple(range(12, 0, -1)),
+    ])
+    def test_round_trip_from_pairs_of_one_shape(self, parts):
+        # each reverse bump starts its search at the column it left: straight up a column,
+        # along one row, and up the diagonal steps of hooks and staircases
+        fillings = [Filling.from_rows(filled_by_rows(parts)), Filling.from_rows(filled_by_columns(parts))]
+        for insertion, recording in itertools.product(fillings, repeat=2):
+            pair = RskPair(insertion, recording)
+            assert rsk(inverse_rsk(pair)) == pair
+
+    def test_round_trip_from_a_long_column(self):
+        column = Filling.from_rows([[k] for k in range(1, 1201)])
+        perm = inverse_rsk(RskPair(column, column))
+        assert perm == Permutation(tuple(range(1200, 0, -1)))
+        assert rsk(perm) == RskPair(column, column)
 
     def test_inverse_permutation_swaps_the_pair(self):
         for n in range(5):
