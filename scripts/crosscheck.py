@@ -17,7 +17,9 @@ alone, not here as well.
 Usage: PYTHONPATH=src python scripts/crosscheck.py   (takes no arguments)
 """
 
+import contextlib
 import faulthandler
+import io
 import itertools
 import json
 import math
@@ -28,6 +30,7 @@ from bisect import bisect_left
 from collections import Counter
 from typing import Any, Callable, Iterator, NamedTuple
 
+import tableaux.cli
 from tableaux import (
     Partition,
     Permutation,
@@ -152,6 +155,32 @@ def insertion_vs_row_streams(n: int) -> Cases:
     yield ("inverse_rsk", f"seed 0, n = {n}"), inverse_rsk(pair) == perm
 
 
+def _stdout(*argv: str) -> str:
+    """What one in-process ``tableaux`` command prints."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        tableaux.cli.main(list(argv))
+    return out.getvalue()
+
+
+def cli_rsk_round_trip(n: int) -> Cases:
+    """One permutation of n (seed 0) through ``tableaux rsk``, then back through ``rsk --invert``.
+
+    Both the text and the JSON form are read back, each by its own parse.
+    """
+    images = random.Random(0).sample(range(1, n + 1), n)
+    perm = ",".join(map(str, images))
+    # text rows print as "1 3 5" lines under "T:" and "U:"; --invert reads "1,3,5/2,4"
+    blocks = _stdout("rsk", perm).rstrip("\n").removeprefix("T:\n").partition("\nU:\n")[::2]
+    back = _stdout("rsk", "--invert", *(b.replace(" ", ",").replace("\n", "/") for b in blocks))
+    yield ("text", f"seed 0, n = {n}"), back == perm + "\n"
+    pair = json.loads(_stdout("rsk", perm, "--json"))["result"]
+    rows = ["/".join(",".join(map(str, row)) for row in pair[side]["rows"])
+            for side in ("insertion", "recording")]
+    back = json.loads(_stdout("rsk", "--invert", *rows, "--json"))["result"]
+    yield ("JSON", f"seed 0, n = {n}"), back == images
+
+
 CHECKS = (
     Check("lr-rule-vs-expansion", lr_rule_vs_expansion, 12, 300),
     Check("kostka-vs-enumeration", kostka_vs_enumeration, 8, 300),
@@ -160,6 +189,7 @@ CHECKS = (
     Check("power-sum-vs-hooks", power_sum_vs_hooks, 30, 20),
     Check("insertion-bijection", insertion_bijection, 7, 300),
     Check("insertion-vs-row-streams", insertion_vs_row_streams, 20_000, 60),
+    Check("cli-rsk-round-trip", cli_rsk_round_trip, 20_000, 60),
 )
 
 

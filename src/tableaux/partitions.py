@@ -281,6 +281,20 @@ def _capped_vectors(caps: tuple[int, ...], total: int) -> list[tuple[int, ...]]:
     return [vector for vector, left in prefixes if not left]
 
 
+def _ascii_ints(text: str) -> tuple[int, ...]:
+    """Comma-separated integers, each ASCII digits after a minus sign at most; else ValueError.
+
+    Whitespace around entries is ignored. ``int`` alone also reads ``+1``,
+    ``1_0`` and non-ASCII digits such as ``٢``; with no ``+`` or ``_``, and
+    nothing outside ASCII but whitespace, the one form left to it is
+    ``-?[0-9]+`` inside whitespace. Each test is a C-level pass over the
+    whole string, not a Python step per entry.
+    """
+    if "+" in text or "_" in text or not (text.isascii() or "".join(text.split()).isascii()):
+        raise ValueError(f"entries must be ASCII digits, got {text!r}")
+    return tuple(map(int, text.split(",")))
+
+
 def parse_partition(text: str) -> Partition:
     """Parse the bracket format used everywhere: ``[4,2,1]``; ``[]`` is empty.
 
@@ -295,7 +309,7 @@ def parse_partition(text: str) -> Partition:
     if not body.strip():
         return EMPTY
     try:
-        parts = tuple(int(chunk) for chunk in body.split(","))
+        parts = _ascii_ints(body)
     except ValueError:
         raise ValueError(f"expected comma-separated integers, got {text!r}") from None
     return Partition(parts)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .fillings import Filling
-from .partitions import Partition
+from .partitions import Partition, _ascii_ints
 
 
 class MalformedPairError(ValueError):
@@ -24,11 +24,14 @@ class Permutation:
     def __post_init__(self):
         images = tuple(self.images)
         object.__setattr__(self, "images", images)
-        for v in images:
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise TypeError(f"images must be integers, got {v!r}")
-        if sorted(images) != list(range(1, len(images) + 1)):
-            raise ValueError(f"{list(images)} is not a permutation of 1..{len(images)}")
+        n = len(images)
+        if not set(map(type, images)) <= {int}:  # walk only to name the first non-integer
+            for v in images:
+                if not isinstance(v, int) or isinstance(v, bool):
+                    raise TypeError(f"images must be integers, got {v!r}")
+        # n distinct integers from 1 to n are exactly 1..n; dict.fromkeys peaks at a third of a set's memory
+        if images and not (len(dict.fromkeys(images)) == n and min(images) == 1 and max(images) == n):
+            raise ValueError(f"{list(images)} is not a permutation of 1..{n}")
 
     def __repr__(self):
         return f"Permutation({list(self.images)})"
@@ -215,16 +218,17 @@ def parse_permutation(text: str) -> Permutation:
 
     Whitespace around entries and commas is ignored. In the comma form
     it never joins two entries, so ``1,2,3,4,5,6,7,8,9,1 0`` is rejected
-    rather than read with 10 as its last entry.
+    rather than read with 10 as its last entry. Entries are ASCII digits:
+    ``+1``, ``1_0`` and ``٢`` are rejected, though ``int`` reads them.
     """
     if "," in text:
         try:
-            values = tuple(map(int, text.split(",")))
+            values = _ascii_ints(text)
         except ValueError:
             raise ValueError(f"bad one-line notation: {text!r}") from None
     else:
         compact = "".join(text.split())
-        if compact and not compact.isdigit():
+        if compact and not (compact.isascii() and compact.isdigit()):
             raise ValueError(f"bad one-line notation: {text!r}")
         values = tuple(map(int, compact))
     return Permutation(values)

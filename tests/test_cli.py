@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -19,6 +20,7 @@ from tableaux import (
     bender_knuth,
     format_partition,
     partitions_of,
+    rsk,
     schur_expand,
     schur_polynomial,
 )
@@ -395,6 +397,76 @@ class TestRsk:
         assert out == f"T:\n{line}\nU:\n{line}\n"
         code, out, err = run(capsys, "rsk", "--invert", "--trace", row, row)
         assert (code, out, err) == (0, row + "\n", "")
+
+    def test_invert_pins_the_error_line_of_each_malformed_pair(self, capsys):
+        cases = {
+            ("1,2/3", "1,2,3"): "need two straight tableaux of equal shape",
+            ("1,1/2", "1,1/2"): "both tableaux must be standard",
+            ("2,1/3", "1,2/3"): "both tableaux must be standard",
+            ("1,3/2", "1,2/4"): "both tableaux must be standard",
+            ("1,2/0", "1,2/3"): "entries must be positive integers, got 0",
+            ("1,2/", "1,2"): "expected 1 rows for [2], got 2",
+            ("1,+2", "1,2"): "bad row string '1,+2'; expected e.g. 1,3,5/2,4",
+            ("1,2", "1,2", "1"): "--invert needs exactly two row strings: T U",
+        }
+        for items, message in cases.items():
+            assert run(capsys, "rsk", "--invert", *items) == (1, "", f"error: {message}\n"), items
+
+    def test_entries_must_be_ascii_digits(self, capsys):
+        # int() reads every one of these entries
+        cases = {
+            ("rsk", "1_0,2,3,4,5,6,7,8,9,1"): "bad one-line notation: '1_0,2,3,4,5,6,7,8,9,1'",
+            ("rsk", "٢١"): "bad one-line notation: '٢١'",
+            ("rsk", "--invert", "+1,2", "1,2"): "bad row string '+1,2'; expected e.g. 1,3,5/2,4",
+            ("bk", "1,+2", "1"): "bad row string '1,+2'; expected e.g. 1,3,5/2,4",
+        }
+        for argv, message in cases.items():
+            assert run(capsys, *argv) == (1, "", f"error: {message}\n"), argv
+        for shape in ("[2_1]", "[٣]"):  # a malformed shape is a usage error, as "[a]" is
+            code, out, err = outcome(["count-syt", shape])
+            assert (code, out) == (2, "")
+            assert err.splitlines()[-1] == (
+                f"tableaux count-syt: error: argument shape: expected comma-separated integers, got {shape!r}")
+
+    @pytest.mark.parametrize("argv", [
+        ["rsk", "21453"],
+        ["rsk", "--invert", "1,3,5/2,4", "1,3,4/2,5"],
+        ["rsk", "21453", "--trace"],
+    ])
+    def test_each_mode_builds_only_the_printed_form(self, capsys, monkeypatch, argv):
+        def refuse(*args):
+            raise AssertionError("built a form that main does not print")
+
+        text, as_json = run(capsys, *argv), run(capsys, *argv, "--json")
+        with monkeypatch.context() as patch:
+            patch.setattr(tableaux.cli, "_filling_payload", refuse)
+            assert run(capsys, *argv) == text
+        with monkeypatch.context() as patch:
+            patch.setattr(Filling, "to_ascii", refuse)
+            assert run(capsys, *argv, "--json") == as_json
+
+    def test_output_is_pinned(self, capsys):
+        # the sha256 of stdout, text then JSON, for a permutation of 200, its pair, and a trace of 12
+        images = random.Random(200).sample(range(1, 201), 200)
+        perm, pair = ",".join(map(str, images)), rsk(images)
+        t, u = ("/".join(",".join(map(str, row)) for row in f.rows) for f in (pair.insertion, pair.recording))
+        small = ",".join(map(str, random.Random(12).sample(range(1, 13), 12)))
+        golden = [
+            (("rsk", perm),
+             "6904af8ac9c979aac27ba466b97f4c08a4ceab4b97ed6f4a8ebd4af4a3fb1eeb",
+             "2d0ad3cb0182930a08d6bc7f19bfff593a4e41b00a3306d7fb53387a54579b32"),
+            (("rsk", "--invert", t, u),
+             "e45bcd76f4c4de34d11b4553f5bb5b62c5782146261da5aa788cb1eaac15fa00",
+             "6bc1e16f3599920eb3267a2ab797dc9dc84d8206468028ebbb3b68ad8029021c"),
+            (("rsk", small, "--trace"),
+             "0ad20fdfb7ad68c8c4519a8611365d55332a39ea1ca1e57e3d19d869761aab9b",
+             "7efd943e063b01409d62972c013b899102a7c6d347d605e7947ef49c4c657978"),
+        ]
+        for argv, text, as_json in golden:
+            for flags, digest in (((), text), (("--json",), as_json)):
+                code, out, _ = run(capsys, *argv, *flags)
+                assert code == 0
+                assert hashlib.sha256(out.encode()).hexdigest() == digest, (argv[:2], flags)
 
     def test_json(self, capsys):
         _, out, _ = run(capsys, "rsk", "21453", "--json")

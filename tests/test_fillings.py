@@ -100,6 +100,36 @@ class TestStructure:
         with pytest.raises(ValueError):
             Filling(Partition((2,)).as_skew(), ((1, True),))
 
+    def test_names_the_first_bad_entry_in_order(self):
+        for rows, bad in (([[1, 0, -1]], "0"), ([[2.0, True]], "2.0"), ([[1, 2], [True, 0]], "True"),
+                          ([[3, "4"], [5.5]], "'4'")):
+            with pytest.raises(ValueError) as exc:
+                Filling.from_rows(rows)
+            assert str(exc.value) == f"entries must be positive integers, got {bad}"
+
+    def test_accepts_an_int_subclass(self):
+        class Label(int):
+            pass
+
+        filling = Filling.from_rows([[Label(1), Label(2)], [Label(3)]])
+        assert filling == Filling.from_rows([[1, 2], [3]]) and filling.is_standard()
+
+    def test_checks_each_row_length_before_its_entries(self):
+        shape = Partition((2, 2, 1)).as_skew()
+        cases = (
+            (((1, 2), (3,), (0,)), "row 1 of [2,2,1] needs 2 entries, got 1"),  # before row 2's 0
+            (((0, 2), (3,), (5,)), "entries must be positive integers, got 0"),  # before row 1's length
+            (((1, 2), (3, 4, 5), (True,)), "row 1 of [2,2,1] needs 2 entries, got 3"),
+            (((1, 2), (0, 4)), "expected 3 rows for [2,2,1], got 2"),  # the row count comes first
+        )
+        for rows, message in cases:
+            with pytest.raises(ValueError) as exc:
+                Filling(shape, rows)
+            assert str(exc.value) == message
+        skew = SkewShape(Partition((3, 2)), Partition((1,)))
+        with pytest.raises(ValueError, match=r"^row 0 of \[3,2\]/\[1\] needs 2 entries, got 3$"):
+            Filling(skew, ((1, 2, 3), (0, 1)))
+
     def test_from_rows_infers_skew_outer(self):
         filling = Filling.from_rows([[1], [1], [2]], inner=[2, 1])
         assert filling.shape == SkewShape(Partition((3, 2, 1)), Partition((2, 1)))

@@ -483,3 +483,15 @@ class TestTextFormat:
     def test_rejects_garbage(self, bad):
         with pytest.raises(ValueError):
             parse_partition(bad)
+
+    @pytest.mark.parametrize("bad", ["[2_1]", "[٣]", "[+2]", "[2,+1]", "[²]", "[3,1_]"])
+    def test_takes_only_ascii_digits(self, bad):
+        # int() reads every one of these parts
+        with pytest.raises(ValueError) as exc:
+            parse_partition(bad)
+        assert str(exc.value) == f"expected comma-separated integers, got {bad!r}"
+
+    def test_keeps_the_part_errors_of_a_minus_sign(self):
+        with pytest.raises(ValueError, match="^parts must be nonnegative, got -1$"):
+            parse_partition("[2,-1]")
+        assert parse_partition("[\u20032,\t1 ]") == Partition((2, 1))  # any whitespace around parts

@@ -82,6 +82,26 @@ class TestPermutation:
         with pytest.raises(TypeError):
             rsk([2, True])  # refused as a permutation, before any insertion
 
+    def test_names_the_first_non_integer_in_order(self):
+        for images, bad in (((1, 2.0, True), "2.0"), ((True, 2.0), "True"), ((2, 1, 3.5, "4"), "3.5")):
+            with pytest.raises(TypeError) as exc:
+                Permutation(images)
+            assert str(exc.value) == f"images must be integers, got {bad}"
+
+    def test_pins_the_not_a_permutation_message(self):
+        for images in ((1, 1), (0, 1), (1, 3), (2, 3, 4)):
+            with pytest.raises(ValueError) as exc:
+                Permutation(images)
+            assert str(exc.value) == f"{list(images)} is not a permutation of 1..{len(images)}"
+
+    def test_accepts_an_int_subclass(self):
+        class Label(int):
+            pass
+
+        perm = Permutation((Label(2), Label(1), Label(3)))
+        assert perm == Permutation((2, 1, 3))
+        assert rsk(perm) == rsk((2, 1, 3)) and lis_length(perm) == 2
+
     def test_inverse(self):
         assert SIGMA.inverse() == Permutation((2, 1, 5, 3, 4))
         assert SIGMA.inverse().inverse() == SIGMA
@@ -107,6 +127,14 @@ class TestPermutation:
             parse_permutation("21x")
         with pytest.raises(ValueError):
             parse_permutation("2,a")
+
+    def test_parse_takes_only_ascii_digits(self):
+        # int() reads every one of these; the parser must not
+        for text in ("1_0,2,3,4,5,6,7,8,9,1", "+2,1", "2,+1", "٢١", "٢,١", "²1", "1,²", "21_"):
+            with pytest.raises(ValueError) as exc:
+                parse_permutation(text)
+            assert str(exc.value) == f"bad one-line notation: {text!r}"
+        assert parse_permutation("2,\u20031") == parse_permutation("2\u20031") == Permutation((2, 1))
 
     def test_parse_ignores_whitespace_around_entries(self):
         assert parse_permutation(" 2 , 1,4 ,\t5,3 ") == SIGMA
