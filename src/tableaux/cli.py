@@ -3,6 +3,11 @@
 Results go to stdout, diagnostics to stderr, and every output is
 byte-deterministic for fixed arguments so the commands can be scripted
 and golden-tested.
+
+``main`` runs four stages: argparse reads the form (exit 2 and ``usage:`` on
+error), ``_read`` turns each positional into its value once, then the guard and
+the handler run on values only. An unreadable value, a guard refusal or a
+library error exits 1 with one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -17,9 +22,7 @@ from typing import Callable, Iterable, Sequence
 from .fillings import Filling, bender_knuth, enumerate_ssyt, enumerate_syt
 from .littlewood_richardson import enumerate_lr_fillings, lr_coefficient
 from .partitions import (
-    EMPTY,
     GuardExceededError,
-    Partition,
     SkewShape,
     _ascii_ints,
     count_standard_tableaux,
@@ -33,16 +36,18 @@ from .schur import _product_expansion, schur_polynomial
 EMPTY_MARK = "(empty)"
 
 
-def _partition_arg(text: str) -> Partition:
+def _ascii_int(text: str) -> int:
+    """One integer in the form of a partition's part: ASCII digits, after a minus sign at most."""
     try:
-        return parse_partition(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+        (value,) = _ascii_ints(text)
+    except ValueError:
+        raise ValueError(f"expected an integer, got {text!r}") from None
+    return value
 
 
 def _box_limit(text: str) -> int:
     try:
-        limit = int(text)
+        limit = _ascii_int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if limit < 0:
@@ -102,8 +107,8 @@ def _cmd_list_syt(args: argparse.Namespace) -> Output:
 
 
 def _cmd_list_ssyt(args: argparse.Namespace) -> Output:
-    inputs = {"shape": list(args.shape.parts), "inner": list(args.inner.parts), "bound": args.bound}
-    return _listing(args, inputs, enumerate_ssyt(SkewShape(args.shape, args.inner), args.bound))
+    inputs = {"shape": list(args.shape.outer.parts), "inner": list(args.shape.inner.parts), "bound": args.bound}
+    return _listing(args, inputs, enumerate_ssyt(args.shape, args.bound))
 
 
 def _cmd_schur(args: argparse.Namespace) -> Output:
@@ -160,23 +165,17 @@ def _pair_payload(insertion: Filling, recording: Filling) -> dict:
 def _cmd_rsk(args: argparse.Namespace) -> Output:
     # output grows with n, and as n² with --trace: build only the form main prints
     if args.invert:
-        if len(args.items) != 2:
-            raise ValueError("--invert needs exactly two row strings: T U")
-        insertion, recording = (Filling.from_rows(_parse_rows(item)) for item in args.items)
-        perm = inverse_rsk(RskPair(insertion, recording))
+        perm = inverse_rsk(args.pair)
         if not args.json:
             return {}, format_permutation(perm)
-        return {"inputs": _pair_payload(insertion, recording), "result": list(perm.images)}, ""
-    if len(args.items) != 1:
-        raise ValueError("expected exactly one permutation argument")
-    perm = parse_permutation(args.items[0])
-    inputs = {"permutation": list(perm.images)}
+        return {"inputs": _pair_payload(args.pair.insertion, args.pair.recording), "result": list(perm.images)}, ""
+    inputs = {"permutation": list(args.perm.images)}
     if not args.trace:
-        pair = rsk(perm)
+        pair = rsk(args.perm)
         if not args.json:
             return {}, _pair_block(pair.insertion, pair.recording)
         return {"inputs": inputs, "result": _pair_payload(pair.insertion, pair.recording)}, ""
-    steps = rsk_trace(perm)
+    steps = rsk_trace(args.perm)
     if not args.json:
         return {}, "\n\n".join(f"step {k}:\n{_pair_block(t, u)}" for k, (t, u) in enumerate(steps))
     trace = [_pair_payload(t, u) for t, u in steps]
@@ -184,33 +183,51 @@ def _cmd_rsk(args: argparse.Namespace) -> Output:
 
 
 def _cmd_bk(args: argparse.Namespace) -> Output:
-    rows = _parse_rows(args.rows)
-    # "" parses to no rows, but inside a nonempty inner shape it is one row of no boxes
-    rows += ((),) * (args.inner.nrows - len(rows))
-    filling = Filling.from_rows(rows, args.inner)
-    result = bender_knuth(filling, args.index)
+    result = bender_knuth(args.filling, args.index)
     inputs = {
-        "rows": [list(row) for row in filling.rows],
-        "inner": list(args.inner.parts),
+        "rows": [list(row) for row in args.filling.rows],
+        "inner": list(args.filling.shape.inner.parts),
         "index": args.index,
     }
     return {"inputs": inputs, "result": _filling_payload(result)}, _ascii_block(result)
 
 
+def _read(args: argparse.Namespace) -> None:
+    """Replace the text of each positional, and of ``--inner``, by its value; ValueError if unreadable."""
+    for dest in ("shape", "inner", "content", "outer", "left", "right"):
+        if hasattr(args, dest):
+            setattr(args, dest, parse_partition(getattr(args, dest)))
+    for dest in ("bound", "index"):
+        if hasattr(args, dest):
+            setattr(args, dest, _ascii_int(getattr(args, dest)))
+    if args.command == "list-ssyt":
+        args.shape = SkewShape(args.shape, args.inner)
+    elif args.command == "bk":
+        rows = _parse_rows(args.rows)
+        # "" parses to no rows, but inside a nonempty inner shape it is one row of no boxes
+        args.filling = Filling.from_rows(rows + ((),) * (args.inner.nrows - len(rows)), args.inner)
+    elif args.command == "rsk" and args.invert:
+        if len(args.items) != 2:
+            raise ValueError("--invert needs exactly two row strings: T U")
+        args.pair = RskPair(*(Filling.from_rows(_parse_rows(item)) for item in args.items))
+    elif args.command == "rsk":
+        if len(args.items) != 1:
+            raise ValueError("expected exactly one permutation argument")
+        args.perm = parse_permutation(args.items[0])
+
+
 # Subcommand -> (default box limit, boxes the request asks for, or None when unguarded).
-# main checks it once before dispatch; --max-boxes replaces the default. The library
-# itself carries no size policy.
+# main checks the form (argparse), reads the values (_read), checks this guard on those
+# values, then runs the handler; --max-boxes replaces the default. The library has no size policy.
 GUARDS: dict[str, tuple[int, Callable[[argparse.Namespace], int | None]]] = {
     "count-syt": (100, lambda args: args.shape.size),
     "list-syt": (20, lambda args: args.shape.size),
-    "list-ssyt": (20, lambda args: SkewShape(args.shape, args.inner).size),
+    "list-ssyt": (20, lambda args: args.shape.size),
     "schur": (20, lambda args: args.shape.size),
     "expand": (20, lambda args: args.left.size + args.right.size),
     "lr": (20, lambda args: args.inner.size + args.content.size if args.verify else None),
     # a trace prints n + 1 pairs of up to n boxes each, so its output grows as n²
-    "rsk": (1000, lambda args: (
-        parse_permutation(args.items[0]).n if args.trace and not args.invert else None
-    )),
+    "rsk": (1000, lambda args: args.perm.n if args.trace and not args.invert else None),
 }
 
 
@@ -239,25 +256,25 @@ def build_parser() -> argparse.ArgumentParser:
         "count-syt", parents=[common],
         help="number of standard tableaux of a shape (hook-length formula)",
     )
-    p.add_argument("shape", type=_partition_arg, help="partition, e.g. [4,2,1]")
+    p.add_argument("shape", help="partition, e.g. [4,2,1]")
     p.set_defaults(handler=_cmd_count_syt)
 
     p = sub.add_parser("list-syt", parents=[common], help="all standard tableaux of a shape")
-    p.add_argument("shape", type=_partition_arg)
+    p.add_argument("shape")
     p.set_defaults(handler=_cmd_list_syt)
 
     p = sub.add_parser(
         "list-ssyt", parents=[common],
         help="all semistandard fillings with entries up to a bound",
     )
-    p.add_argument("shape", type=_partition_arg)
-    p.add_argument("bound", type=int, help="largest allowed entry")
-    p.add_argument("--inner", type=_partition_arg, default=EMPTY, help="inner shape for skew")
+    p.add_argument("shape")
+    p.add_argument("bound", help="largest allowed entry")
+    p.add_argument("--inner", default="[]", help="inner shape for skew")
     p.set_defaults(handler=_cmd_list_ssyt)
 
     p = sub.add_parser("schur", parents=[common], help="Schur polynomial of a shape")
-    p.add_argument("shape", type=_partition_arg)
-    p.add_argument("bound", type=int, help="number of variables")
+    p.add_argument("shape")
+    p.add_argument("bound", help="number of variables")
     p.add_argument(
         "--list", dest="list_tableaux", action="store_true",
         help="print the contributing tableaux instead of the polynomial",
@@ -268,9 +285,9 @@ def build_parser() -> argparse.ArgumentParser:
         "lr", parents=[common],
         help="Littlewood-Richardson coefficient for (lambda, mu, nu)",
     )
-    p.add_argument("inner", type=_partition_arg, metavar="lambda")
-    p.add_argument("content", type=_partition_arg, metavar="mu")
-    p.add_argument("outer", type=_partition_arg, metavar="nu")
+    p.add_argument("inner", metavar="lambda")
+    p.add_argument("content", metavar="mu")
+    p.add_argument("outer", metavar="nu")
     p.add_argument("--witnesses", action="store_true", help="print each counted filling")
     p.add_argument(
         "--verify", action="store_true",
@@ -282,8 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
         "expand", parents=[common],
         help="expand a product of two Schur polynomials in the Schur basis",
     )
-    p.add_argument("left", type=_partition_arg, metavar="lambda")
-    p.add_argument("right", type=_partition_arg, metavar="mu")
+    p.add_argument("left", metavar="lambda")
+    p.add_argument("right", metavar="mu")
     p.set_defaults(handler=_cmd_expand)
 
     p = sub.add_parser(
@@ -300,8 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bk", parents=[common], help="one weight-swapping involution step")
     p.add_argument("rows", help="filling rows, e.g. 1,1/2")
-    p.add_argument("index", type=int, help="swap multiplicities of index and index+1")
-    p.add_argument("--inner", type=_partition_arg, default=EMPTY, help="inner shape for skew")
+    p.add_argument("index", help="swap multiplicities of index and index+1")
+    p.add_argument("--inner", default="[]", help="inner shape for skew")
     p.set_defaults(handler=_cmd_bk)
 
     return parser
@@ -310,13 +327,14 @@ def build_parser() -> argparse.ArgumentParser:
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     # Built on the first call to main, not at import, and only read after that. Every
-    # default is immutable (EMPTY, False, None, SUPPRESS), so no parse leaks into the next.
+    # default is immutable ("[]", False, None, SUPPRESS), so no parse leaks into the next.
     return build_parser()
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
+        _read(args)
         if args.command in GUARDS:
             default, boxes_of = GUARDS[args.command]
             limit = default if args.max_boxes is None else args.max_boxes

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -86,10 +87,8 @@ class TestCountSyt:
         }
 
     def test_parse_failure_exits_nonzero(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["count-syt", "[2,3]"])
-        assert exc.value.code != 0
-        assert "weakly decreasing" in capsys.readouterr().err
+        assert run(capsys, "count-syt", "[2,3]") == (
+            1, "", "error: [2, 3] is not weakly decreasing after zero removal\n")
 
     def test_guard(self, capsys):
         code, out, err = run(capsys, "count-syt", "[102]")
@@ -419,14 +418,11 @@ class TestRsk:
             ("rsk", "٢١"): "bad one-line notation: '٢١'",
             ("rsk", "--invert", "+1,2", "1,2"): "bad row string '+1,2'; expected e.g. 1,3,5/2,4",
             ("bk", "1,+2", "1"): "bad row string '1,+2'; expected e.g. 1,3,5/2,4",
+            ("count-syt", "[2_1]"): "expected comma-separated integers, got '[2_1]'",
+            ("count-syt", "[٣]"): "expected comma-separated integers, got '[٣]'",
         }
         for argv, message in cases.items():
             assert run(capsys, *argv) == (1, "", f"error: {message}\n"), argv
-        for shape in ("[2_1]", "[٣]"):  # a malformed shape is a usage error, as "[a]" is
-            code, out, err = outcome(["count-syt", shape])
-            assert (code, out) == (2, "")
-            assert err.splitlines()[-1] == (
-                f"tableaux count-syt: error: argument shape: expected comma-separated integers, got {shape!r}")
 
     @pytest.mark.parametrize("argv", [
         ["rsk", "21453"],
@@ -507,6 +503,68 @@ class TestBenderKnuthCommand:
         assert payload["inputs"]["index"] == 1
 
 
+# Each positional of each subcommand, and --inner, given a value that cannot be read: its one error line.
+MALFORMED = {
+    ("count-syt", "[2,a]"): "expected comma-separated integers, got '[2,a]'",
+    ("list-syt", "2,1"): "expected bracketed parts like [4,2,1], got '2,1'",
+    ("list-ssyt", "[2,1", "3"): "expected bracketed parts like [4,2,1], got '[2,1'",
+    ("list-ssyt", "[2,1]", "x"): "expected an integer, got 'x'",
+    ("list-ssyt", "[2,1]", "3", "--inner", "[1,2]"): "[1, 2] is not weakly decreasing after zero removal",
+    ("list-ssyt", "[2,1]", "3", "--inner", "[3]"): "[3] is not contained in [2,1]",
+    ("schur", "[1 1]", "3"): "expected comma-separated integers, got '[1 1]'",
+    ("schur", "[2,1]", "3.0"): "expected an integer, got '3.0'",
+    ("lr", "[x]", "[1]", "[2]"): "expected comma-separated integers, got '[x]'",
+    ("lr", "[1]", "[-1]", "[2]"): "parts must be nonnegative, got -1",
+    ("lr", "[1]", "[1]", "[2,,]"): "expected comma-separated integers, got '[2,,]'",
+    ("expand", "", "[1]"): "expected bracketed parts like [4,2,1], got ''",
+    ("expand", "[1]", "[٢]"): "expected comma-separated integers, got '[٢]'",
+    ("rsk", "2145"): "[2, 1, 4, 5] is not a permutation of 1..4",
+    ("rsk", "1_0,2", "--trace"): "bad one-line notation: '1_0,2'",
+    ("rsk", "--invert", "1,2/x", "1,2/3"): "bad row string '1,2/x'; expected e.g. 1,3,5/2,4",
+    ("rsk", "--invert", "1,2/3", "1;2/3"): "bad row string '1;2/3'; expected e.g. 1,3,5/2,4",
+    ("bk", "1,a", "1"): "bad row string '1,a'; expected e.g. 1,3,5/2,4",
+    ("bk", "1,1/2", "one"): "expected an integer, got 'one'",
+    ("bk", "1/2", "1", "--inner", "[x]"): "expected comma-separated integers, got '[x]'",
+    # int() reads each of these four: an integer argument is ASCII digits after a minus sign at most
+    ("schur", "[2,1]", "1_0"): "expected an integer, got '1_0'",
+    ("schur", "[2,1]", "+3"): "expected an integer, got '+3'",
+    ("list-ssyt", "[1]", "٣"): "expected an integer, got '٣'",
+    ("bk", "1,1/2", "+1"): "expected an integer, got '+1'",
+}
+
+# A missing or extra positional, or an unknown option: argparse's usage error, before any value is read.
+FORM_ERRORS = [
+    ["count-syt"], ["count-syt", "[1]", "[2]"], ["count-syt", "[1]", "--bogus"], ["list-syt"],
+    ["list-ssyt", "[1]"], ["schur", "[1]"], ["lr", "[1]", "[1]"], ["expand", "[1]"], ["rsk"],
+    ["rsk", "21", "--invrt"], ["bk", "1"], ["bk", "1", "1", "1"], ["frobnicate", "[1]"],
+]
+
+
+class TestArgumentContract:
+    @pytest.mark.parametrize("argv", list(MALFORMED), ids=" ".join)
+    def test_an_unreadable_value_is_one_error_line(self, argv):
+        assert outcome(argv) == (1, "", f"error: {MALFORMED[argv]}\n")
+
+    @pytest.mark.parametrize("argv", FORM_ERRORS, ids=" ".join)
+    def test_a_form_error_is_a_usage_error(self, argv):
+        code, out, err = outcome(argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: ") and "Traceback" not in err
+
+    def test_every_subcommand_has_a_malformed_value_in_the_table(self):
+        (commands,) = [action.choices for action in build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction)]
+        assert {argv[0] for argv in MALFORMED} == set(commands)
+
+    def test_max_boxes_is_ascii_digits_too(self):
+        code, out, err = outcome(["count-syt", "[2,1]", "--max-boxes", "1_0"])
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: ") and "--max-boxes: invalid int value: '1_0'" in err
+        # whitespace around the digits, and leading zeros, are read as int reads them
+        assert outcome(["schur", "[2,1]", " 3 "]) == outcome(["schur", "[2,1]", "03"]) == (
+            0, SCHUR_21_IN_THREE_VARS + "\n", "")
+
+
 class TestGlobalBehavior:
     def test_json_flag_position_flexible(self, capsys):
         before = run(capsys, "--json", "count-syt", "[2,1]")
@@ -579,9 +637,12 @@ def _argv(*chunks):
     return st.tuples(*chunks).map(lambda parts: [arg for part in parts for arg in part])
 
 
-SHAPE = _word(st.sampled_from([format_partition(p) for n in range(9) for p in partitions_of(n)]))
-FACTOR = _word(st.sampled_from([format_partition(p) for n in range(5) for p in partitions_of(n)]))
-BOUND = _word(st.integers(0, 4).map(str))
+# A few values no reader accepts, drawn now and then among the valid ones
+BAD_SHAPES = ["", "[", "2,1", "[2_1]", "[٣]", "[1,2]", "[-1]", "[a]", "[2 1]"]
+BAD_INTS = ["", "x", "1_0", "+3", "٣", "2.0", "-1"]
+SHAPE = _word(st.sampled_from([format_partition(p) for n in range(9) for p in partitions_of(n)] + BAD_SHAPES))
+FACTOR = _word(st.sampled_from([format_partition(p) for n in range(5) for p in partitions_of(n)] + BAD_SHAPES))
+BOUND = _word(st.sampled_from([str(n) for n in range(5)] * 4 + BAD_INTS))
 INNER = st.one_of(st.just([]), SHAPE.map(lambda shape: ["--inner", *shape]))
 ROWS = _word(st.lists(st.lists(st.integers(1, 4), min_size=1, max_size=3), max_size=3).map(
     lambda rows: "/".join(",".join(map(str, row)) for row in rows)
@@ -592,8 +653,9 @@ PERMUTATION = _word(
     )
     | st.text("0123456789,", max_size=6)
 )
-# Every subcommand with parseable arguments: shapes of at most 8 boxes (factors of at
-# most 4, so products stay within 8), bounds at most 4, filling rows mostly invalid.
+# Every subcommand with its arity: shapes of at most 8 boxes (factors of at most 4, so
+# products stay within 8), bounds at most 4, a malformed shape or bound now and then,
+# filling rows mostly invalid.
 SMALL_ARGV = _argv(
     st.one_of(
         _argv(st.just(["count-syt"]), SHAPE),
@@ -621,7 +683,7 @@ def test_every_command_answers_or_fails_cleanly(argv):
     assert code in (0, 1)
     if code == 1:
         assert out == ""
-        assert err.startswith("error: ")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @st.composite
