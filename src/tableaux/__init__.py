@@ -20,7 +20,6 @@ from .fillings import (
     enumerate_syt,
 )
 from .littlewood_richardson import (
-    LrWitness,
     enumerate_lr_fillings,
     is_lattice,
     lr_coefficient,
@@ -60,7 +59,6 @@ __all__ = [
     "Filling",
     "GuardExceededError",
     "InvalidBoxError",
-    "LrWitness",
     "MalformedPairError",
     "NotContainedError",
     "NotHomogeneousError",

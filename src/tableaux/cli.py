@@ -128,7 +128,7 @@ def _cmd_lr(args: argparse.Namespace) -> Output:
     fields: dict = {"inputs": inputs}
     if args.witnesses:
         witnesses = list(enumerate_lr_fillings(nu, lam, mu))
-        fields["witnesses"] = [_filling_payload(w.filling) for w in witnesses]
+        fields["witnesses"] = [_filling_payload(w) for w in witnesses]
         coeff = len(witnesses)
     else:
         witnesses, coeff = [], lr_coefficient(lam, mu, nu)
@@ -141,7 +141,7 @@ def _cmd_lr(args: argparse.Namespace) -> Output:
                              f"for {nu}; this is an implementation bug")
         fields["verified"] = True
         head = f"{coeff} (verified)"
-    return fields, "\n\n".join([head, *(_ascii_block(w.filling) for w in witnesses)])
+    return fields, "\n\n".join([head, *map(_ascii_block, witnesses)])
 
 
 def _cmd_expand(args: argparse.Namespace) -> Output:

@@ -237,8 +237,8 @@ def enumerate_syt(shape: Partition) -> Iterator[Filling]:
     if not isinstance(shape, Partition):
         raise TypeError(f"shape must be a Partition, got {shape!r}")
     n = shape.size
-    conj = shape.conjugate().parts
-    cap = [n - (shape.parts[r] - 1 - c) - (conj[c] - 1 - r) for r, c in shape.boxes()]
+    # the other hook - 1 boxes of a box's hook hold larger values, so its entry is at most n + 1 - hook
+    cap = [n + 1 - hook for hook in shape.hooks()]
     return _reading_fillings(shape.as_skew(), cap, [1] * (n + 1))
 
 

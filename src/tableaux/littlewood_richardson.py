@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 from operator import add, ge
@@ -30,25 +29,17 @@ def is_lattice(word: Iterable[int]) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class LrWitness:
-    """A counted filling: semistandard, lattice reading word, prescribed content."""
-
-    filling: Filling
-    content: tuple[int, ...]
-
-
 def enumerate_lr_fillings(
     outer: Partition, inner: Partition, content: Partition
-) -> Iterator[LrWitness]:
-    """Witnesses counted by the coefficient for (inner, content, outer).
+) -> Iterator[Filling]:
+    """The fillings counted by the coefficient for (inner, content, outer).
 
     Yields the semistandard fillings of outer/inner whose reverse
     reading word is a lattice word and whose weight equals ``content``,
     in lexicographic order of that word. Empty when containment fails,
     the box counts cannot balance, or ``outer`` lies outside the
     dominance window inner ∪ content ⊴ outer ⊴ inner + content. Each
-    leaf of the :func:`_lr_leaves` search becomes one witness, its
+    leaf of the :func:`_lr_leaves` search becomes one filling, its
     slots cut into the rows of outer/inner.
     """
     leaves = _lr_leaves(outer, inner, content)
@@ -62,10 +53,7 @@ def enumerate_lr_fillings(
     for r, hi in enumerate(nu):
         start, end = end, end + hi - (lam[r] if r < len(lam) else 0)
         rows.append(slice(end, start, -1))
-    return (
-        LrWitness(Filling._trusted(skew, tuple([tuple(values[s]) for s in rows])), content.parts)
-        for values in leaves
-    )
+    return (Filling._trusted(skew, tuple([tuple(values[s]) for s in rows])) for values in leaves)
 
 
 def _lr_leaves(
@@ -161,8 +149,8 @@ def lr_coefficient(inner: Partition, content: Partition, outer: Partition) -> in
     """Number of witnesses; zero on containment failure, size mismatch or outside the window.
 
     Counts the leaves of the :func:`_lr_leaves` search that
-    :func:`enumerate_lr_fillings` turns into witnesses, without building a
-    shape, filling or witness. The window of (inner, content) is one entry
+    :func:`enumerate_lr_fillings` turns into fillings, without building a
+    shape or filling. The window of (inner, content) is one entry
     of the table :func:`_pair_bounds`, shared by the queries for every
     ``outer``.
     """

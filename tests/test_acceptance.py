@@ -94,7 +94,7 @@ def test_criterion_4_coefficient_two_with_witnesses(capsys):
     lam = Partition((2, 1))
     nu = Partition((3, 2, 1))
     assert lr_coefficient(lam, lam, nu) == 2
-    witnesses = {w.filling for w in enumerate_lr_fillings(nu, lam, lam)}
+    witnesses = set(enumerate_lr_fillings(nu, lam, lam))
     expected = {
         Filling.from_rows([[1], [1], [2]], inner=[2, 1]),
         Filling.from_rows([[1], [2], [1]], inner=[2, 1]),

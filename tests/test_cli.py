@@ -520,6 +520,7 @@ MALFORMED = {
     ("expand", "[1]", "[٢]"): "expected comma-separated integers, got '[٢]'",
     ("rsk", "2145"): "[2, 1, 4, 5] is not a permutation of 1..4",
     ("rsk", "1_0,2", "--trace"): "bad one-line notation: '1_0,2'",
+    ("rsk", "21", "12"): "expected exactly one permutation argument",
     ("rsk", "--invert", "1,2/x", "1,2/3"): "bad row string '1,2/x'; expected e.g. 1,3,5/2,4",
     ("rsk", "--invert", "1,2/3", "1;2/3"): "bad row string '1;2/3'; expected e.g. 1,3,5/2,4",
     ("bk", "1,a", "1"): "bad row string '1,a'; expected e.g. 1,3,5/2,4",

@@ -145,6 +145,7 @@ class TestStructure:
         filling = Filling.from_rows([[1], [1], [2]], inner=[2, 1])
         assert filling.to_ascii() == ". . 1\n. 1\n2"
         assert SEMISTANDARD_EXAMPLE.to_ascii() == "1 2 2 4\n2 3\n4"
+        assert str(Filling.from_rows([[1, 2], [3]])) == "1 2\n3"
 
 
 def per_box_semistandard(filling):
@@ -530,7 +531,7 @@ class TestEnumerateLrFillings:
                             ),
                             key=reverse_flat,
                         )
-                        got = [w.filling.rows for w in enumerate_lr_fillings(outer, inner, content)]
+                        got = [w.rows for w in enumerate_lr_fillings(outer, inner, content)]
                         assert got == want, (outer, inner, content)
 
 
@@ -617,6 +618,6 @@ class TestTrustedEnumeration:
             for outer in partitions_of(n):
                 for inner in subpartitions(outer):
                     for content in partitions_of(n - inner.size):
-                        for witness in enumerate_lr_fillings(outer, inner, content):
-                            assert_rebuilds(witness.filling)
-                            assert witness.filling.shape == SkewShape(outer, inner)
+                        for filling in enumerate_lr_fillings(outer, inner, content):
+                            assert_rebuilds(filling)
+                            assert filling.shape == SkewShape(outer, inner)

@@ -194,24 +194,22 @@ class TestLattice:
 class TestEnumeration:
     def test_the_two_staircase_witnesses(self):
         witnesses = list(enumerate_lr_fillings(NU, LAM, LAM))
-        assert [w.filling.rows for w in witnesses] == [
+        assert [w.rows for w in witnesses] == [
             ((1,), (1,), (2,)),
             ((1,), (2,), (1,)),
         ]
-        assert all(w.content == (2, 1) for w in witnesses)
-        assert all(w.filling.shape == SkewShape(NU, LAM) for w in witnesses)
+        assert all(type(w) is Filling and w.shape == SkewShape(NU, LAM) for w in witnesses)
 
     def test_witnesses_ordered_by_reading_word(self):
         for nu in partitions_of(5):
             witnesses = list(enumerate_lr_fillings(nu, Partition((2,)), Partition((2, 1))))
-            words = [reverse_reading_word(w.filling) for w in witnesses]
+            words = [reverse_reading_word(w) for w in witnesses]
             assert words == sorted(words)
 
     def test_equal_shapes_leave_the_empty_filling(self):
         witnesses = list(enumerate_lr_fillings(LAM, LAM, EMPTY))
         assert len(witnesses) == 1
-        assert witnesses[0].filling.rows == ((), ())
-        assert witnesses[0].content == ()
+        assert witnesses[0].rows == ((), ())
 
     def test_mid_size_witnesses_match_frozen_callback(self):
         f = count_standard_tableaux
@@ -220,7 +218,7 @@ class TestEnumeration:
             total = lam.size + mu.size
             lhs = 0
             for nu in partitions_of(total):
-                got = [w.filling.rows for w in enumerate_lr_fillings(nu, lam, mu)]
+                got = [w.rows for w in enumerate_lr_fillings(nu, lam, mu)]
                 assert got == frozen_lr_rows(nu, lam, mu), (lam, mu, nu)
                 assert lr_coefficient(lam, mu, nu) == len(got), (lam, mu, nu)
                 lhs += len(got) * f(nu)
@@ -235,8 +233,7 @@ class TestEnumeration:
                 for lam in partitions_of(a):
                     for mu in partitions_of(total - a):
                         for nu in partitions_of(total):
-                            for witness in enumerate_lr_fillings(nu, lam, mu):
-                                filling = witness.filling
+                            for filling in enumerate_lr_fillings(nu, lam, mu):
                                 assert filling.is_semistandard()
                                 assert is_lattice(reverse_reading_word(filling))
                                 width = max(len(mu.parts), 1)
@@ -292,7 +289,7 @@ class TestCoefficient:
             assert len(list(enumerate_lr_fillings(shape, shape, EMPTY))) == 1
         column = Partition((1,) * 1200)
         (witness,) = enumerate_lr_fillings(column, EMPTY, column)
-        assert witness.filling.rows == tuple((v,) for v in range(1, 1201))
+        assert witness.rows == tuple((v,) for v in range(1, 1201))
 
     def test_count_witnesses_and_frozen_reference_agree_through_nine_boxes(self):
         for total in range(10):
@@ -317,7 +314,7 @@ class TestCoefficient:
     @given(lr_triples())
     def test_count_matches_frozen_reference_in_a_five_box(self, triple):
         lam, mu, nu = triple
-        rows = [w.filling.rows for w in enumerate_lr_fillings(nu, lam, mu)]
+        rows = [w.rows for w in enumerate_lr_fillings(nu, lam, mu)]
         assert rows == frozen_lr_rows(nu, lam, mu)
         assert lr_coefficient(lam, mu, nu) == len(rows)
 

@@ -151,6 +151,7 @@ class TestConstruction:
 
     def test_accepts_lists(self):
         assert Partition([5, 1]) == Partition((5, 1))
+        assert repr(Partition((2, 1))) == "Partition([2, 1])"
 
     def test_empty(self):
         assert Partition(()).parts == ()

@@ -113,6 +113,8 @@ class TestPermutation:
 
     def test_format(self):
         assert format_permutation(SIGMA) == "21453"
+        assert repr(Permutation((2, 1))) == "Permutation([2, 1])"
+        assert str(Permutation((2, 1))) == "21"
         long = Permutation(tuple([10] + list(range(2, 10)) + [1]))
         assert format_permutation(long) == "10,2,3,4,5,6,7,8,9,1"
 

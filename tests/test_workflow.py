@@ -60,7 +60,6 @@ def test_benchmark_self_checks_run_every_workload():
     assert commands == [
         "python3 bench/run.py --workload all --seconds 1",
         "python3 bench/run.py --workload all --seconds 1 --trace 1",
-        "python3 bench/run.py --workload lr_table --seed 2 --seconds 1",
     ]
 
 
