@@ -227,7 +227,7 @@ GUARDS: dict[str, tuple[int, Callable[[argparse.Namespace], int | None]]] = {
     "expand": (20, lambda args: args.left.size + args.right.size),
     "lr": (20, lambda args: args.inner.size + args.content.size if args.verify else None),
     # a trace prints n + 1 pairs of up to n boxes each, so its output grows as n²
-    "rsk": (1000, lambda args: args.perm.n if args.trace and not args.invert else None),
+    "rsk": (1000, lambda args: args.perm.n if args.trace else None),
 }
 
 
@@ -311,8 +311,9 @@ def build_parser() -> argparse.ArgumentParser:
         "items", nargs="+", metavar="PERM | T U",
         help="one-line permutation (21453), or two row strings with --invert",
     )
-    p.add_argument("--trace", action="store_true", help="print every intermediate pair")
-    p.add_argument("--invert", action="store_true", help="recover the permutation from a pair")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--trace", action="store_true", help="print every intermediate pair")
+    mode.add_argument("--invert", action="store_true", help="recover the permutation from a pair")
     p.set_defaults(handler=_cmd_rsk)
 
     p = sub.add_parser("bk", parents=[common], help="one weight-swapping involution step")

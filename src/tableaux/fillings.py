@@ -115,10 +115,6 @@ class Filling:
         return "\n".join(lines)
 
 
-def _as_skew(shape: Partition | SkewShape) -> SkewShape:
-    return shape if isinstance(shape, SkewShape) else shape.as_skew()
-
-
 def _leaves(
     cap: Sequence[int],
     low: Sequence[int],
@@ -181,6 +177,21 @@ def _leaves(
             v += 1
 
 
+def _cut(skew: SkewShape, leaves: Iterator[list[int]], reverse: bool = False) -> Iterator[Filling]:
+    """One filling of ``skew`` per leaf of :func:`_leaves`, its slots cut into rows.
+
+    The search took the boxes row by row from the top, each row left to
+    right, or right to left with ``reverse`` (reverse reading order).
+    """
+    rows: list[slice] = []
+    end = 0
+    for lo, hi in zip(chain(skew.inner.parts, repeat(0)), skew.outer.parts):
+        start, end = end, end + hi - lo
+        # boxes start..end-1 of the search order are slots start+1..end
+        rows.append(slice(end, start, -1) if reverse else slice(start + 1, end + 1))
+    return (Filling._trusted(skew, tuple([tuple(values[s]) for s in rows])) for values in leaves)
+
+
 def _reading_fillings(skew: SkewShape, cap: list[int], budget: Sequence[int]) -> Iterator[Filling]:
     """Fillings of ``skew`` from :func:`_leaves` over its boxes in reading order.
 
@@ -193,16 +204,13 @@ def _reading_fillings(skew: SkewShape, cap: list[int], budget: Sequence[int]) ->
     last = [0] * (outer[0] if outer else 0)
     left: list[int] = []
     up: list[int] = []
-    rows: list[slice] = []
     for r, hi in enumerate(outer):
-        start, prev = len(left), 0
+        prev = 0
         for c in range(inner[r] if r < len(inner) else 0, hi):
             left.append(prev)
             up.append(last[c])
             last[c] = prev = len(left)
-        rows.append(slice(start + 1, len(left) + 1))
-    leaves = _leaves(cap, left, [-1] * len(left), up, budget)
-    return (Filling._trusted(skew, tuple([tuple(values[s]) for s in rows])) for values in leaves)
+    return _cut(skew, _leaves(cap, left, [-1] * len(left), up, budget))
 
 
 def enumerate_ssyt(shape: Partition | SkewShape, bound: int) -> Iterator[Filling]:
@@ -220,7 +228,7 @@ def enumerate_ssyt(shape: Partition | SkewShape, bound: int) -> Iterator[Filling
         raise TypeError(f"entry bound must be an integer, got {bound!r}")
     if bound < 0:
         raise ValueError(f"entry bound must be nonnegative, got {bound}")
-    skew = _as_skew(shape)
+    skew = shape if isinstance(shape, SkewShape) else shape.as_skew()
     conj = skew.outer.conjugate().parts
     cap = [bound - (conj[c] - 1 - r) for r, c in skew.boxes()]
     n = skew.size  # a budget of n never binds; no boxes need no values, whatever the bound
@@ -261,22 +269,21 @@ def bender_knuth(filling: Filling, index: int) -> Filling:
     if not filling.is_semistandard():
         raise ValueError("operation is only defined on semistandard fillings")
     small, large = index, index + 1
-    shape = filling.shape
-    new_rows = [list(row) for row in filling.rows]
-    for r, row in enumerate(filling.rows):
-        off = shape.inner.part(r)
-        free_small = []
-        free_large = []
-        for j, v in enumerate(row):
-            c = off + j
-            if v == small:
-                if not (shape.has_box(r + 1, c) and filling.entry(r + 1, c) == large):
-                    free_small.append(j)
-            elif v == large:
-                if not (shape.has_box(r - 1, c) and filling.entry(r - 1, c) == small):
-                    free_large.append(j)
-        slots = free_small + free_large  # small entries sit left of large ones
-        flip = len(free_large)
+    rows = filling.rows
+    inner = filling.shape.inner
+    marks = [list(row) for row in rows]  # a small over a large, and that large, are marked 0: not free
+    for r in range(1, len(rows)):
+        # rows r-1 and r aligned on their shared columns, as in Filling.is_semistandard
+        shift = inner.part(r - 1) - inner.part(r)
+        for j, (above, below) in enumerate(zip(rows[r - 1], rows[r][shift:])):
+            if above == small and below == large:
+                marks[r - 1][j] = marks[r][j + shift] = 0
+    new_rows = []
+    for row, free in zip(rows, marks):
+        slots = [j for j, v in enumerate(free) if v == small or v == large]  # small entries sit left of large ones
+        flip = free.count(large)
+        new_row = list(row)
         for pos, j in enumerate(slots):
-            new_rows[r][j] = small if pos < flip else large
-    return Filling(shape, tuple(tuple(row) for row in new_rows))
+            new_row[j] = small if pos < flip else large
+        new_rows.append(tuple(new_row))
+    return Filling(filling.shape, tuple(new_rows))

@@ -7,7 +7,7 @@ from itertools import accumulate
 from operator import add, ge
 from typing import Iterable, Iterator
 
-from .fillings import Filling, _leaves
+from .fillings import Filling, _cut, _leaves
 from .partitions import Partition, SkewShape
 
 
@@ -40,20 +40,10 @@ def enumerate_lr_fillings(
     the box counts cannot balance, or ``outer`` lies outside the
     dominance window inner ∪ content ⊴ outer ⊴ inner + content. Each
     leaf of the :func:`_lr_leaves` search becomes one filling, its
-    slots cut into the rows of outer/inner.
+    slots cut into the rows of outer/inner by :func:`fillings._cut`.
     """
     leaves = _lr_leaves(outer, inner, content)
-    if leaves is None:
-        return iter(())
-    lam, nu = inner.parts, outer.parts
-    skew = SkewShape._trusted(outer, inner)
-    # box k of reverse reading order is values[k + 1], so row r reads its slots backwards
-    rows: list[slice] = []
-    end = 0
-    for r, hi in enumerate(nu):
-        start, end = end, end + hi - (lam[r] if r < len(lam) else 0)
-        rows.append(slice(end, start, -1))
-    return (Filling._trusted(skew, tuple([tuple(values[s]) for s in rows])) for values in leaves)
+    return iter(()) if leaves is None else _cut(SkewShape._trusted(outer, inner), leaves, reverse=True)
 
 
 def _lr_leaves(

@@ -221,16 +221,12 @@ def parse_permutation(text: str) -> Permutation:
     rather than read with 10 as its last entry. Entries are ASCII digits:
     ``+1``, ``1_0`` and ``٢`` are rejected, though ``int`` reads them.
     """
-    if "," in text:
-        try:
-            values = _ascii_ints(text)
-        except ValueError:
-            raise ValueError(f"bad one-line notation: {text!r}") from None
-    else:
-        compact = "".join(text.split())
-        if compact and not (compact.isascii() and compact.isdigit()):
-            raise ValueError(f"bad one-line notation: {text!r}")
-        values = tuple(map(int, compact))
+    # glued digits are the comma form with a comma between each two characters
+    entries = text if "," in text else ",".join("".join(text.split()))
+    try:
+        values = _ascii_ints(entries) if entries else ()
+    except ValueError:
+        raise ValueError(f"bad one-line notation: {text!r}") from None
     return Permutation(values)
 
 

@@ -138,12 +138,19 @@ class TestListCommands:
         code, out, _ = run(capsys, "list-ssyt", "[2,2]", "2", "--inner", "[1]")
         assert code == 0
         assert out == ". 1\n1 2\n\n. 1\n2 2\n"
+        # an empty middle row, cut from the slots in reading order
+        code, out, _ = run(capsys, "list-ssyt", "[3,2,1]", "2", "--inner", "[2,2]")
+        assert code == 0
+        assert out == ". . 1\n. .\n1\n\n. . 1\n. .\n2\n\n. . 2\n. .\n1\n\n. . 2\n. .\n2\n"
 
     def test_long_rows_do_not_recurse(self, capsys):
         result = run(capsys, "list-ssyt", "[1200]", "1", "--max-boxes", "1200")
         assert result == (0, " ".join(["1"] * 1200) + "\n", "")
         result = run(capsys, "list-syt", "[1000]", "--max-boxes", "1000")
         assert result == (0, " ".join(str(i) for i in range(1, 1001)) + "\n", "")
+        column = "[" + ",".join(["1"] * 1200) + "]"
+        result = run(capsys, "list-syt", column, "--max-boxes", "1200")
+        assert result == (0, "".join(f"{i}\n" for i in range(1, 1201)), "")
 
     def test_list_ssyt_empty_result(self, capsys):
         code, out, _ = run(capsys, "list-ssyt", "[1,1,1,1]", "3")
@@ -222,6 +229,8 @@ class TestLr:
         code, out, _ = run(capsys, "lr", "[2,1]", "[2,1]", "[3,2,1]", "--witnesses")
         assert code == 0
         assert out == "2\n\n. . 1\n. 1\n2\n\n. . 1\n. 2\n1\n"
+        # an empty middle row, cut from the slots in reverse reading order
+        assert run(capsys, "lr", "[2,2]", "[1,1]", "[3,2,1]", "--witnesses") == (0, "1\n\n. . 1\n. .\n2\n", "")
 
     def test_verify_is_guarded_and_plain_lr_is_not(self, capsys):
         code, out, err = run(capsys, "lr", "[11]", "[10]", "[21]", "--verify")
@@ -394,8 +403,11 @@ class TestRsk:
         assert (code, err) == (0, "")
         line = row.replace(",", " ")
         assert out == f"T:\n{line}\nU:\n{line}\n"
-        code, out, err = run(capsys, "rsk", "--invert", "--trace", row, row)
+        code, out, err = run(capsys, "rsk", "--invert", row, row)
         assert (code, out, err) == (0, row + "\n", "")
+        code, out, err = outcome(["rsk", "--invert", "--trace", row, row])
+        assert (code, out) == (2, "") and err.startswith("usage: ")
+        assert err.endswith("error: argument --trace: not allowed with argument --invert\n")
 
     def test_invert_pins_the_error_line_of_each_malformed_pair(self, capsys):
         cases = {
@@ -533,11 +545,12 @@ MALFORMED = {
     ("bk", "1,1/2", "+1"): "expected an integer, got '+1'",
 }
 
-# A missing or extra positional, or an unknown option: argparse's usage error, before any value is read.
+# A missing or extra positional, an unknown option, or two options that exclude each other:
+# argparse's usage error, before any value is read.
 FORM_ERRORS = [
     ["count-syt"], ["count-syt", "[1]", "[2]"], ["count-syt", "[1]", "--bogus"], ["list-syt"],
     ["list-ssyt", "[1]"], ["schur", "[1]"], ["lr", "[1]", "[1]"], ["expand", "[1]"], ["rsk"],
-    ["rsk", "21", "--invrt"], ["bk", "1"], ["bk", "1", "1", "1"], ["frobnicate", "[1]"],
+    ["rsk", "21", "--invrt"], ["rsk", "--invert", "--trace", "1,3/2", "1,2/3"], ["bk", "1"], ["bk", "1", "1", "1"], ["frobnicate", "[1]"],
 ]
 
 
