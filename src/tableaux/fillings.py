@@ -116,39 +116,39 @@ class Filling:
 
 
 def _leaves(
-    cap: Sequence[int],
-    low: Sequence[int],
-    high: Sequence[int],
-    up: Sequence[int],
-    budget: Sequence[int],
-    lattice: bool = False,
+    cap: Sequence[int], side: Sequence[int], up: Sequence[int], budget: Sequence[int], reverse: bool = False
 ) -> Iterator[list[int]]:
     """The one tableau search: a leaf per filling of the boxes the tables describe.
 
     Box ``k`` is ``values[k + 1]``; ``values[0]`` holds 0 and
-    ``values[-1]`` the largest value, ``len(budget) - 1``, so a missing
-    neighbour is slot 0 (a lower bound) or slot -1 (an upper one). Box
-    ``k`` tries v from max(values[low[k]], values[up[k]] + 1) up to
-    min(cap[k], values[high[k]]) and takes v while fewer than
-    ``budget[v]`` v's are placed and, with ``lattice``, fewer v's than
-    (v - 1)'s. At each leaf the same list is yielded again, so a consumer
-    reads it before resuming. Leaves arrive in lexicographic order of the
-    values in box order. State is plain integers, and the loop backtracks
-    by box index, so the depth is not bounded by Python recursion.
+    ``values[-1]`` the largest value, ``len(budget) - 1``, which is what
+    a missing neighbour's slot reads. Box ``k`` tries v from
+    values[up[k]] + 1 up to cap[k], and takes v while fewer than
+    ``budget[v]`` v's are placed. In reading order (see :func:`_search`)
+    v also starts no lower than its side neighbour, values[side[k]]; with
+    ``reverse`` it stops at that neighbour instead, and v is taken only
+    while fewer v's than (v - 1)'s are placed, the lattice condition. At
+    each leaf the same list is yielded again, so a consumer reads it
+    before resuming. Leaves arrive in lexicographic order of the values in
+    box order. State is plain integers, and the loop backtracks by box
+    index, so the depth is not bounded by Python recursion.
     """
     n = len(cap)
-    values = [0] * (n + 1) + [len(budget) - 1]
+    values = [0] * (n + 2)
+    values[-1] = len(budget) - 1
     if not n:
         yield values
         return
-    counts = [n] + [0] * (len(budget) - 1)  # slot 0 never runs short, so 1 is always lattice
-    gate = counts if lattice else budget  # v is taken while counts[v] < gate[v - 1]
+    counts = [0] * len(budget)
+    counts[0] = n  # slot 0 never runs short, so 1 is always lattice
+    gate = counts if reverse else budget  # v is taken while counts[v] < gate[v - 1]
     k, v = 0, 1  # box k tries values from v on; box 0 has no neighbours
     while True:
         hi = cap[k]
-        bound = values[high[k]]
-        if bound < hi:
-            hi = bound
+        if reverse:
+            bound = values[side[k]]
+            if bound < hi:
+                hi = bound
         while v <= hi:
             c = counts[v]
             if c < budget[v] and c < gate[v - 1]:
@@ -167,14 +167,50 @@ def _leaves(
         values[k] = v
         if k < n:
             v = values[up[k]] + 1
-            lo = values[low[k]]
-            if lo > v:
-                v = lo
+            if not reverse:
+                lo = values[side[k]]
+                if lo > v:
+                    v = lo
         else:
             yield values
             counts[v] = c
             k -= 1
             v += 1
+
+
+def _search(
+    outer: Sequence[int],
+    inner: Sequence[int],
+    rows: Sequence[int],
+    cols: Sequence[int],
+    budget: Sequence[int],
+    reverse: bool = False,
+) -> Iterator[list[int]]:
+    """:func:`_leaves` over the boxes of outer/inner, with the tables built here.
+
+    Rows are taken from the top, each left to right (reading order), or
+    right to left with ``reverse`` (reverse reading order). The box in
+    row r and column c is capped at ``rows[r] - cols[c]``, and a column
+    past the end of ``cols`` has the term 0. Its side neighbour is the
+    box before it in its row, slot 0 (the value 0) in reading order or
+    slot -1 (the largest value) in reverse when it has none, and its
+    upper neighbour the box above it, slot 0 when it has none.
+    """
+    # slot of the last box filled in each column: the box above, since skew columns are contiguous
+    last = [0] * (outer[0] if outer else 0)
+    cap: list[int] = []
+    side: list[int] = []
+    up: list[int] = []
+    edge, wide = -1 if reverse else 0, len(cols)
+    for r, hi in enumerate(outer):
+        lo = inner[r] if r < len(inner) else 0
+        t, prev = rows[r], edge
+        for c in range(hi - 1, lo - 1, -1) if reverse else range(lo, hi):
+            cap.append(t - cols[c] if c < wide else t)
+            side.append(prev)
+            up.append(last[c])
+            last[c] = prev = len(cap)
+    return _leaves(cap, side, up, budget, reverse)
 
 
 def _cut(skew: SkewShape, leaves: Iterator[list[int]], reverse: bool = False) -> Iterator[Filling]:
@@ -190,27 +226,6 @@ def _cut(skew: SkewShape, leaves: Iterator[list[int]], reverse: bool = False) ->
         # boxes start..end-1 of the search order are slots start+1..end
         rows.append(slice(end, start, -1) if reverse else slice(start + 1, end + 1))
     return (Filling._trusted(skew, tuple([tuple(values[s]) for s in rows])) for values in leaves)
-
-
-def _reading_fillings(skew: SkewShape, cap: list[int], budget: Sequence[int]) -> Iterator[Filling]:
-    """Fillings of ``skew`` from :func:`_leaves` over its boxes in reading order.
-
-    Rows are filled from the top, each left to right, so a box is bounded
-    below by its left neighbour and by one more than the box above it, and
-    from above only by its cap. ``cap`` lists the caps in that order.
-    """
-    outer, inner = skew.outer.parts, skew.inner.parts
-    # slot of the last box filled in each column: the box above, since skew columns are contiguous
-    last = [0] * (outer[0] if outer else 0)
-    left: list[int] = []
-    up: list[int] = []
-    for r, hi in enumerate(outer):
-        prev = 0
-        for c in range(inner[r] if r < len(inner) else 0, hi):
-            left.append(prev)
-            up.append(last[c])
-            last[c] = prev = len(left)
-    return _cut(skew, _leaves(cap, left, [-1] * len(left), up, budget))
 
 
 def enumerate_ssyt(shape: Partition | SkewShape, bound: int) -> Iterator[Filling]:
@@ -229,10 +244,12 @@ def enumerate_ssyt(shape: Partition | SkewShape, bound: int) -> Iterator[Filling
     if bound < 0:
         raise ValueError(f"entry bound must be nonnegative, got {bound}")
     skew = shape if isinstance(shape, SkewShape) else shape.as_skew()
-    conj = skew.outer.conjugate().parts
-    cap = [bound - (conj[c] - 1 - r) for r, c in skew.boxes()]
+    outer = skew.outer.parts
     n = skew.size  # a budget of n never binds; no boxes need no values, whatever the bound
-    return _reading_fillings(skew, cap, [n] * (bound + 1 if n else 1))
+    # bound less the boxes below: (bound + 1 + r) - outer'[c]
+    rows = range(bound + 1, bound + 1 + len(outer))
+    leaves = _search(outer, skew.inner.parts, rows, skew.outer.conjugate().parts, [n] * (bound + 1 if n else 1))
+    return _cut(skew, leaves)
 
 
 def enumerate_syt(shape: Partition) -> Iterator[Filling]:
@@ -244,10 +261,12 @@ def enumerate_syt(shape: Partition) -> Iterator[Filling]:
     """
     if not isinstance(shape, Partition):
         raise TypeError(f"shape must be a Partition, got {shape!r}")
-    n = shape.size
-    # the other hook - 1 boxes of a box's hook hold larger values, so its entry is at most n + 1 - hook
-    cap = [n + 1 - hook for hook in shape.hooks()]
-    return _reading_fillings(shape.as_skew(), cap, [1] * (n + 1))
+    n, parts = shape.size, shape.parts
+    # the other hook - 1 boxes of a box's hook hold larger values, so its entry is at most
+    # n + 1 - hook = (n + 2 + r - shape[r]) - (shape'[c] - c)
+    rows = [n + 2 + r - p for r, p in enumerate(parts)]
+    cols = [h - c for c, h in enumerate(shape.conjugate().parts)]
+    return _cut(shape.as_skew(), _search(parts, (), rows, cols, [1] * (n + 1)))
 
 
 def bender_knuth(filling: Filling, index: int) -> Filling:

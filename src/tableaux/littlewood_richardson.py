@@ -7,7 +7,7 @@ from itertools import accumulate
 from operator import add, ge
 from typing import Iterable, Iterator
 
-from .fillings import Filling, _cut, _leaves
+from .fillings import Filling, _cut, _search
 from .partitions import Partition, SkewShape
 
 
@@ -54,10 +54,14 @@ def _lr_leaves(
     A witness needs containment, |ν| = |λ| + |μ| and the dominance
     window λ ∪ μ ⊴ ν ⊴ λ + μ; the partial sums of ν are formed once and
     held to the pair's bounds from :func:`_pair_bounds`. The search is
-    :func:`fillings._leaves` over the :func:`_lr_boxes` tables, with the
-    budget (0,) + μ and the lattice condition on, so both prune prefixes
-    of the reverse reading word instead of filtering finished fillings.
-    The type check and the window run at the call, before any leaf.
+    :func:`fillings._search` over ν/λ in reverse reading order, with the
+    budget (0,) + μ and the lattice condition, so both prune prefixes of
+    the reverse reading word instead of filtering finished fillings. The
+    box in row r is capped at r + 1 (a v needs a v - 1 read earlier, and
+    the entries to its right are at least v, so that v - 1 sits in a
+    higher row) and at m = ℓ(μ) less the boxes below it in its column
+    (they hold strictly larger values). The type check and the window run
+    at the call, before any leaf.
     """
     # one test on the hot path; the loop only names the offending argument
     if not (isinstance(outer, Partition) and isinstance(inner, Partition) and isinstance(content, Partition)):
@@ -71,8 +75,13 @@ def _lr_leaves(
     sums = [*accumulate(outer.parts, initial=0)]
     if sums[-1] != size or not all(map(ge, upper, sums)) or not all(map(ge, sums, lower)):
         return None
-    cap, right, up = _lr_boxes(inner.parts, len(mu), outer.parts)
-    return _leaves(cap, up, right, up, (0,) + mu, lattice=True)
+    nu, m = outer.parts, len(mu)
+    # min(r + 1, m - d) for a box in row r with d boxes below it is r + 1 minus
+    # excess[c], the number of rows past the first m that reach its column (none past its end)
+    excess: list[int] = []
+    for r in range(len(nu) - 1, m - 1, -1):
+        excess += [r + 1 - m] * (nu[r] - len(excess))
+    return _search(nu, inner.parts, range(1, len(nu) + 1), excess, (0,) + mu, reverse=True)
 
 
 @lru_cache(maxsize=1)
@@ -99,40 +108,6 @@ def _pair_bounds(lam: tuple[int, ...], mu: tuple[int, ...]) -> tuple[int, tuple[
     row_sum = [*map(add, lam, mu), *(lam[len(mu) :] or mu[len(lam) :])]  # the longer one's tail
     union = sorted(lam + mu, reverse=True)
     return sum(row_sum), tuple(accumulate(row_sum, initial=0)), tuple(accumulate(union, initial=0))
-
-
-def _lr_boxes(
-    lam: tuple[int, ...], m: int, nu: tuple[int, ...]
-) -> tuple[list[int], list[int], list[int]]:
-    """Per box of ν/λ in reverse reading order: its cap, right-neighbour slot, upper slot.
-
-    Rows are taken top to bottom, each right to left. Box k is slot
-    k + 1. A missing right neighbour is slot -1 and a missing upper one
-    slot 0, where :func:`fillings._leaves` keeps m = ℓ(μ) and 0. The box
-    in row r is capped at r + 1 (a v needs a v - 1 read earlier, and the
-    entries to its right are at least v, so that v - 1 sits in a higher
-    row) and at m minus the boxes below it in its column (they hold
-    strictly larger values).
-    """
-    # min(r + 1, m - d) for a box in row r with d boxes below it is r + 1 minus
-    # excess[c], the number of rows past the first m that reach its column
-    excess: list[int] = []
-    for r in range(len(nu) - 1, m - 1, -1):
-        excess += [r + 1 - m] * (nu[r] - len(excess))
-    wide = len(excess)
-    # slot of the last box filled in each column: the box above, since skew columns are contiguous
-    last = [0] * (nu[0] if nu else 0)
-    cap: list[int] = []
-    right: list[int] = []
-    up: list[int] = []
-    for r, hi in enumerate(nu):
-        prev = -1
-        for c in range(hi - 1, (lam[r] if r < len(lam) else 0) - 1, -1):
-            cap.append(r + 1 - excess[c] if c < wide else r + 1)
-            right.append(prev)
-            up.append(last[c])
-            last[c] = prev = len(cap)
-    return cap, right, up
 
 
 def lr_coefficient(inner: Partition, content: Partition, outer: Partition) -> int:

@@ -33,6 +33,12 @@ SCHUR_21_IN_THREE_VARS = (
 )
 
 
+def process_env():
+    """The environment for ``python -m tableaux`` run on this checkout's src/."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -624,11 +630,9 @@ class TestGlobalBehavior:
     def test_closed_pipe_exits_without_traceback(self):
         # about 470 kB of text, far more than a pipe buffers, so the writer
         # is still printing when the reader closes its end
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         proc = subprocess.Popen(
             [sys.executable, "-m", "tableaux", "list-syt", "[5,4,3,1]"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=process_env(),
         )
         assert proc.stdout.readline() == b"1 2 3 4 5\n"
         proc.stdout.close()
@@ -637,6 +641,20 @@ class TestGlobalBehavior:
         proc.stderr.close()
         assert code == 1
         assert "Traceback" not in err and "Exception ignored" not in err
+
+    @pytest.mark.parametrize(
+        "argv, code", [(["count-syt", "[2_1]"], 1), (["rsk", "1_0,2"], 1), (["count-syt"], 2)]
+    )
+    def test_refusals_exit_cleanly_as_processes(self, argv, code):
+        # a malformed shape, a malformed permutation and a missing positional, each run by a
+        # fresh interpreter: never a traceback, and exit code 1 is one stderr line
+        proc = subprocess.run(
+            [sys.executable, "-m", "tableaux", *argv], capture_output=True, text=True, env=process_env(), timeout=60
+        )
+        assert proc.returncode == code, proc.stderr
+        assert "Traceback" not in proc.stderr
+        if code == 1:
+            assert len(proc.stderr.splitlines()) == 1, proc.stderr
 
 
 def _word(strategy):

@@ -5,6 +5,7 @@ from operator import add, ge
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import tableaux.fillings
 from tableaux import (
     EMPTY,
     Filling,
@@ -12,6 +13,8 @@ from tableaux import (
     SkewShape,
     count_standard_tableaux,
     enumerate_lr_fillings,
+    enumerate_ssyt,
+    enumerate_syt,
     is_lattice,
     lr_coefficient,
     partitions_of,
@@ -19,7 +22,7 @@ from tableaux import (
     schur_expand,
     schur_polynomial,
 )
-from tableaux.littlewood_richardson import _lr_boxes, _lr_leaves, _pair_bounds
+from tableaux.littlewood_richardson import _lr_leaves, _pair_bounds
 from tableaux.schur import _product_expansion
 
 LAM = Partition((2, 1))
@@ -299,16 +302,45 @@ class TestCoefficient:
                         for nu in partitions_of(total):
                             witness_count_three_ways(lam, mu, nu)
 
-    def test_box_caps_match_column_heights(self):
-        # the caps only prune, so a cap set too high changes no output; hold them to the formula
+    def test_box_caps_match_column_heights(self, monkeypatch):
+        # the caps only prune, so a cap set too high changes no output; hold the caps each
+        # search hands to fillings._leaves to their closed forms, box by box in search order
+        caps = []
+        monkeypatch.setattr(tableaux.fillings, "_leaves", lambda cap, *_: caps.append(cap) or iter(()))
+
+        def caps_of(search):
+            caps.clear()
+            search()
+            (cap,) = caps
+            return cap
+
         shapes = [nu for total in range(10) for nu in partitions_of(total)]
-        shapes += [Partition(lam) for pair in MID_SIZE_PAIRS for lam in pair]
-        for nu in shapes:
-            for lam in shapes:
+        for nu in shapes[:30]:  # |ν| <= 6
+            conj = nu.conjugate().parts
+            for lam in shapes[:30]:
                 if nu.contains(lam):
-                    for m in range(len(nu.parts) + 1):
-                        cap = _lr_boxes(lam.parts, m, nu.parts)[0]
-                        assert cap == frozen_caps(lam.parts, m, nu.parts), (lam, m, nu)
+                    skew = SkewShape(nu, lam)
+                    below = [conj[c] - 1 - r for r, c in skew.boxes()]
+                    for bound in range(5):
+                        expected = [bound - d for d in below]
+                        assert caps_of(lambda: enumerate_ssyt(skew, bound)) == expected, (skew, bound)
+            assert caps_of(lambda: enumerate_syt(nu)) == [nu.size + 1 - h for h in nu.hooks()], nu
+        # LR: every search that passes the window through nine boxes, and for the
+        # mid-size pairs every ν whose column runs past ℓ(μ), where the caps fall below r + 1
+        triples = [(lam, mu, nu) for total in range(10) for lam, mu in pairs_of_degree(total)
+                   for nu in partitions_of(total)]
+        for pair in MID_SIZE_PAIRS:
+            lam, mu = map(Partition, pair)
+            triples += [(lam, mu, nu) for nu in partitions_of(lam.size + mu.size) if len(nu.parts) > len(mu.parts)]
+        searched = 0
+        for lam, mu, nu in triples:
+            caps.clear()
+            lr_coefficient(lam, mu, nu)
+            if caps:
+                (cap,) = caps
+                assert cap == frozen_caps(lam.parts, len(mu.parts), nu.parts), (lam, mu, nu)
+                searched += 1
+        assert searched > 7000
 
     @settings(max_examples=60)
     @given(lr_triples())

@@ -329,22 +329,38 @@ class TestOrbitProduct:
     # copies of the same terms is the reference.
 
     def test_every_schur_pair_through_degree_eight(self):
-        # widths below a shape's row count give the zero s_lam, still recorded
+        # fresh operands, so every value starts unfilled; widths below a shape's row count give
+        # the zero s_lam, still recorded. Each s_lam and each product, in both orders, keeps only
+        # its coefficients at partitions until a monomial is read: its length, lead and zero test
+        # come from that table and survive the fill, the fill is stored lex-descending, and the
+        # table is the filled terms at partitions
         shapes = [shape for n in range(9) for shape in partitions_of(n)]
         for width in range(9):
-            operands = {shape: schur_polynomial(shape, width) for shape in shapes}
+            operands = {shape: _schur.__wrapped__(shape.parts, width) for shape in shapes}
+            products = {
+                (lam, mu): (operands[lam] * operands[mu], operands[mu] * operands[lam])
+                for i, lam in enumerate(shapes)
+                for mu in shapes[i:]
+                if lam.size + mu.size <= 8
+            }
+            for p in [*operands.values(), *itertools.chain.from_iterable(products.values())]:
+                assert p._terms is None
+                before = lazy_values(p)
+                table = dict(p._dominant)
+                terms = list(p.terms.items())
+                assert p._terms is not None
+                assert lazy_values(p) == before == (len(terms), terms[0] if terms else None, not terms)
+                # stored lex-descending, the order sorted_terms returns, unsorted
+                assert terms == sorted(terms, reverse=True) == p.sorted_terms()
+                partitions = {tuple(filter(None, exps)): c for exps, c in terms if list(exps) == sorted(exps, reverse=True)}
+                assert table == partitions, width
             copies = {shape: unflagged(s) for shape, s in operands.items()}
-            for i, lam in enumerate(shapes):
-                for mu in shapes[i:]:
-                    degree = lam.size + mu.size
-                    if degree > 8:
-                        continue
-                    reference = copies[lam] * copies[mu]
-                    assert reference._dominant is None
-                    for product in (operands[lam] * operands[mu], operands[mu] * operands[lam]):
-                        assert product == reference, (lam, mu, width)
-                        assert product._dominant is not None
-                        assert all(sum(alpha) == degree for alpha in product._dominant)
+            for (lam, mu), pair in products.items():
+                reference = copies[lam] * copies[mu]
+                assert reference._dominant is None
+                for product in pair:
+                    assert product == reference, (lam, mu, width)
+                    assert all(sum(alpha) == lam.size + mu.size for alpha in product._dominant)
 
     def test_triple_products(self):
         shapes = [shape for n in range(5) for shape in partitions_of(n)]
@@ -551,50 +567,6 @@ class TestLazyView:
             race(work, len(readers))
             assert results == expected
             assert list(product.terms.items()) == reference.sorted_terms()
-
-
-class TestDominantTable:
-    # Schur polynomials and their products keep only their coefficients at
-    # partitions until a monomial is read.
-
-    def test_table_is_the_filled_terms_at_partitions(self):
-        # every s_lam and every product through degree 8, at widths 0 to 8
-        shapes = [shape for n in range(9) for shape in partitions_of(n)]
-        for width in range(9):
-            operands = {shape: _schur.__wrapped__(shape.parts, width) for shape in shapes}
-            values = list(operands.values())
-            for i, lam in enumerate(shapes):
-                for mu in shapes[i:]:
-                    if lam.size + mu.size <= 8:
-                        values.append(operands[lam] * operands[mu])
-            for p in values:
-                table = dict(p._dominant)
-                assert table == {
-                    tuple(filter(None, exps)): coeff
-                    for exps, coeff in p.terms.items()
-                    if list(exps) == sorted(exps, reverse=True)
-                }, width
-
-    def test_lazy_values_survive_the_fill(self):
-        shapes = [shape for n in range(9) for shape in partitions_of(n)]
-        values = []
-        for width in range(9):
-            for shape in shapes:
-                values.append(_schur.__wrapped__(shape.parts, width))
-        operands = {shape: _schur.__wrapped__(shape.parts, 8) for shape in shapes}
-        for i, lam in enumerate(shapes):
-            for mu in shapes[i:]:
-                if lam.size + mu.size <= 8:
-                    values.append(operands[lam] * operands[mu])
-        for p in values:
-            assert p._terms is None
-            before = lazy_values(p)
-            terms = list(p.terms.items())
-            assert p._terms is not None
-            assert lazy_values(p) == before
-            # the fill is stored lex-descending, the order sorted_terms returns unsorted
-            assert terms == sorted(terms, reverse=True) == p.sorted_terms()
-            assert before == (len(terms), terms[0] if terms else None, not terms)
 
 
 class TestRendering:

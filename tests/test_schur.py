@@ -52,20 +52,6 @@ class TestSchurPolynomial:
         poly = schur_polynomial(Partition((1, 1)), 3)
         assert poly == Polynomial(3, {(1, 1, 0): 1, (1, 0, 1): 1, (0, 1, 1): 1})
 
-    def test_symmetric_for_small_shapes(self):
-        for n in range(7):
-            for shape in partitions_of(n):
-                for width in range(1, 5):
-                    assert schur_polynomial(shape, width).is_symmetric(), (shape, width)
-
-    def test_coefficient_sum_counts_tableaux(self):
-        for n in range(7):
-            for shape in partitions_of(n):
-                for width in range(1, 5):
-                    poly = schur_polynomial(shape, width)
-                    count = sum(1 for _ in enumerate_ssyt(shape, width))
-                    assert sum(poly.terms.values()) == count
-
     def test_kostka_build_equals_tableau_enumeration(self):
         # two routes: Kostka numbers by strips vs. the weight generating function of enumerate_ssyt
         for n in range(8):
