@@ -1,3 +1,4 @@
+import functools
 import itertools
 import sys
 import threading
@@ -323,44 +324,66 @@ def unflagged(p):
     return Polynomial(p.width, dict(p.terms))
 
 
+@functools.cache
+def degree_eight_sweep():
+    """Build every s_lam and every product through degree 8, at widths 0 to 8, once.
+
+    Operands are fresh (``_schur.__wrapped__``), so every value starts unfilled;
+    widths below a shape's row count give the zero s_lam, still recorded. Each
+    product is taken in both orders. Returns, per property, the values at which it
+    failed; the tests that read it each assert their list is empty.
+    """
+    failed: dict = {"table": [], "lazy": [], "product": []}
+    shapes = [shape for n in range(9) for shape in partitions_of(n)]
+    for width in range(9):
+        operands = {shape: _schur.__wrapped__(shape.parts, width) for shape in shapes}
+        products = {
+            (lam, mu): (operands[lam] * operands[mu], operands[mu] * operands[lam])
+            for i, lam in enumerate(shapes)
+            for mu in shapes[i:]
+            if lam.size + mu.size <= 8
+        }
+        values = [(shape, s) for shape, s in operands.items()]
+        values += [(pair, p) for pair, both in products.items() for p in both]
+        for label, p in values:
+            unfilled = p._terms is None
+            before = lazy_values(p)
+            table = dict(p._dominant)
+            terms = list(p.terms.items())
+            # the lazy length, lead and zero test survive the fill, which is stored
+            # lex-descending, the order sorted_terms returns, unsorted
+            if not (
+                unfilled
+                and p._terms is not None
+                and lazy_values(p) == before == (len(terms), terms[0] if terms else None, not terms)
+                and terms == sorted(terms, reverse=True) == p.sorted_terms()
+            ):
+                failed["lazy"].append((label, width))
+            partitions = {tuple(filter(None, exps)): c for exps, c in terms if list(exps) == sorted(exps, reverse=True)}
+            if table != partitions:
+                failed["table"].append((label, width))
+        copies = {shape: unflagged(s) for shape, s in operands.items()}
+        for (lam, mu), pair in products.items():
+            reference = copies[lam] * copies[mu]
+            for product in pair:
+                if not (
+                    reference._dominant is None
+                    and product == reference
+                    and all(sum(alpha) == lam.size + mu.size for alpha in product._dominant)
+                ):
+                    failed["product"].append(((lam, mu), width))
+    return failed
+
+
 class TestOrbitProduct:
     # Schur polynomials and their products are symmetric and homogeneous by
     # construction and multiply one orbit at a time; the pair loop on unflagged
     # copies of the same terms is the reference.
 
     def test_every_schur_pair_through_degree_eight(self):
-        # fresh operands, so every value starts unfilled; widths below a shape's row count give
-        # the zero s_lam, still recorded. Each s_lam and each product, in both orders, keeps only
-        # its coefficients at partitions until a monomial is read: its length, lead and zero test
-        # come from that table and survive the fill, the fill is stored lex-descending, and the
-        # table is the filled terms at partitions
-        shapes = [shape for n in range(9) for shape in partitions_of(n)]
-        for width in range(9):
-            operands = {shape: _schur.__wrapped__(shape.parts, width) for shape in shapes}
-            products = {
-                (lam, mu): (operands[lam] * operands[mu], operands[mu] * operands[lam])
-                for i, lam in enumerate(shapes)
-                for mu in shapes[i:]
-                if lam.size + mu.size <= 8
-            }
-            for p in [*operands.values(), *itertools.chain.from_iterable(products.values())]:
-                assert p._terms is None
-                before = lazy_values(p)
-                table = dict(p._dominant)
-                terms = list(p.terms.items())
-                assert p._terms is not None
-                assert lazy_values(p) == before == (len(terms), terms[0] if terms else None, not terms)
-                # stored lex-descending, the order sorted_terms returns, unsorted
-                assert terms == sorted(terms, reverse=True) == p.sorted_terms()
-                partitions = {tuple(filter(None, exps)): c for exps, c in terms if list(exps) == sorted(exps, reverse=True)}
-                assert table == partitions, width
-            copies = {shape: unflagged(s) for shape, s in operands.items()}
-            for (lam, mu), pair in products.items():
-                reference = copies[lam] * copies[mu]
-                assert reference._dominant is None
-                for product in pair:
-                    assert product == reference, (lam, mu, width)
-                    assert all(sum(alpha) == lam.size + mu.size for alpha in product._dominant)
+        # each product, in both orders, equals the pair loop on unflagged copies and keeps a
+        # dominant table of its own degree
+        assert degree_eight_sweep()["product"] == []
 
     def test_triple_products(self):
         shapes = [shape for n in range(5) for shape in partitions_of(n)]
@@ -567,6 +590,17 @@ class TestLazyView:
             race(work, len(readers))
             assert results == expected
             assert list(product.terms.items()) == reference.sorted_terms()
+
+
+class TestDominantTable:
+    # Schur polynomials and their products keep only their coefficients at
+    # partitions until a monomial is read; both tests read the one degree-8 sweep.
+
+    def test_table_is_the_filled_terms_at_partitions(self):
+        assert degree_eight_sweep()["table"] == []
+
+    def test_lazy_values_survive_the_fill(self):
+        assert degree_eight_sweep()["lazy"] == []
 
 
 class TestRendering:
