@@ -99,6 +99,8 @@ class Filling:
         """Multiplicity vector of width ``bound``: slot i-1 counts the i's."""
         if not isinstance(bound, int) or isinstance(bound, bool):
             raise TypeError(f"bound must be an integer, got {bound!r}")
+        if bound < 0:
+            raise ValueError(f"bound must be nonnegative, got {bound}")
         counts = [0] * bound
         for row in self.rows:
             for v in row:

@@ -13,6 +13,8 @@ from .partitions import Partition, SkewShape
 
 def reverse_reading_word(filling: Filling) -> tuple[int, ...]:
     """Entries read along rows right to left, rows taken top to bottom."""
+    if not isinstance(filling, Filling):
+        raise TypeError(f"filling must be a Filling, got {filling!r}")
     word: list[int] = []
     for row in filling.rows:
         word.extend(reversed(row))

@@ -109,6 +109,8 @@ def row_insert(tableau: Filling, value: int) -> tuple[Filling, tuple[int, int]]:
     ``ValueError``. Returns the grown tableau and the coordinate of the
     created box.
     """
+    if not isinstance(tableau, Filling):
+        raise TypeError(f"tableau must be a Filling, got {tableau!r}")
     if tableau.shape.inner.parts or not tableau.is_semistandard():
         raise ValueError(f"need a straight semistandard tableau, got rows {list(tableau.rows)}")
     if any(value in row for row in tableau.rows):
@@ -178,6 +180,8 @@ def inverse_rsk(pair: RskPair) -> Permutation:
     reverse path moves weakly right going up. Removing a box of row r
     visits r + 1 rows, n(λ) + n in all, as many as the forward insertions.
     """
+    if not isinstance(pair, RskPair):
+        raise TypeError(f"pair must be a RskPair, got {pair!r}")
     t_rows = [list(row) for row in pair.insertion.rows]
     n = pair.shape.size
     row_of = [0] * (n + 1)  # row_of[k]: row of the recording box holding k

