@@ -39,6 +39,7 @@ def enumerate_lr_fillings(
     Yields the semistandard fillings of outer/inner whose reverse
     reading word is a lattice word and whose weight equals ``content``,
     in lexicographic order of that word. Empty when containment fails,
+    a row of ``outer`` passes its Weyl cap (see :func:`_pair_bounds`),
     the box counts cannot balance, or ``outer`` lies outside the
     dominance window inner ∪ content ⊴ outer ⊴ inner + content. Each
     leaf of the :func:`_lr_leaves` search becomes one filling, its
@@ -53,17 +54,19 @@ def _lr_leaves(
 ) -> Iterator[list[int]] | None:
     """The witness search for outer/inner with weight ``content``, or None if no witness can exist.
 
-    A witness needs containment, |ν| = |λ| + |μ| and the dominance
-    window λ ∪ μ ⊴ ν ⊴ λ + μ; the partial sums of ν are formed once and
-    held to the pair's bounds from :func:`_pair_bounds`. The search is
+    A witness needs containment, Weyl's row caps ν_k ≤ w_k, |ν| = |λ| + |μ|
+    and the dominance window λ ∪ μ ⊴ ν ⊴ λ + μ, all held against the
+    pair's entry of :func:`_pair_bounds`: the parts of ν go to the caps
+    first, which costs less than the window, then its partial sums,
+    formed once, go to the window. The search is
     :func:`fillings._search` over ν/λ in reverse reading order, with the
     budget (0,) + μ and the lattice condition, so both prune prefixes of
     the reverse reading word instead of filtering finished fillings. The
     box in row r is capped at r + 1 (a v needs a v - 1 read earlier, and
     the entries to its right are at least v, so that v - 1 sits in a
     higher row) and at m = ℓ(μ) less the boxes below it in its column
-    (they hold strictly larger values). The type check and the window run
-    at the call, before any leaf.
+    (they hold strictly larger values). The type check, the caps and the
+    window run at the call, before any leaf.
     """
     # one test on the hot path; the loop only names the offending argument
     if not (isinstance(outer, Partition) and isinstance(inner, Partition) and isinstance(content, Partition)):
@@ -72,12 +75,14 @@ def _lr_leaves(
                 raise TypeError(f"{name} must be a Partition, got {value!r}")
     if not outer.contains(inner):
         return None
-    mu = content.parts
-    size, upper, lower = _pair_bounds(inner.parts, mu)
-    sums = [*accumulate(outer.parts, initial=0)]
+    nu, mu = outer.parts, content.parts
+    size, upper, lower, caps = _pair_bounds(inner.parts, mu)
+    if len(nu) > len(caps) or not all(map(ge, caps, nu)):
+        return None
+    sums = [*accumulate(nu, initial=0)]
     if sums[-1] != size or not all(map(ge, upper, sums)) or not all(map(ge, sums, lower)):
         return None
-    nu, m = outer.parts, len(mu)
+    m = len(mu)
     # min(r + 1, m - d) for a box in row r with d boxes below it is r + 1 minus
     # excess[c], the number of rows past the first m that reach its column (none past its end)
     excess: list[int] = []
@@ -87,12 +92,14 @@ def _lr_leaves(
 
 
 @lru_cache(maxsize=1)
-def _pair_bounds(lam: tuple[int, ...], mu: tuple[int, ...]) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-    """The dominance window of (λ, μ), whatever ν is asked.
+def _pair_bounds(
+    lam: tuple[int, ...], mu: tuple[int, ...]
+) -> tuple[int, tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """The dominance window and the Weyl row caps of (λ, μ), whatever ν is asked.
 
     One entry is (|λ| + |μ|, the partial sums of λ + μ, the partial sums
-    of λ ∪ μ). The sums start at 0, as do those of ν, so an empty ν has a
-    last sum too. λ + μ adds the rows and keeps the longer one's tail;
+    of λ ∪ μ, the row caps). The sums start at 0, as do those of ν, so an
+    empty ν has a last sum too. λ + μ adds the rows and keeps the longer one's tail;
     λ ∪ μ is the parts of both, sorted. The lower bound is the upper one
     for conjugates: c^ν_{λμ} = c^ν′_{λ′μ′} and (λ ∪ μ)′ = λ′ + μ′.
 
@@ -103,23 +110,39 @@ def _pair_bounds(lam: tuple[int, ...], mu: tuple[int, ...]) -> tuple[int, tuple[
     part, so the other side either reached it there too or already
     failed.
 
+    The row caps are Weyl's inequalities ν_{i+j} ≤ λ_i + μ_j, with rows
+    counted from 0 and zero parts past the end: w_k is the least
+    λ_i + μ_j over i + j = k, for k < ℓ(λ) + ℓ(μ), and ν has no row past
+    them. They are Horn's inequalities for r = 1, which hold whenever
+    c^ν_{λμ} > 0 (Fulton, Bull. AMS 37 (2000); Knutson–Tao 1999). w_0 is
+    the first bound of the window, but the caps also refuse ν inside it,
+    the smallest being λ = (2), μ = (1, 1), ν = (2, 2): w_1 = λ_1 + μ_0 = 1.
+
     A table of one entry, the pair in hand: the gain comes from the many ν
     asked of one pair in a row, so a new pair evicts the last one and no
     entry is kept between sweeps.
     """
     row_sum = [*map(add, lam, mu), *(lam[len(mu) :] or mu[len(lam) :])]  # the longer one's tail
     union = sorted(lam + mu, reverse=True)
-    return sum(row_sum), tuple(accumulate(row_sum, initial=0)), tuple(accumulate(union, initial=0))
+    # w_k over a, the longer, and b, the shorter, each padded with one 0: the terms of b_0 and
+    # of a's 0 first, then one slice per later part of b, its padded 0 included
+    a, b = (lam, mu) if len(lam) >= len(mu) else (mu, lam)
+    first, *rest = *b, 0
+    caps = [first + x for x in a] + [*b]
+    for j, y in enumerate(rest, 1):
+        caps[j : j + len(a)] = map(min, caps[j : j + len(a)], [y + x for x in a])
+    upper, lower = tuple(accumulate(row_sum, initial=0)), tuple(accumulate(union, initial=0))
+    return sum(row_sum), upper, lower, tuple(caps)
 
 
 def lr_coefficient(inner: Partition, content: Partition, outer: Partition) -> int:
-    """Number of witnesses; zero on containment failure, size mismatch or outside the window.
+    """Number of witnesses; zero on containment failure, a row past its cap, size mismatch or outside the window.
 
     Counts the leaves of the :func:`_lr_leaves` search that
     :func:`enumerate_lr_fillings` turns into fillings, without building a
-    shape or filling. The window of (inner, content) is one entry
-    of the table :func:`_pair_bounds`, shared by the queries for every
-    ``outer``.
+    shape or filling. The window and the row caps of (inner, content)
+    are one entry of the table :func:`_pair_bounds`, shared by the
+    queries for every ``outer``.
     """
     leaves = _lr_leaves(outer, inner, content)
     return 0 if leaves is None else sum(1 for _ in leaves)

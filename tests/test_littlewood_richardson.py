@@ -136,6 +136,24 @@ def frozen_window(outer, inner, content):
     return dominates(row_sum, nu) and dominates(nu, sorted(lam + mu, reverse=True))
 
 
+def frozen_weyl(outer, inner, content):
+    """Weyl's ν_{i+j} <= λ_i + μ_j for every row of ν, rows from 0 and parts past the end 0.
+
+    A plain double loop over i + j = k per row k of ν, sharing no code or
+    table with the library's row caps.
+    """
+    lam, mu, nu = inner.parts, content.parts, outer.parts
+
+    def part(parts, i):
+        return parts[i] if i < len(parts) else 0
+
+    for k in range(len(nu)):
+        for i in range(k + 1):
+            if nu[k] > part(lam, i) + part(mu, k - i):
+                return False
+    return True
+
+
 def pairs_of_degree(total):
     return [(lam, mu) for a in range(total + 1) for lam in partitions_of(a) for mu in partitions_of(total - a)]
 
@@ -315,13 +333,15 @@ class TestCoefficient:
                         expected = [bound - d for d in below]
                         assert caps_of(lambda: enumerate_ssyt(skew, bound)) == expected, (skew, bound)
             assert caps_of(lambda: enumerate_syt(nu)) == [nu.size + 1 - h for h in nu.hooks()], nu
-        # LR: every search that passes the window through nine boxes, and for the
-        # mid-size pairs every ν whose column runs past ℓ(μ), where the caps fall below r + 1
+        # LR: every search that passes the window and the row caps through nine boxes, and for
+        # the mid-size pairs in both orders every ν whose column runs past ℓ(μ), where the caps
+        # fall below r + 1
         triples = [(lam, mu, nu) for total in range(10) for lam, mu in pairs_of_degree(total)
                    for nu in partitions_of(total)]
         for pair in MID_SIZE_PAIRS:
-            lam, mu = map(Partition, pair)
-            triples += [(lam, mu, nu) for nu in partitions_of(lam.size + mu.size) if len(nu.parts) > len(mu.parts)]
+            for lam, mu in (map(Partition, pair), map(Partition, pair[::-1])):
+                nus = partitions_of(lam.size + mu.size)
+                triples += [(lam, mu, nu) for nu in nus if len(nu.parts) > len(mu.parts)]
         searched = 0
         for lam, mu, nu in triples:
             caps.clear()
@@ -390,9 +410,10 @@ class TestPairTable:
         assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
         entry = _pair_bounds(LAM.parts, LAM.parts)
         assert type(entry) is tuple
-        size, upper, lower = entry
-        assert (size, upper, lower) == (6, (0, 4, 6), (0, 2, 4, 5, 6))
-        assert all(type(part) is tuple for part in (upper, lower))
+        size, upper, lower, caps = entry
+        # caps: w_k = min over i + j = k of λ_i + μ_j, so 2 + 2, 2 + 1, 2 + 0 and 1 + 0
+        assert (size, upper, lower, caps) == (6, (0, 4, 6), (0, 2, 4, 5, 6), (4, 3, 2, 1))
+        assert all(type(part) is tuple for part in (upper, lower, caps))
         assert _lr_leaves(NU, LAM, LAM) is not None
         assert _pair_bounds.cache_info().hits == info.hits + 2
 
@@ -403,14 +424,38 @@ class TestPairTable:
             for lam, mu in pairs_of_degree(total):
                 for nu in shapes:
                     got = _lr_leaves(nu, lam, mu)
-                    assert (got is not None) == frozen_window(nu, lam, mu), (lam, mu, nu)
+                    expected = frozen_window(nu, lam, mu) and frozen_weyl(nu, lam, mu)
+                    assert (got is not None) == expected, (lam, mu, nu)
         # every nu of the mid-size pairs, and of each of their shapes with the empty one
         for lam, mu in MID_SIZE_PAIRS:
             lam, mu = Partition(lam), Partition(mu)
             for inner, content in ((lam, mu), (mu, lam), (lam, EMPTY), (EMPTY, mu)):
                 for nu in partitions_of(inner.size + content.size):
                     got = _lr_leaves(nu, inner, content)
-                    assert (got is not None) == frozen_window(nu, inner, content), (inner, content, nu)
+                    expected = frozen_window(nu, inner, content) and frozen_weyl(nu, inner, content)
+                    assert (got is not None) == expected, (inner, content, nu)
+
+    def test_row_caps_refuse_only_zeros_inside_the_window(self):
+        # s_2 s_11 = s_31 + s_211: ν = (2, 2) is inside the window, but ν_1 = 2 > λ_1 + μ_0 = 1
+        assert frozen_window(Partition((2, 2)), Partition((2,)), Partition((1, 1)))
+        assert _lr_leaves(Partition((2, 2)), Partition((2,)), Partition((1, 1))) is None
+        expansion = _product_expansion(Partition((2,)), Partition((1, 1)))
+        assert expansion == {Partition((3, 1)): 1, Partition((2, 1, 1)): 1}
+        # the triples the window admits and the caps refuse, over every pair of degrees 4-8
+        reach = {}
+        for total in range(4, 9):
+            refused = []
+            for lam, mu in pairs_of_degree(total):
+                expansion = _product_expansion(lam, mu)
+                for nu in partitions_of(total):
+                    if frozen_window(nu, lam, mu) and _lr_leaves(nu, lam, mu) is None:
+                        assert nu not in expansion, (lam, mu, nu)
+                        refused.append((lam, mu, nu))
+            reach[total] = len(refused)
+            if total == 4:
+                assert refused == [(Partition((2,)), Partition((1, 1)), Partition((2, 2))),
+                                   (Partition((1, 1)), Partition((2,)), Partition((2, 2)))]
+        assert reach == {4: 2, 5: 4, 6: 18, 7: 40, 8: 108}
 
     def test_coefficients_warm_cold_and_interleaved_through_degree_eight(self):
         # the pair's entry may come from this query, an earlier one or another pair's
