@@ -7,7 +7,7 @@ from itertools import chain, repeat
 from operator import le, lt, sub
 from typing import Iterable, Iterator, Sequence
 
-from .partitions import Partition, SkewShape
+from .partitions import InvalidBoxError, Partition, SkewShape, _count, _typed
 
 
 class EntryExceedsBoundError(ValueError):
@@ -68,7 +68,9 @@ class Filling:
         return self.to_ascii()
 
     def entry(self, row: int, col: int) -> int:
-        """Entry at absolute coordinate (row, col); the box must be present."""
+        """Entry at absolute coordinate (row, col); an absent box raises :class:`InvalidBoxError`."""
+        if not self.shape.has_box(row, col):
+            raise InvalidBoxError(f"box ({row}, {col}) is not in {self.shape}")
         return self.rows[row][col - self.shape.inner.part(row)]
 
     def is_semistandard(self) -> bool:
@@ -97,11 +99,7 @@ class Filling:
 
     def weight(self, bound: int) -> tuple[int, ...]:
         """Multiplicity vector of width ``bound``: slot i-1 counts the i's."""
-        if not isinstance(bound, int) or isinstance(bound, bool):
-            raise TypeError(f"bound must be an integer, got {bound!r}")
-        if bound < 0:
-            raise ValueError(f"bound must be nonnegative, got {bound}")
-        counts = [0] * bound
+        counts = [0] * _count("bound", bound)
         for row in self.rows:
             for v in row:
                 if v > bound:
@@ -239,12 +237,8 @@ def enumerate_ssyt(shape: Partition | SkewShape, bound: int) -> Iterator[Filling
     of their reading word, the iterator is lazy, and memory stays
     proportional to the number of boxes plus the bound.
     """
-    if not isinstance(shape, (Partition, SkewShape)):
-        raise TypeError(f"shape must be a Partition or SkewShape, got {shape!r}")
-    if not isinstance(bound, int) or isinstance(bound, bool):
-        raise TypeError(f"entry bound must be an integer, got {bound!r}")
-    if bound < 0:
-        raise ValueError(f"entry bound must be nonnegative, got {bound}")
+    _typed("shape", shape, Partition, SkewShape)
+    _count("entry bound", bound)
     skew = shape if isinstance(shape, SkewShape) else shape.as_skew()
     outer = skew.outer.parts
     n = skew.size  # a budget of n never binds; no boxes need no values, whatever the bound
@@ -261,8 +255,7 @@ def enumerate_syt(shape: Partition) -> Iterator[Filling]:
     value used exactly once and entries capped by how many larger values
     the boxes to the right and below still need.
     """
-    if not isinstance(shape, Partition):
-        raise TypeError(f"shape must be a Partition, got {shape!r}")
+    _typed("shape", shape, Partition)
     n, parts = shape.size, shape.parts
     # the other hook - 1 boxes of a box's hook hold larger values, so its entry is at most
     # n + 1 - hook = (n + 2 + r - shape[r]) - (shape'[c] - c)
@@ -281,12 +274,8 @@ def bender_knuth(filling: Filling, index: int) -> Filling:
     and ``b`` large becomes ``b`` small and ``a`` large. Everything else
     stays put, so applying the operation twice returns the input.
     """
-    if not isinstance(filling, Filling):
-        raise TypeError(f"filling must be a Filling, got {filling!r}")
-    if not isinstance(index, int) or isinstance(index, bool):
-        raise TypeError(f"index must be an integer, got {index!r}")
-    if index < 1:
-        raise ValueError(f"index must be at least 1, got {index}")
+    _typed("filling", filling, Filling)
+    _count("index", index, 1)
     if not filling.is_semistandard():
         raise ValueError("operation is only defined on semistandard fillings")
     small, large = index, index + 1

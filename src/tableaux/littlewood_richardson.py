@@ -8,13 +8,12 @@ from operator import add, ge
 from typing import Iterable, Iterator
 
 from .fillings import Filling, _cut, _search
-from .partitions import Partition, SkewShape
+from .partitions import Partition, SkewShape, _typed
 
 
 def reverse_reading_word(filling: Filling) -> tuple[int, ...]:
     """Entries read along rows right to left, rows taken top to bottom."""
-    if not isinstance(filling, Filling):
-        raise TypeError(f"filling must be a Filling, got {filling!r}")
+    _typed("filling", filling, Filling)
     word: list[int] = []
     for row in filling.rows:
         word.extend(reversed(row))
@@ -71,8 +70,7 @@ def _lr_leaves(
     # one test on the hot path; the loop only names the offending argument
     if not (isinstance(outer, Partition) and isinstance(inner, Partition) and isinstance(content, Partition)):
         for name, value in (("outer", outer), ("inner", inner), ("content", content)):
-            if not isinstance(value, Partition):
-                raise TypeError(f"{name} must be a Partition, got {value!r}")
+            _typed(name, value, Partition)
     if not outer.contains(inner):
         return None
     nu, mu = outer.parts, content.parts

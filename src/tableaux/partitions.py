@@ -28,6 +28,25 @@ class GuardExceededError(ValueError):
 Box = tuple[int, int]  # (row, col), 0-based, English notation: row 0 on top
 
 
+def _count(name: str, value, least: int = 0) -> int:
+    """``value``, once it is an ``int`` (not a bool) of at least ``least``, 0 or 1.
+
+    Every public count (a width, a bound, a size, an index, an entry to
+    insert) is refused here: a ``TypeError`` or ``ValueError`` naming it.
+    """
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be {f'at least {least}' if least else 'nonnegative'}, got {value}")
+    return value
+
+
+def _typed(name: str, value, *kinds: type) -> None:
+    """A ``TypeError`` naming the argument ``value`` unless it is an instance of one of ``kinds``."""
+    if not isinstance(value, kinds):
+        raise TypeError(f"{name} must be a {' or '.join(kind.__name__ for kind in kinds)}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Partition:
     """A weakly decreasing sequence of positive integers.
@@ -93,9 +112,7 @@ class Partition:
 
     def boxes(self) -> Iterator[Box]:
         """Box coordinates in row-reading order."""
-        for r, length in enumerate(self.parts):
-            for c in range(length):
-                yield (r, c)
+        return self.as_skew().boxes()
 
     def hook_length(self, row: int, col: int) -> int:
         """Boxes to the right in the row, plus below in the column, plus the box itself."""
@@ -127,9 +144,8 @@ class SkewShape:
     inner: Partition = EMPTY
 
     def __post_init__(self):
-        for name in ("outer", "inner"):
-            if not isinstance(getattr(self, name), Partition):
-                raise TypeError(f"{name} must be a Partition, got {getattr(self, name)!r}")
+        _typed("outer", self.outer, Partition)
+        _typed("inner", self.inner, Partition)
         if not self.outer.contains(self.inner):
             raise NotContainedError(f"{self.inner} is not contained in {self.outer}")
 
@@ -176,8 +192,7 @@ def count_standard_tableaux(shape: Partition) -> int:
     always an integer; a remainder means the hook computation is broken
     and raises rather than returning garbage.
     """
-    if not isinstance(shape, Partition):
-        raise TypeError(f"shape must be a Partition, got {shape!r}")
+    _typed("shape", shape, Partition)
     count, rest = divmod(factorial(shape.size), prod(shape.hooks()))
     if rest:
         raise ArithmeticError(f"hook product does not divide {shape.size}! for {shape}")
@@ -192,10 +207,7 @@ def partitions_of(n: int) -> Iterator[Partition]:
     descending in between. It is the walk from ``(n)`` at width ``n``,
     lazy, so ``partitions_of(10**9)`` yields at once.
     """
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise TypeError(f"n must be an integer, got {n!r}")
-    if n < 0:
-        raise ValueError(f"cannot partition {n}")
+    _count("n", n)
     yield from map(Partition._trusted, _walk((n,) if n else (), n))
 
 

@@ -9,7 +9,7 @@ from math import factorial, perm, prod
 from operator import add, itemgetter, sub
 from typing import Iterable
 
-from .partitions import _capped_vectors, _partitions_below
+from .partitions import _capped_vectors, _count, _partitions_below
 
 
 class WidthMismatchError(ValueError):
@@ -36,10 +36,7 @@ class Polynomial:
     __slots__ = ("_width", "_terms", "_dominant")
 
     def __init__(self, width: int, terms: Mapping[Iterable[int], int] | None = None):
-        if not isinstance(width, int) or isinstance(width, bool):
-            raise TypeError(f"width must be an integer, got {width!r}")
-        if width < 0:
-            raise ValueError(f"width must be nonnegative, got {width}")
+        _count("width", width)
         cleaned: dict[tuple[int, ...], int] = {}
         for exps, coeff in (terms or {}).items():
             key = tuple(exps)

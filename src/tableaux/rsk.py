@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .fillings import Filling
-from .partitions import Partition, _ascii_ints
+from .partitions import Partition, _ascii_ints, _count, _typed
 
 
 class MalformedPairError(ValueError):
@@ -103,14 +103,15 @@ def row_insert(tableau: Filling, value: int) -> tuple[Filling, tuple[int, int]]:
     In each row the incoming value replaces the leftmost strictly larger
     entry, which is then inserted into the next row; when nothing is
     larger it lands in a new box at the end of the row. Requires a
-    straight semistandard tableau and a ``value`` that is not already
-    among its entries (entries of the tableau may repeat); a skew or
-    non-semistandard ``tableau``, or a ``value`` already present, raises
-    ``ValueError``. Returns the grown tableau and the coordinate of the
-    created box.
+    straight semistandard tableau and a positive integer ``value`` that
+    is not already among its entries (entries of the tableau may
+    repeat); a ``value`` that is no ``int`` (a bool or float, say)
+    raises ``TypeError``, and one below 1, a skew or non-semistandard
+    ``tableau``, or a ``value`` already present, raises ``ValueError``.
+    Returns the grown tableau and the coordinate of the created box.
     """
-    if not isinstance(tableau, Filling):
-        raise TypeError(f"tableau must be a Filling, got {tableau!r}")
+    _typed("tableau", tableau, Filling)
+    _count("value", value, 1)
     if tableau.shape.inner.parts or not tableau.is_semistandard():
         raise ValueError(f"need a straight semistandard tableau, got rows {list(tableau.rows)}")
     if any(value in row for row in tableau.rows):
@@ -180,8 +181,7 @@ def inverse_rsk(pair: RskPair) -> Permutation:
     reverse path moves weakly right going up. Removing a box of row r
     visits r + 1 rows, n(λ) + n in all, as many as the forward insertions.
     """
-    if not isinstance(pair, RskPair):
-        raise TypeError(f"pair must be a RskPair, got {pair!r}")
+    _typed("pair", pair, RskPair)
     t_rows = [list(row) for row in pair.insertion.rows]
     n = pair.shape.size
     row_of = [0] * (n + 1)  # row_of[k]: row of the recording box holding k

@@ -5,7 +5,7 @@ from __future__ import annotations
 from functools import lru_cache
 from operator import ge, sub
 
-from .partitions import Partition, _capped_vectors, _partitions_below
+from .partitions import Partition, _capped_vectors, _count, _partitions_below, _typed
 from .polynomials import Polynomial
 
 
@@ -40,13 +40,8 @@ def schur_polynomial(shape: Partition, width: int) -> Polynomial:
     :func:`enumerate_ssyt` stays an independent route. Checked arguments key
     the bounded table :func:`_schur`; ``cache_info`` and ``cache_clear`` are its.
     """
-    if not isinstance(shape, Partition):
-        raise TypeError(f"shape must be a Partition, got {shape!r}")
-    if not isinstance(width, int) or isinstance(width, bool):
-        raise TypeError(f"width must be an integer, got {width!r}")
-    if width < 0:
-        raise ValueError(f"width must be nonnegative, got {width}")
-    return _schur(shape.parts, width)
+    _typed("shape", shape, Partition)
+    return _schur(shape.parts, _count("width", width))
 
 
 @lru_cache(maxsize=1024)
@@ -135,8 +130,7 @@ def schur_expand(poly: Polynomial) -> dict[Partition, int]:
     Raises :class:`NotHomogeneousError` for mixed total degrees, before
     :class:`NotSymmetricError` when both apply.
     """
-    if not isinstance(poly, Polynomial):
-        raise TypeError(f"poly must be a Polynomial, got {poly!r}")
+    _typed("poly", poly, Polynomial)
     dominant = poly._dominant
     if dominant is None:
         if not poly.is_homogeneous():

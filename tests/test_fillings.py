@@ -336,18 +336,6 @@ class TestWeight:
         with pytest.raises(EntryExceedsBoundError):
             Filling.from_rows([[1, 3], [2]]).weight(2)
 
-    def test_rejects_non_integer_bounds(self):
-        filling = Filling.from_rows([[1]])
-        for bound in (True, 1.5, 1.0):
-            with pytest.raises(TypeError, match="bound"):
-                filling.weight(bound)
-
-    def test_rejects_negative_bounds(self):
-        # the bound is refused before any entry is read, so neither filling blames an entry
-        for filling in (Filling.from_rows(()), Filling.from_rows([[1]])):
-            with pytest.raises(ValueError, match="^bound must be nonnegative, got -1$"):
-                filling.weight(-1)
-
 
 class TestEnumerateSsyt:
     def test_reading_word_order(self):
@@ -361,23 +349,11 @@ class TestEnumerateSsyt:
 
     def test_single_box(self):
         assert len(list(enumerate_ssyt(Partition((1,)), 5))) == 5
+        # bound 0 is zero variables, as for schur_polynomial: no box can be filled
+        assert list(enumerate_ssyt(Partition((1,)), 0)) == []
 
     def test_empty_shape(self):
         assert len(list(enumerate_ssyt(EMPTY, 3))) == 1
-
-    def test_bad_bound(self):
-        # bound 0 is zero variables, as for schur_polynomial: no box can be filled
-        assert list(enumerate_ssyt(Partition((1,)), 0)) == []
-        with pytest.raises(ValueError):
-            enumerate_ssyt(Partition((1,)), -1)
-        for bound in (True, False, 1.0, 2.0):
-            with pytest.raises(TypeError):
-                enumerate_ssyt(Partition((1,)), bound)
-
-    def test_rejects_non_shapes(self):
-        for shape in ((2, 1), 3):
-            with pytest.raises(TypeError, match="shape"):
-                enumerate_ssyt(shape, 2)
 
     def test_yields_semistandard(self):
         for filling in enumerate_ssyt(SkewShape(Partition((3, 2)), Partition((1,))), 3):
@@ -467,11 +443,6 @@ class TestEnumerateSyt:
     def test_box_guard(self):
         assert sum(1 for _ in enumerate_syt(Partition((25,)))) == 1
 
-    def test_rejects_non_partitions(self):
-        for shape in ((2, 1), 3):
-            with pytest.raises(TypeError, match="shape"):
-                enumerate_syt(shape)
-
     def test_long_row_does_not_recurse(self):
         rows = [f.rows for f in enumerate_syt(Partition((1200,)))]
         assert rows == [(tuple(range(1, 1201)),)]
@@ -555,21 +526,6 @@ class TestBenderKnuth:
     def test_requires_semistandard(self):
         with pytest.raises(ValueError):
             bender_knuth(ARBITRARY_FILLING, 1)
-
-    def test_requires_positive_index(self):
-        with pytest.raises(ValueError):
-            bender_knuth(SEMISTANDARD_EXAMPLE, 0)
-
-    def test_rejects_non_integer_index(self):
-        # a float index once returned the filling unchanged, and True read as an entry
-        for index in (1.5, 1.0, True):
-            with pytest.raises(TypeError, match="index"):
-                bender_knuth(SEMISTANDARD_EXAMPLE, index)
-
-    def test_rejects_non_fillings(self):
-        for filling in ([[1, 2]], ((1, 2),), None):
-            with pytest.raises(TypeError, match="filling"):
-                bender_knuth(filling, 1)
 
     def test_works_on_skew_fillings(self):
         shape = SkewShape(Partition((3, 2)), Partition((1,)))

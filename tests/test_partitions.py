@@ -1,22 +1,33 @@
 import itertools
 import math
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import pytest
 from hypothesis import given, strategies as st
 
 from tableaux import (
     EMPTY,
+    Filling,
     InvalidBoxError,
     NotContainedError,
     NotWeaklyDecreasingError,
     Partition,
+    Polynomial,
     SkewShape,
+    bender_knuth,
     count_standard_tableaux,
+    enumerate_lr_fillings,
+    enumerate_ssyt,
     enumerate_syt,
     format_partition,
+    inverse_rsk,
+    lr_coefficient,
     parse_partition,
     partitions_of,
+    reverse_reading_word,
+    row_insert,
+    schur_expand,
+    schur_polynomial,
 )
 from tableaux.partitions import _capped_vectors, _partitions_below
 
@@ -232,11 +243,6 @@ class TestCountStandard:
         n = 50
         assert count_standard_tableaux(Partition((n, n))) == math.comb(2 * n, n) // (n + 1)
 
-    def test_rejects_non_partitions(self):
-        for shape in ((2, 1), 3):
-            with pytest.raises(TypeError, match="shape"):
-                count_standard_tableaux(shape)
-
     def test_wrong_hooks_raise(self, monkeypatch):
         # every hook one too long: 7! = 5040 is no multiple of 7*5*3*2*4*2*2 = 6720
         true_hooks = Partition.hooks
@@ -254,15 +260,6 @@ class TestPartitionsOf:
 
     def test_classical_count_of_seven(self):
         assert len(list(partitions_of(7))) == 15
-
-    def test_negative(self):
-        with pytest.raises(ValueError):
-            list(partitions_of(-1))
-
-    def test_rejects_non_integer_sizes(self):
-        for n in (2.0, 0.0, True, False, "2"):
-            with pytest.raises(TypeError, match="n must be an integer"):
-                list(partitions_of(n))
 
     @pytest.mark.parametrize("n", range(21))
     def test_complete_distinct_and_ordered(self, n):
@@ -359,14 +356,6 @@ class TestSkewShape:
         with pytest.raises(NotContainedError):
             SkewShape(Partition((2, 2)), Partition((3,)))
 
-    def test_rejects_non_partitions(self):
-        with pytest.raises(TypeError, match="outer"):
-            SkewShape((2, 1))
-        with pytest.raises(TypeError, match="outer"):
-            SkewShape((2, 1), Partition((1,)))
-        with pytest.raises(TypeError, match="inner"):
-            SkewShape(Partition((2, 1)), (1,))
-
     def test_row_with_no_boxes(self):
         skew = SkewShape(Partition((2, 2)), Partition((2,)))
         assert list(skew.boxes()) == [(1, 0), (1, 1)]
@@ -423,3 +412,89 @@ class TestTextFormat:
         with pytest.raises(ValueError, match="^parts must be nonnegative, got -1$"):
             parse_partition("[2,-1]")
         assert parse_partition("[\u20032,\t1 ]") == Partition((2, 1))  # any whitespace around parts
+
+
+# Every refusal of a public argument, whichever module the call lives in. Counts are refused
+# by ``partitions._count`` and argument types by ``partitions._typed``. The checks on the items
+# of a sequence (``Partition`` parts, ``Permutation`` images, ``Filling`` entries, ``Polynomial``
+# exponents and coefficients) follow their own rules and keep their own tests.
+ONE, TWO = Partition((1,)), Partition((2,))
+BOX, NO_BOX = Filling.from_rows([[1]]), Filling.from_rows(())
+T = Filling.from_rows([[1, 2], [3]])  # holds a 1, so True, read as 1, was once "already an entry" of it
+SKEW = Filling.from_rows([[1, 2], [3]], inner=ONE)
+ROW = Filling.from_rows([[1, 2, 3]])
+
+REFUSALS = [
+    # the call (partitions in brackets, {} for the bad value), the call on that value, the bad values,
+    # the exception type and the exact message
+    ("weight({})", BOX.weight, (True, 1.5, 1.0), TypeError, "bound must be an integer, got {!r}"),
+    # the bound is refused before any entry is read, so neither filling blames an entry
+    ("weight({})", BOX.weight, (-1,), ValueError, "bound must be nonnegative, got {!r}"),
+    ("empty.weight({})", NO_BOX.weight, (-1,), ValueError, "bound must be nonnegative, got {!r}"),
+    ("entry{}", lambda box: SKEW.entry(*box), ((0, 0), (0, -1), (2, 0)), InvalidBoxError, "box {} is not in [3,1]/[1]"),
+    ("ssyt({},2)", lambda shape: enumerate_ssyt(shape, 2), ((2, 1), 3), TypeError,
+     "shape must be a Partition or SkewShape, got {!r}"),
+    ("ssyt([1],{})", partial(enumerate_ssyt, ONE), (True, False, 1.0, 2.0), TypeError,
+     "entry bound must be an integer, got {!r}"),
+    ("ssyt([1],{})", partial(enumerate_ssyt, ONE), (-1,), ValueError, "entry bound must be nonnegative, got {!r}"),
+    ("syt({})", enumerate_syt, ((2, 1), 3), TypeError, "shape must be a Partition, got {!r}"),
+    ("bk({},1)", lambda filling: bender_knuth(filling, 1), ([[1, 2]], ((1, 2),), None), TypeError,
+     "filling must be a Filling, got {!r}"),
+    # a float index once returned the filling unchanged, and True read as an entry
+    ("bk(T,{})", partial(bender_knuth, T), (1.5, 1.0, True), TypeError, "index must be an integer, got {!r}"),
+    ("bk(T,{})", partial(bender_knuth, T), (0,), ValueError, "index must be at least 1, got {!r}"),
+    ("count({})", count_standard_tableaux, ((2, 1), 3), TypeError, "shape must be a Partition, got {!r}"),
+    # a generator: its checks run at the first step
+    ("partitions_of({})", lambda n: next(partitions_of(n)), (2.0, 0.0, True, False, "2"), TypeError,
+     "n must be an integer, got {!r}"),
+    ("partitions_of({})", lambda n: next(partitions_of(n)), (-1,), ValueError, "n must be nonnegative, got {!r}"),
+    ("SkewShape({})", SkewShape, ((2, 1),), TypeError, "outer must be a Partition, got {!r}"),
+    ("SkewShape({},[1])", lambda outer: SkewShape(outer, ONE), ((2, 1),), TypeError,
+     "outer must be a Partition, got {!r}"),
+    ("SkewShape([2,1],{})", partial(SkewShape, Partition((2, 1))), ((1,),), TypeError,
+     "inner must be a Partition, got {!r}"),
+    ("Polynomial({})", Polynomial, (2.0, True, False), TypeError, "width must be an integer, got {!r}"),
+    ("Polynomial({},terms)", lambda width: Polynomial(width, {(1, 0): 1}), (2.0,), TypeError,
+     "width must be an integer, got {!r}"),
+    ("Polynomial({})", Polynomial, (-1,), ValueError, "width must be nonnegative, got {!r}"),
+    # an unhashable shape or width is named too: the checks run before the table
+    ("schur({},3)", lambda shape: schur_polynomial(shape, 3), ((2, 1), 3, None, [2, 1]), TypeError,
+     "shape must be a Partition, got {!r}"),
+    ("schur([1],{})", partial(schur_polynomial, ONE), (True, False, 1.0, 2.0, [3]), TypeError,
+     "width must be an integer, got {!r}"),
+    ("schur([1],{})", partial(schur_polynomial, ONE), (-1,), ValueError, "width must be nonnegative, got {!r}"),
+    ("schur_expand({})", schur_expand, (5,), TypeError, "poly must be a Polynomial, got {!r}"),
+    ("reverse_reading_word({})", reverse_reading_word, (((1, 2),),), TypeError, "filling must be a Filling, got {!r}"),
+    ("lr({},[1],[2])", lambda inner: lr_coefficient(inner, ONE, TWO), ((1,),), TypeError,
+     "inner must be a Partition, got {!r}"),
+    ("lr([1],{},[2])", lambda content: lr_coefficient(ONE, content, TWO), ((1,),), TypeError,
+     "content must be a Partition, got {!r}"),
+    ("lr([1],[1],{})", lambda outer: lr_coefficient(ONE, ONE, outer), ((2,),), TypeError,
+     "outer must be a Partition, got {!r}"),
+    # the outer shape is named first
+    ("lr((1,),(1,),{})", lambda outer: lr_coefficient((1,), (1,), outer), ((2,),), TypeError,
+     "outer must be a Partition, got {!r}"),
+    ("lr_fillings([2],{},[1])", lambda inner: enumerate_lr_fillings(TWO, inner, ONE), ((1,),), TypeError,
+     "inner must be a Partition, got {!r}"),
+    ("lr_fillings([2],[1],{})", lambda content: enumerate_lr_fillings(TWO, ONE, content), ((1,),), TypeError,
+     "content must be a Partition, got {!r}"),
+    ("lr_fillings({},[1],[1])", lambda outer: enumerate_lr_fillings(outer, ONE, ONE), ((2,),), TypeError,
+     "outer must be a Partition, got {!r}"),
+    ("lr_fillings({},(1,),(1,))", lambda outer: enumerate_lr_fillings(outer, (1,), (1,)), ((2,),), TypeError,
+     "outer must be a Partition, got {!r}"),
+    ("row_insert({},2)", lambda tableau: row_insert(tableau, 2), (((1, 3),),), TypeError,
+     "tableau must be a Filling, got {!r}"),
+    ("row_insert(T,{})", partial(row_insert, T), (True, 2.5), TypeError, "value must be an integer, got {!r}"),
+    ("row_insert(T,{})", partial(row_insert, T), (0,), ValueError, "value must be at least 1, got {!r}"),
+    ("inverse_rsk((u,u))", inverse_rsk, ((ROW, ROW),), TypeError, "pair must be a RskPair, got {!r}"),
+]
+
+
+@pytest.mark.parametrize("call, value, error, message", [
+    pytest.param(call, value, error, message.format(value), id=pattern.format(repr(value).replace(" ", "")))
+    for pattern, call, values, error, message in REFUSALS for value in values
+])
+def test_refuses(call, value, error, message):
+    with pytest.raises(error) as exc:
+        call(value)
+    assert type(exc.value) is error and str(exc.value) == message

@@ -67,15 +67,6 @@ class TestConstruction:
         with pytest.raises(TypeError):
             Polynomial.monomial(2, (1, 2.0))
 
-    def test_rejects_non_integer_width(self):
-        for width in (2.0, True, False):
-            with pytest.raises(TypeError):
-                Polynomial(width)
-        with pytest.raises(TypeError):
-            Polynomial(2.0, {(1, 0): 1})
-        with pytest.raises(ValueError):
-            Polynomial(-1)
-
     def test_coefficient_rejects_non_integer_exponents(self):
         p = Polynomial(1, {(1,): 5})
         for exps in ((1.0,), (True,)):

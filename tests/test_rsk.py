@@ -203,8 +203,6 @@ class TestRowInsert:
                         Filling.from_rows([[3], [4]], inner=[1])]:
             with pytest.raises(ValueError, match="need a straight semistandard tableau"):
                 row_insert(tableau, 2)
-        with pytest.raises(TypeError, match=r"^tableau must be a Filling, got \(\(1, 3\),\)$"):
-            row_insert(((1, 3),), 2)
 
 
 class TestRsk:
@@ -374,8 +372,6 @@ class TestInverse:
         skew = Filling.from_rows([[1]], inner=[1])
         with pytest.raises(MalformedPairError):
             RskPair(skew, skew)
-        with pytest.raises(TypeError, match="^pair must be a RskPair, got "):
-            inverse_rsk((u, u))
 
 
 class TestLis:

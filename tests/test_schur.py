@@ -81,24 +81,10 @@ class TestSchurPolynomial:
         assert schur_polynomial(Partition((2, 1)), 3) is first
         info = schur_polynomial.cache_info()
         assert (info.misses, info.hits) == (1, 1)
-
-    def test_rejects_non_partition_shapes(self):
-        # an unhashable shape is named too: the checks run before the table
-        for shape in ((2, 1), 3, None, [2, 1]):
-            with pytest.raises(TypeError, match="shape"):
-                schur_polynomial(shape, 3)
-
-    def test_rejects_non_integer_width(self):
-        one = Partition((1,))
-        schur_polynomial.cache_clear()
-        # a cached (one, 1) answers for no bool: the checks run before the table
-        schur_polynomial(one, 1)
-        for width in (True, False, 1.0, 2.0, [3]):
-            with pytest.raises(TypeError, match="width"):
-                schur_polynomial(one, width)
-        with pytest.raises(ValueError):
-            schur_polynomial(one, -1)
-        assert type(schur_polynomial(one, 1).width) is int
+        # a cached (λ, 1) answers for no bool: the width is checked before the table
+        assert type(schur_polynomial(Partition((2, 1)), 1).width) is int
+        with pytest.raises(TypeError, match="^width must be an integer, got True$"):
+            schur_polynomial(Partition((2, 1)), True)
 
     def test_wide_builds_need_no_recursion(self):
         # a recursion over the 40 or 1500 variables would pass the lowered limit
@@ -279,10 +265,6 @@ class TestSchurExpand:
                 poly = poly + schur_polynomial(shape, width) * c
         expected = {shape: c for shape, c in zip(shapes, coeffs) if c}
         assert schur_expand(poly) == expected
-
-    def test_rejects_non_polynomials(self):
-        with pytest.raises(TypeError, match="poly"):
-            schur_expand(5)
 
     def test_dominant_tables_expand_like_unflagged_copies(self):
         # an unflagged copy takes the symmetry scan and the orbit count; the

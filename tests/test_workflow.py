@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-WORKFLOW = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "tests.yml"
+REPO = Path(__file__).resolve().parent.parent
+WORKFLOW = REPO / ".github" / "workflows" / "tests.yml"
 
 
 def test_workflow_steps_are_well_formed():
@@ -20,6 +21,17 @@ def test_workflow_steps_are_well_formed():
         for step in spec["steps"]:
             assert "name" in step, (job, step)
             assert ("run" in step) != ("uses" in step), (job, step["name"])
+
+
+def test_lowest_python_in_the_matrix_is_the_supported_floor():
+    # a matrix above the floor leaves the oldest supported Python untested; 3.10 has no tomllib, so a regex reads it
+    yaml = pytest.importorskip("yaml")
+    workflow = yaml.safe_load(WORKFLOW.read_text())
+    versions = [version for spec in workflow["jobs"].values()
+                for version in spec.get("strategy", {}).get("matrix", {}).get("python-version", [])]
+    floor = re.search(r'^requires-python = ">=(\d+\.\d+)"$', (REPO / "pyproject.toml").read_text(), re.M)
+    assert versions and floor
+    assert min(versions, key=lambda version: tuple(map(int, version.split(".")))) == floor.group(1)
 
 
 def test_every_run_step_has_a_timeout():
