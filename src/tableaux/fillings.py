@@ -7,7 +7,7 @@ from itertools import chain, repeat
 from operator import le, lt, sub
 from typing import Iterable, Iterator, Sequence
 
-from .partitions import InvalidBoxError, Partition, SkewShape, _count, _typed
+from .partitions import InvalidBoxError, Partition, SkewShape, _count, _ints, _typed
 
 
 class EntryExceedsBoundError(ValueError):
@@ -28,23 +28,19 @@ class Filling:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        _typed("shape", self.shape, SkewShape)
         rows = tuple(map(tuple, self.rows))
         object.__setattr__(self, "rows", rows)
         outer, inner = self.shape.outer, self.shape.inner
         if len(rows) != outer.nrows:
             raise ValueError(f"expected {outer.nrows} rows for {self.shape}, got {len(rows)}")
-        # C-level passes decide; only a failure walks the rows, to report the first fault in order
         widths = tuple(map(sub, outer.parts, chain(inner.parts, repeat(0)))) if inner.parts else outer.parts
-        entries = [*chain.from_iterable(rows)]
-        if tuple(map(len, rows)) == widths and set(map(type, entries)) <= {int} and min(entries, default=1) > 0:
-            return
-        for r, row in enumerate(rows):
-            want = outer.part(r) - inner.part(r)
-            if len(row) != want:
-                raise ValueError(f"row {r} of {self.shape} needs {want} entries, got {len(row)}")
-            for v in row:
-                if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-                    raise ValueError(f"entries must be positive integers, got {v!r}")
+        if tuple(map(len, rows)) != widths:  # walk to the first fault in order: each row's length, then its entries
+            for r, (row, want) in enumerate(zip(rows, widths)):
+                if len(row) != want:
+                    raise ValueError(f"row {r} of {self.shape} needs {want} entries, got {len(row)}")
+                _ints("entry", row, 1)
+        _ints("entry", chain.from_iterable(rows), 1)
 
     @classmethod
     def _trusted(cls, shape: SkewShape, rows: tuple[tuple[int, ...], ...]) -> "Filling":

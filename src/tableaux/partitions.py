@@ -28,17 +28,29 @@ class GuardExceededError(ValueError):
 Box = tuple[int, int]  # (row, col), 0-based, English notation: row 0 on top
 
 
-def _count(name: str, value, least: int = 0) -> int:
-    """``value``, once it is an ``int`` (not a bool) of at least ``least``, 0 or 1.
+def _count(name: str, value, least: int | None = 0) -> int:
+    """``value``, once it is an ``int`` (not a bool) of at least ``least``: 0, 1, or ``None`` for any.
 
-    Every public count (a width, a bound, a size, an index, an entry to
-    insert) is refused here: a ``TypeError`` or ``ValueError`` naming it.
+    Every public count, box coordinate and integer a value holds is
+    refused here: a ``TypeError`` or ``ValueError`` naming it.
     """
     if not isinstance(value, int) or isinstance(value, bool):
         raise TypeError(f"{name} must be an integer, got {value!r}")
-    if value < least:
+    if least is not None and value < least:
         raise ValueError(f"{name} must be {f'at least {least}' if least else 'nonnegative'}, got {value}")
     return value
+
+
+def _ints(name: str, values, least: int | None = 0) -> tuple[int, ...]:
+    """``values`` as a tuple, once :func:`_count` takes each of them.
+
+    C-level passes decide; only a failure walks the values, so ``_count`` names the first bad one.
+    """
+    values = tuple(values)
+    if not ({int}.issuperset(map(type, values)) and (least is None or not values or min(values) >= least)):
+        for value in values:
+            _count(name, value, least)
+    return values
 
 
 def _typed(name: str, value, *kinds: type) -> None:
@@ -59,12 +71,7 @@ class Partition:
     parts: tuple[int, ...] = ()
 
     def __post_init__(self):
-        parts = tuple(self.parts)
-        for p in parts:
-            if not isinstance(p, int) or isinstance(p, bool):
-                raise TypeError(f"parts must be integers, got {p!r}")
-            if p < 0:
-                raise ValueError(f"parts must be nonnegative, got {p}")
+        parts = _ints("part", self.parts)
         cleaned = tuple(p for p in parts if p > 0)
         if any(cleaned[i] < cleaned[i + 1] for i in range(len(cleaned) - 1)):
             raise NotWeaklyDecreasingError(
@@ -116,7 +123,7 @@ class Partition:
 
     def hook_length(self, row: int, col: int) -> int:
         """Boxes to the right in the row, plus below in the column, plus the box itself."""
-        if not (0 <= row < len(self.parts) and 0 <= col < self.parts[row]):
+        if not self.as_skew().has_box(row, col):
             raise InvalidBoxError(f"box ({row}, {col}) is not in {self}")
         arm = self.parts[row] - col
         leg = sum(1 for p in self.parts[row + 1 :] if p > col)
@@ -175,6 +182,8 @@ class SkewShape:
         return self.inner.part(row), self.outer.part(row)
 
     def has_box(self, row: int, col: int) -> bool:
+        _count("row", row, None)
+        _count("col", col, None)
         return 0 <= row < self.outer.nrows and self.inner.part(row) <= col < self.outer.part(row)
 
     def boxes(self) -> Iterator[Box]:
@@ -208,7 +217,7 @@ def partitions_of(n: int) -> Iterator[Partition]:
     lazy, so ``partitions_of(10**9)`` yields at once.
     """
     _count("n", n)
-    yield from map(Partition._trusted, _walk((n,) if n else (), n))
+    return (Partition._trusted(parts) for parts in _walk((n,) if n else (), n))
 
 
 def _walk(lead: tuple[int, ...], width: int) -> Iterator[tuple[int, ...]]:

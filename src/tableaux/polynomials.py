@@ -9,7 +9,7 @@ from math import factorial, perm, prod
 from operator import add, itemgetter, sub
 from typing import Iterable
 
-from .partitions import _capped_vectors, _count, _partitions_below
+from .partitions import _capped_vectors, _count, _ints, _partitions_below
 
 
 class WidthMismatchError(ValueError):
@@ -36,23 +36,13 @@ class Polynomial:
     __slots__ = ("_width", "_terms", "_dominant")
 
     def __init__(self, width: int, terms: Mapping[Iterable[int], int] | None = None):
-        _count("width", width)
-        cleaned: dict[tuple[int, ...], int] = {}
-        for exps, coeff in (terms or {}).items():
-            key = tuple(exps)
-            if len(key) != width:
-                raise WidthMismatchError(f"exponent vector {key} does not have width {width}")
-            if not all(isinstance(e, int) and not isinstance(e, bool) for e in key):
-                raise TypeError(f"exponents must be integers, got {key}")
-            if any(e < 0 for e in key):
-                raise ValueError(f"exponents must be nonnegative, got {key}")
-            if not isinstance(coeff, int) or isinstance(coeff, bool):
-                raise TypeError(f"coefficients must be integers, got {coeff!r}")
-            if coeff != 0:
-                cleaned[key] = coeff
-        self._width = width
-        self._terms = cleaned
+        self._width = _count("width", width)
+        self._terms = {}
         self._dominant = None
+        for exps, coeff in (terms or {}).items():
+            key = self._key(exps)
+            if _count("coefficient", coeff, None):
+                self._terms[key] = coeff
 
     @classmethod
     def _from_terms(cls, width: int, terms: dict[tuple[int, ...], int]) -> "Polynomial":
@@ -116,11 +106,14 @@ class Polynomial:
             self._terms = terms
         return terms
 
+    def _key(self, exps: Iterable[int]) -> tuple[int, ...]:
+        key = tuple(exps)
+        if len(key) != self._width:
+            raise WidthMismatchError(f"exponent vector {key} does not have width {self._width}")
+        return _ints("exponent", key)
+
     def coefficient(self, exps: Iterable[int]) -> int:
-        exps = tuple(exps)
-        if not all(isinstance(e, int) and not isinstance(e, bool) for e in exps):
-            raise TypeError(f"exponents must be integers, got {exps}")
-        return self._filled().get(exps, 0)
+        return self._filled().get(self._key(exps), 0)
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
         """Terms in lexicographically descending exponent order."""
@@ -166,7 +159,7 @@ class Polynomial:
     def _coerce(self, value) -> "Polynomial | None":
         if isinstance(value, Polynomial):
             return value
-        if isinstance(value, int):
+        if _scalar(value):
             return Polynomial.constant(self._width, value)
         return None
 
@@ -208,7 +201,7 @@ class Polynomial:
         workload takes the loop; the tests keep it as the orbit route's
         reference.
         """
-        if isinstance(other, int) and not isinstance(other, bool):
+        if _scalar(other):
             scaled = {key: c * other for key, c in self._filled().items()}
             return Polynomial._from_terms(self._width, scaled)
         if not isinstance(other, Polynomial):
@@ -266,6 +259,11 @@ class Polynomial:
         return format_polynomial(self)
 
 
+def _scalar(value) -> bool:
+    """True for an integer that scales a polynomial: an ``int``, not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 class _Terms(Mapping):
     """Read-only view of a polynomial's terms, in stored order.
 
@@ -286,10 +284,7 @@ class _Terms(Mapping):
         return len(poly._terms)
 
     def __getitem__(self, exps) -> int:
-        coeff = self._poly.coefficient(exps)
-        if not coeff:
-            raise KeyError(exps)
-        return coeff
+        return self._poly._filled()[exps]
 
     def __iter__(self):
         return iter(self._poly._filled())

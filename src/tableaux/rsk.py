@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .fillings import Filling
-from .partitions import Partition, _ascii_ints, _count, _typed
+from .partitions import Partition, _ascii_ints, _count, _ints, _typed
 
 
 class MalformedPairError(ValueError):
@@ -22,13 +22,9 @@ class Permutation:
     images: tuple[int, ...]
 
     def __post_init__(self):
-        images = tuple(self.images)
+        images = _ints("image", self.images, None)
         object.__setattr__(self, "images", images)
         n = len(images)
-        if not set(map(type, images)) <= {int}:  # walk only to name the first non-integer
-            for v in images:
-                if not isinstance(v, int) or isinstance(v, bool):
-                    raise TypeError(f"images must be integers, got {v!r}")
         # n distinct integers from 1 to n are exactly 1..n; dict.fromkeys peaks at a third of a set's memory
         if images and not (len(dict.fromkeys(images)) == n and min(images) == 1 and max(images) == n):
             raise ValueError(f"{list(images)} is not a permutation of 1..{n}")
@@ -62,6 +58,8 @@ class RskPair:
     recording: Filling
 
     def __post_init__(self):
+        _typed("insertion", self.insertion, Filling)
+        _typed("recording", self.recording, Filling)
         if self.insertion.shape != self.recording.shape or self.insertion.shape.inner.parts:
             raise MalformedPairError("need two straight tableaux of equal shape")
         if not (self.insertion.is_standard() and self.recording.is_standard()):

@@ -410,7 +410,7 @@ class TestRsk:
             ("1,1/2", "1,1/2"): "both tableaux must be standard",
             ("2,1/3", "1,2/3"): "both tableaux must be standard",
             ("1,3/2", "1,2/4"): "both tableaux must be standard",
-            ("1,2/0", "1,2/3"): "entries must be positive integers, got 0",
+            ("1,2/0", "1,2/3"): "entry must be at least 1, got 0",
             ("1,2/", "1,2"): "expected 1 rows for [2], got 2",
             ("1,+2", "1,2"): "bad row string '1,+2'; expected e.g. 1,3,5/2,4",
             ("1,2", "1,2", "1"): "--invert needs exactly two row strings: T U",
@@ -521,7 +521,7 @@ MALFORMED = {
     ("schur", "[1 1]", "3"): "expected comma-separated integers, got '[1 1]'",
     ("schur", "[2,1]", "3.0"): "expected an integer, got '3.0'",
     ("lr", "[x]", "[1]", "[2]"): "expected comma-separated integers, got '[x]'",
-    ("lr", "[1]", "[-1]", "[2]"): "parts must be nonnegative, got -1",
+    ("lr", "[1]", "[-1]", "[2]"): "part must be nonnegative, got -1",
     ("lr", "[1]", "[1]", "[2,,]"): "expected comma-separated integers, got '[2,,]'",
     ("expand", "", "[1]"): "expected bracketed parts like [4,2,1], got ''",
     ("expand", "[1]", "[٢]"): "expected comma-separated integers, got '[٢]'",

@@ -12,8 +12,11 @@ from tableaux import (
     NotContainedError,
     NotWeaklyDecreasingError,
     Partition,
+    Permutation,
     Polynomial,
+    RskPair,
     SkewShape,
+    WidthMismatchError,
     bender_knuth,
     count_standard_tableaux,
     enumerate_lr_fillings,
@@ -409,20 +412,21 @@ class TestTextFormat:
         assert str(exc.value) == f"expected comma-separated integers, got {bad!r}"
 
     def test_keeps_the_part_errors_of_a_minus_sign(self):
-        with pytest.raises(ValueError, match="^parts must be nonnegative, got -1$"):
+        with pytest.raises(ValueError, match="^part must be nonnegative, got -1$"):
             parse_partition("[2,-1]")
         assert parse_partition("[\u20032,\t1 ]") == Partition((2, 1))  # any whitespace around parts
 
 
-# Every refusal of a public argument, whichever module the call lives in. Counts are refused
-# by ``partitions._count`` and argument types by ``partitions._typed``. The checks on the items
-# of a sequence (``Partition`` parts, ``Permutation`` images, ``Filling`` entries, ``Polynomial``
-# exponents and coefficients) follow their own rules and keep their own tests.
-ONE, TWO = Partition((1,)), Partition((2,))
+# Every refusal of a public argument, whichever module the call lives in. Counts, box coordinates
+# and every integer a value holds (``Partition`` parts, ``Permutation`` images, ``Filling`` entries,
+# ``Polynomial`` exponents and coefficients) are refused by ``partitions._count``, the items of a
+# sequence through ``partitions._ints``, and argument types by ``partitions._typed``.
+ONE, TWO, P21 = Partition((1,)), Partition((2,)), Partition((2, 1))
 BOX, NO_BOX = Filling.from_rows([[1]]), Filling.from_rows(())
 T = Filling.from_rows([[1, 2], [3]])  # holds a 1, so True, read as 1, was once "already an entry" of it
 SKEW = Filling.from_rows([[1, 2], [3]], inner=ONE)
 ROW = Filling.from_rows([[1, 2, 3]])
+X = Polynomial(2, {(1, 0): 5})
 
 REFUSALS = [
     # the call (partitions in brackets, {} for the bad value), the call on that value, the bad values,
@@ -432,6 +436,11 @@ REFUSALS = [
     ("weight({})", BOX.weight, (-1,), ValueError, "bound must be nonnegative, got {!r}"),
     ("empty.weight({})", NO_BOX.weight, (-1,), ValueError, "bound must be nonnegative, got {!r}"),
     ("entry{}", lambda box: SKEW.entry(*box), ((0, 0), (0, -1), (2, 0)), InvalidBoxError, "box {} is not in [3,1]/[1]"),
+    # a float column once read as a box, or as a list index
+    ("entry(0,{})", partial(SKEW.entry, 0), (1.5, True), TypeError, "col must be an integer, got {!r}"),
+    ("has_box(0,{})", partial(SKEW.shape.has_box, 0), (1.5, "1"), TypeError, "col must be an integer, got {!r}"),
+    ("hook_length({},0)", lambda row: P21.hook_length(row, 0), (0.0, None), TypeError, "row must be an integer, got {!r}"),
+    ("hook_length{}", lambda box: P21.hook_length(*box), ((0, 2), (-1, 0), (0, -1)), InvalidBoxError, "box {} is not in [2,1]"),
     ("ssyt({},2)", lambda shape: enumerate_ssyt(shape, 2), ((2, 1), 3), TypeError,
      "shape must be a Partition or SkewShape, got {!r}"),
     ("ssyt([1],{})", partial(enumerate_ssyt, ONE), (True, False, 1.0, 2.0), TypeError,
@@ -444,10 +453,9 @@ REFUSALS = [
     ("bk(T,{})", partial(bender_knuth, T), (1.5, 1.0, True), TypeError, "index must be an integer, got {!r}"),
     ("bk(T,{})", partial(bender_knuth, T), (0,), ValueError, "index must be at least 1, got {!r}"),
     ("count({})", count_standard_tableaux, ((2, 1), 3), TypeError, "shape must be a Partition, got {!r}"),
-    # a generator: its checks run at the first step
-    ("partitions_of({})", lambda n: next(partitions_of(n)), (2.0, 0.0, True, False, "2"), TypeError,
-     "n must be an integer, got {!r}"),
-    ("partitions_of({})", lambda n: next(partitions_of(n)), (-1,), ValueError, "n must be nonnegative, got {!r}"),
+    # refused at the call, though the walk is lazy
+    ("partitions_of({})", partitions_of, (2.0, 0.0, True, False, "2"), TypeError, "n must be an integer, got {!r}"),
+    ("partitions_of({})", partitions_of, (-1,), ValueError, "n must be nonnegative, got {!r}"),
     ("SkewShape({})", SkewShape, ((2, 1),), TypeError, "outer must be a Partition, got {!r}"),
     ("SkewShape({},[1])", lambda outer: SkewShape(outer, ONE), ((2, 1),), TypeError,
      "outer must be a Partition, got {!r}"),
@@ -487,6 +495,31 @@ REFUSALS = [
     ("row_insert(T,{})", partial(row_insert, T), (True, 2.5), TypeError, "value must be an integer, got {!r}"),
     ("row_insert(T,{})", partial(row_insert, T), (0,), ValueError, "value must be at least 1, got {!r}"),
     ("inverse_rsk((u,u))", inverse_rsk, ((ROW, ROW),), TypeError, "pair must be a RskPair, got {!r}"),
+    ("RskPair({},ROW)", lambda t: RskPair(t, ROW), (((1, 2, 3),),), TypeError, "insertion must be a Filling, got {!r}"),
+    ("RskPair(ROW,{})", partial(RskPair, ROW), (((1, 2, 3),),), TypeError, "recording must be a Filling, got {!r}"),
+    ("Filling({},((1,),))", lambda shape: Filling(shape, ((1,),)), (ONE,), TypeError,
+     "shape must be a SkewShape, got {!r}"),
+    # the integers a value holds: a bad one comes before a True, so these also pin that the first is named
+    ("Partition((2,{},True))", lambda v: Partition((2, v, True)), (1.5, True, "1"), TypeError, "part must be an integer, got {!r}"),
+    ("Partition((2,{}))", lambda v: Partition((2, v)), (-1,), ValueError, "part must be nonnegative, got {!r}"),
+    ("Permutation((1,{},True))", lambda v: Permutation((1, v, True)), (2.0, True, "2"), TypeError,
+     "image must be an integer, got {!r}"),
+    ("entries[[1,{}],[True]]", lambda v: Filling.from_rows([[1, v], [True]]), (2.0, True, "2"), TypeError,
+     "entry must be an integer, got {!r}"),
+    ("Filling([2],((1,{}),))", lambda v: Filling(TWO.as_skew(), ((1, v),)), (True, 2.0), TypeError, "entry must be an integer, got {!r}"),
+    ("entries[[1,{}],[-1]]", lambda v: Filling.from_rows([[1, v], [-1]]), (0,), ValueError, "entry must be at least 1, got {!r}"),
+    ("Polynomial(2,{{(1,{}):1,(True,0):1}})", lambda e: Polynomial(2, {(1, e): 1, (True, 0): 1}), (1.5, True, "2"), TypeError,
+     "exponent must be an integer, got {!r}"),
+    ("Polynomial(2,{{(1,{}):1}})", lambda e: Polynomial(2, {(1, e): 1}), (-1,), ValueError, "exponent must be nonnegative, got {!r}"),
+    ("X.coefficient((1,{}))", lambda e: X.coefficient((1, e)), (1.5,), TypeError, "exponent must be an integer, got {!r}"),
+    ("X.coefficient((1,{}))", lambda e: X.coefficient((1, e)), (-1,), ValueError, "exponent must be nonnegative, got {!r}"),
+    ("Polynomial(1,{{(1,):{},(2,):True}})", lambda c: Polynomial(1, {(1,): c, (2,): True}), (1.5, True, "2"), TypeError,
+     "coefficient must be an integer, got {!r}"),
+    # a wrong width once read as an absent term, and True once added as the constant 1, though it never scaled
+    ("X.coefficient({})", X.coefficient, ((1,), (1, 0, 0)), WidthMismatchError, "exponent vector {} does not have width 2"),
+    ("X+{}", lambda v: X + v, (True,), TypeError, "unsupported operand type(s) for +: 'Polynomial' and 'bool'"),
+    ("X-{}", lambda v: X - v, (True,), TypeError, "unsupported operand type(s) for -: 'Polynomial' and 'bool'"),
+    ("X*{}", lambda v: X * v, (True,), TypeError, "unsupported operand type(s) for *: 'Polynomial' and 'bool'"),
 ]
 
 
@@ -498,3 +531,4 @@ def test_refuses(call, value, error, message):
     with pytest.raises(error) as exc:
         call(value)
     assert type(exc.value) is error and str(exc.value) == message
+

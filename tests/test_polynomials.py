@@ -254,7 +254,6 @@ class TestOperandsOfDifferentDegrees:
         assert poly.coefficient((0, 2)) == 0
         assert (0, 2) not in poly.terms
         assert poly.coefficient((1, 0)) == poly.terms[(1, 0)] == 5
-        assert poly.coefficient((1,)) == 0
 
     @settings(phases=NO_SHRINK)
     @given(st.data())

@@ -82,12 +82,6 @@ class TestPermutation:
         with pytest.raises(TypeError):
             rsk([2, True])  # refused as a permutation, before any insertion
 
-    def test_names_the_first_non_integer_in_order(self):
-        for images, bad in (((1, 2.0, True), "2.0"), ((True, 2.0), "True"), ((2, 1, 3.5, "4"), "3.5")):
-            with pytest.raises(TypeError) as exc:
-                Permutation(images)
-            assert str(exc.value) == f"images must be integers, got {bad}"
-
     def test_pins_the_not_a_permutation_message(self):
         for images in ((1, 1), (0, 1), (1, 3), (2, 3, 4)):
             with pytest.raises(ValueError) as exc:

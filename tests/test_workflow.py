@@ -1,3 +1,4 @@
+import ast
 import os
 import re
 import shutil
@@ -95,3 +96,21 @@ def test_every_workload_step_fails_unless_each_result_is_correct(tmp_path, secon
         proc = subprocess.run(["bash", "-e", "-c", step["run"]], capture_output=True, text=True, env=env,
                               cwd=tmp_path, timeout=60)
         assert (proc.returncode != 0) == fails, (step["name"], proc.stdout, proc.stderr)
+
+
+def test_the_integer_rule_is_written_once():
+    # a hand-written copy of the rule drifts from it: only _count, _ints and the polynomial scalar test hold one
+    def names(node):
+        return [getattr(item, "id", None) for item in (node.elts if isinstance(node, (ast.Tuple, ast.Set)) else [node])]
+
+    def copies(node, where):
+        where = node.name if isinstance(node, ast.FunctionDef) else where
+        if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance" and "bool" in names(node.args[-1])
+                or isinstance(node, ast.Set) and names(node) == ["int"]):
+            yield where
+        for child in ast.iter_child_nodes(node):
+            yield from copies(child, where)
+
+    found = {(path.name, where) for path in (REPO / "src" / "tableaux").glob("*.py")
+             for where in copies(ast.parse(path.read_text()), "<module>")}
+    assert found == {("partitions.py", "_count"), ("partitions.py", "_ints"), ("polynomials.py", "_scalar")}
