@@ -8,7 +8,7 @@ from operator import add, ge
 from typing import Iterable, Iterator
 
 from .fillings import Filling, _cut, _search
-from .partitions import Partition, SkewShape, _typed
+from .partitions import Partition, SkewShape, _columns, _ints, _typed
 
 
 def reverse_reading_word(filling: Filling) -> tuple[int, ...]:
@@ -23,7 +23,7 @@ def reverse_reading_word(filling: Filling) -> tuple[int, ...]:
 def is_lattice(word: Iterable[int]) -> bool:
     """Every prefix holds at least as many (i-1)'s as i's, for each i >= 2."""
     counts: dict[int, int] = {}
-    for letter in word:
+    for letter in _ints("letter", word, 1):
         counts[letter] = counts.get(letter, 0) + 1
         if letter >= 2 and counts[letter] > counts.get(letter - 1, 0):
             return False
@@ -64,7 +64,9 @@ def _lr_leaves(
     box in row r is capped at r + 1 (a v needs a v - 1 read earlier, and
     the entries to its right are at least v, so that v - 1 sits in a
     higher row) and at m = ℓ(μ) less the boxes below it in its column
-    (they hold strictly larger values). The type check, the caps and the
+    (they hold strictly larger values). The lesser is r + 1 less the
+    height past row m of its column, the column term ``_columns(ν, m)``
+    (:func:`partitions._columns`). The type check, the caps and the
     window run at the call, before any leaf.
     """
     # one test on the hot path; the loop only names the offending argument
@@ -80,13 +82,7 @@ def _lr_leaves(
     sums = [*accumulate(nu, initial=0)]
     if sums[-1] != size or not all(map(ge, upper, sums)) or not all(map(ge, sums, lower)):
         return None
-    m = len(mu)
-    # min(r + 1, m - d) for a box in row r with d boxes below it is r + 1 minus
-    # excess[c], the number of rows past the first m that reach its column (none past its end)
-    excess: list[int] = []
-    for r in range(len(nu) - 1, m - 1, -1):
-        excess += [r + 1 - m] * (nu[r] - len(excess))
-    return _search(nu, inner.parts, range(1, len(nu) + 1), excess, (0,) + mu, reverse=True)
+    return _search(nu, inner.parts, range(1, len(nu) + 1), _columns(nu, len(mu)), (0,) + mu, reverse=True)
 
 
 @lru_cache(maxsize=1)
@@ -111,10 +107,12 @@ def _pair_bounds(
     The row caps are Weyl's inequalities ν_{i+j} ≤ λ_i + μ_j, with rows
     counted from 0 and zero parts past the end: w_k is the least
     λ_i + μ_j over i + j = k, for k < ℓ(λ) + ℓ(μ), and ν has no row past
-    them. They are Horn's inequalities for r = 1, which hold whenever
-    c^ν_{λμ} > 0 (Fulton, Bull. AMS 37 (2000); Knutson–Tao 1999). w_0 is
-    the first bound of the window, but the caps also refuse ν inside it,
-    the smallest being λ = (2), μ = (1, 1), ν = (2, 2): w_1 = λ_1 + μ_0 = 1.
+    them; the minimum is taken as written, over λ and μ each padded with
+    zeros to ℓ(λ) + ℓ(μ) parts. They are Horn's inequalities for r = 1,
+    which hold whenever c^ν_{λμ} > 0 (Fulton, Bull. AMS 37 (2000);
+    Knutson–Tao 1999). w_0 is the first bound of the window, but the caps
+    also refuse ν inside it, the smallest being λ = (2), μ = (1, 1),
+    ν = (2, 2): w_1 = λ_1 + μ_0 = 1.
 
     A table of one entry, the pair in hand: the gain comes from the many ν
     asked of one pair in a row, so a new pair evicts the last one and no
@@ -122,15 +120,10 @@ def _pair_bounds(
     """
     row_sum = [*map(add, lam, mu), *(lam[len(mu) :] or mu[len(lam) :])]  # the longer one's tail
     union = sorted(lam + mu, reverse=True)
-    # w_k over a, the longer, and b, the shorter, each padded with one 0: the terms of b_0 and
-    # of a's 0 first, then one slice per later part of b, its padded 0 included
-    a, b = (lam, mu) if len(lam) >= len(mu) else (mu, lam)
-    first, *rest = *b, 0
-    caps = [first + x for x in a] + [*b]
-    for j, y in enumerate(rest, 1):
-        caps[j : j + len(a)] = map(min, caps[j : j + len(a)], [y + x for x in a])
+    a, b = lam + (0,) * len(mu), mu + (0,) * len(lam)
+    caps = tuple(min(map(add, a[: k + 1], b[k::-1])) for k in range(len(a)))
     upper, lower = tuple(accumulate(row_sum, initial=0)), tuple(accumulate(union, initial=0))
-    return sum(row_sum), upper, lower, tuple(caps)
+    return sum(row_sum), upper, lower, caps
 
 
 def lr_coefficient(inner: Partition, content: Partition, outer: Partition) -> int:

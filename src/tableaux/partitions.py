@@ -59,6 +59,14 @@ def _typed(name: str, value, *kinds: type) -> None:
         raise TypeError(f"{name} must be a {' or '.join(kind.__name__ for kind in kinds)}, got {value!r}")
 
 
+def _columns(parts: tuple[int, ...], floor: int = 0) -> list[int]:
+    """The heights, less ``floor``, of the columns of ``parts`` taller than ``floor``, left to right."""
+    heights: list[int] = []
+    for r in range(len(parts), floor, -1):  # the columns row r - 1 reaches past row r have height r
+        heights += [r - floor] * (parts[r - 1] - len(heights))
+    return heights
+
+
 @dataclass(frozen=True)
 class Partition:
     """A weakly decreasing sequence of positive integers.
@@ -103,19 +111,15 @@ class Partition:
 
     def part(self, row: int) -> int:
         """Length of ``row``, with rows past the bottom counting as 0."""
-        return self.parts[row] if 0 <= row < len(self.parts) else 0
+        return self.parts[row] if 0 <= _count("row", row, None) < len(self.parts) else 0
 
     def contains(self, other: "Partition") -> bool:
         """True iff ``other``'s diagram fits inside this one, row by row."""
         return len(other.parts) <= len(self.parts) and all(map(le, other.parts, self.parts))
 
     def conjugate(self) -> "Partition":
-        """Transpose of the diagram: column lengths become row lengths."""
-        parts = self.parts
-        conj: list[int] = []
-        for r in range(len(parts), 0, -1):  # the columns row r - 1 reaches past row r have height r
-            conj += [r] * (parts[r - 1] - len(conj))
-        return Partition._trusted(tuple(conj))
+        """Transpose of the diagram: the column heights of :func:`_columns` become row lengths."""
+        return Partition._trusted(tuple(_columns(self.parts)))
 
     def boxes(self) -> Iterator[Box]:
         """Box coordinates in row-reading order."""
@@ -182,9 +186,8 @@ class SkewShape:
         return self.inner.part(row), self.outer.part(row)
 
     def has_box(self, row: int, col: int) -> bool:
-        _count("row", row, None)
-        _count("col", col, None)
-        return 0 <= row < self.outer.nrows and self.inner.part(row) <= col < self.outer.part(row)
+        lo, hi = self.row_span(row)
+        return lo <= _count("col", col, None) < hi
 
     def boxes(self) -> Iterator[Box]:
         """Box coordinates in row-reading order (top to bottom, left to right)."""

@@ -2,6 +2,7 @@ import itertools
 import tracemalloc
 
 import pytest
+from frozen import frozen_search
 
 from tableaux import (
     EMPTY,
@@ -169,64 +170,18 @@ def skew_shapes(max_boxes):
             for outer in partitions_of(n) for inner in subpartitions(outer)]
 
 
-
-def frozen_forward_search(skew, candidates):
-    """A frozen copy of the library's earlier callback search, in reading order.
-
-    Boxes are filled in reading order: rows from the top, each left to
-    right. Box ``k`` of that order asks ``candidates(k, left, up)`` for
-    an iterator of values to try, where ``left`` is the value of its left
-    neighbour and ``up`` that of the box above it, each 0 when that box
-    is absent. The search keeps the iterator of each filled box in a
-    list indexed by box, so its depth is not bounded by Python recursion.
-    A callback that keeps state updates it just before each value it
-    yields and restores it when resumed.
-    """
-    outer, inner = skew.outer.parts, skew.inner.parts
-    # slot of the last box filled in each column: the box above, since skew columns are contiguous
-    last = [0] * (outer[0] if outer else 0)
-    left = []
-    up = []
-    rows = []
-    for r, hi in enumerate(outer):
-        start, prev = len(left), 0
-        for c in range(inner[r] if r < len(inner) else 0, hi):
-            left.append(prev)
-            up.append(last[c])
-            last[c] = prev = len(left)
-        rows.append(slice(start + 1, len(left) + 1))
-    n = len(left)
-    values = [0] * (n + 1)  # box k is values[k + 1]; values[0] stays 0 for absent neighbors
-    its = [iter(())] * n  # its[k] offers the values for box k
-    k = 0  # boxes holding a value, which is also the next box to fill
-    while True:
-        if k < n:
-            its[k] = candidates(k, values[left[k]], values[up[k]])
-            k += 1
-        else:
-            yield tuple([tuple(values[s]) for s in rows])
-        while k:
-            v = next(its[k - 1], 0)
-            if v:
-                values[k] = v
-                break
-            k -= 1
-        else:
-            return
-
-
 def frozen_ssyt_rows(shape, bound):
-    """Semistandard rows from the earlier callback of ``enumerate_ssyt``, run through its search."""
+    """Semistandard rows from the earlier callback of ``enumerate_ssyt``, run through :func:`frozen_search`."""
     skew = shape if isinstance(shape, SkewShape) else shape.as_skew()
 
     def candidates(k, left, up):
         return iter(range(max(left, up + 1), bound + 1))
 
-    return list(frozen_forward_search(skew, candidates))
+    return list(frozen_search(skew, candidates))
 
 
 def frozen_syt_rows(shape):
-    """Standard rows from the earlier callback of ``enumerate_syt``, run through its search."""
+    """Standard rows from the earlier callback of ``enumerate_syt``, run through :func:`frozen_search`."""
     n = shape.size
     conj = shape.conjugate().parts
     high = [n - (shape.parts[r] - 1 - c) - (conj[c] - 1 - r) for r, c in shape.boxes()]
@@ -239,7 +194,7 @@ def frozen_syt_rows(shape):
                 yield v
                 used[v] = False
 
-    return list(frozen_forward_search(shape.as_skew(), candidates))
+    return list(frozen_search(shape.as_skew(), candidates))
 
 # skew shapes with a row that shares no column with the row above it, each with a
 # filling that is semistandard although that row's entries are smaller than those above

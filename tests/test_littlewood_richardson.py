@@ -2,6 +2,7 @@ from itertools import accumulate
 from math import comb
 from operator import add, ge
 
+from frozen import frozen_search
 from hypothesis import given, settings, strategies as st
 
 import tableaux.fillings
@@ -39,49 +40,6 @@ MID_SIZE_PAIRS = [
 ]
 
 
-def frozen_reverse_search(skew, candidates):
-    """A frozen copy of the library's earlier callback search, in reverse reading order only.
-
-    Boxes are filled row by row from the top, each row right to left. Box
-    ``k`` asks ``candidates(k, right, up)`` for an iterator of values,
-    where ``right`` and ``up`` are the values of its right and upper
-    neighbours, 0 when absent.
-    """
-    outer, inner = skew.outer.parts, skew.inner.parts
-    # slot of the last box filled in each column: the box above, since skew columns are contiguous
-    last = [0] * (outer[0] if outer else 0)
-    side = []
-    up = []
-    rows = []
-    for r, hi in enumerate(outer):
-        lo = inner[r] if r < len(inner) else 0
-        start, prev = len(side), 0
-        for c in range(hi - 1, lo - 1, -1):
-            side.append(prev)
-            up.append(last[c])
-            last[c] = prev = len(side)
-        end = len(side)
-        rows.append(slice(end, start, -1))
-    n = len(side)
-    values = [0] * (n + 1)  # box k is values[k + 1]; values[0] stays 0 for absent neighbors
-    its = [iter(())] * n  # its[k] offers the values for box k
-    k = 0  # boxes holding a value, which is also the next box to fill
-    while True:
-        if k < n:
-            its[k] = candidates(k, values[side[k]], values[up[k]])
-            k += 1
-        else:
-            yield tuple([tuple(values[s]) for s in rows])
-        while k:
-            v = next(its[k - 1], 0)
-            if v:
-                values[k] = v
-                break
-            k -= 1
-        else:
-            return
-
-
 def frozen_caps(lam, m, nu):
     """min(r + 1, m - boxes below) per box of ν/λ in reverse reading order, from column heights."""
     height = []
@@ -95,11 +53,11 @@ def frozen_caps(lam, m, nu):
 
 
 def frozen_lr_rows(outer, inner, content):
-    """Witness rows from a frozen copy of an earlier callback, run through its own search.
+    """Witness rows from a frozen copy of an earlier callback, run through :func:`frozen_search` in reverse.
 
     It has no dominance window and recomputes the box caps from the column
-    heights, and neither it nor :func:`frozen_reverse_search` shares code
-    with the library's search, so it checks all of them.
+    heights, and neither it nor :func:`frozen_search` shares code with the
+    library's search, so it checks all of them.
     """
     mu = content.parts
     if not outer.contains(inner) or outer.size - inner.size != content.size:
@@ -115,7 +73,7 @@ def frozen_lr_rows(outer, inner, content):
                 yield v
                 counts[v] -= 1
 
-    return list(frozen_reverse_search(SkewShape(outer, inner), candidates))
+    return list(frozen_search(SkewShape(outer, inner), candidates, reverse=True))
 
 
 def frozen_window(outer, inner, content):

@@ -24,6 +24,7 @@ from tableaux import (
     enumerate_syt,
     format_partition,
     inverse_rsk,
+    is_lattice,
     lr_coefficient,
     parse_partition,
     partitions_of,
@@ -160,6 +161,7 @@ class TestContains:
     @given(partitions(), partitions())
     def test_matches_per_row_reference(self, outer, inner):
         assert outer.contains(inner) == contains_reference(outer, inner)
+        assert outer.part(-1) == outer.part(outer.nrows) == 0  # rows past either end, as the reference reads them
         assert outer.contains(outer) and outer.contains(EMPTY)
         assert EMPTY.contains(outer) == (outer == EMPTY)
 
@@ -419,8 +421,9 @@ class TestTextFormat:
 
 # Every refusal of a public argument, whichever module the call lives in. Counts, box coordinates
 # and every integer a value holds (``Partition`` parts, ``Permutation`` images, ``Filling`` entries,
-# ``Polynomial`` exponents and coefficients) are refused by ``partitions._count``, the items of a
-# sequence through ``partitions._ints``, and argument types by ``partitions._typed``.
+# ``Polynomial`` exponents and coefficients, the letters of an ``is_lattice`` word) are refused by
+# ``partitions._count``, the items of a sequence through ``partitions._ints``, and argument types by
+# ``partitions._typed``.
 ONE, TWO, P21 = Partition((1,)), Partition((2,)), Partition((2, 1))
 BOX, NO_BOX = Filling.from_rows([[1]]), Filling.from_rows(())
 T = Filling.from_rows([[1, 2], [3]])  # holds a 1, so True, read as 1, was once "already an entry" of it
@@ -441,6 +444,9 @@ REFUSALS = [
     ("has_box(0,{})", partial(SKEW.shape.has_box, 0), (1.5, "1"), TypeError, "col must be an integer, got {!r}"),
     ("hook_length({},0)", lambda row: P21.hook_length(row, 0), (0.0, None), TypeError, "row must be an integer, got {!r}"),
     ("hook_length{}", lambda box: P21.hook_length(*box), ((0, 2), (-1, 0), (0, -1)), InvalidBoxError, "box {} is not in [2,1]"),
+    # True once read as row 1, and a float as a bare tuple index
+    ("part({})", P21.part, (True, 1.5, "0"), TypeError, "row must be an integer, got {!r}"),
+    ("row_span({})", P21.as_skew().row_span, (0.0, None), TypeError, "row must be an integer, got {!r}"),
     ("ssyt({},2)", lambda shape: enumerate_ssyt(shape, 2), ((2, 1), 3), TypeError,
      "shape must be a Partition or SkewShape, got {!r}"),
     ("ssyt([1],{})", partial(enumerate_ssyt, ONE), (True, False, 1.0, 2.0), TypeError,
@@ -473,6 +479,10 @@ REFUSALS = [
     ("schur([1],{})", partial(schur_polynomial, ONE), (-1,), ValueError, "width must be nonnegative, got {!r}"),
     ("schur_expand({})", schur_expand, (5,), TypeError, "poly must be a Polynomial, got {!r}"),
     ("reverse_reading_word({})", reverse_reading_word, (((1, 2),),), TypeError, "filling must be a Filling, got {!r}"),
+    # a str once ended in a bare comparison error, and a word with a letter below 1 read as a lattice word
+    ("is_lattice((1,{}))", lambda v: is_lattice((1, v)), (1.5, True, "1"), TypeError, "letter must be an integer, got {!r}"),
+    ("is_lattice((1,{}))", lambda v: is_lattice((1, v)), (0, -1), ValueError, "letter must be at least 1, got {!r}"),
+    ("is_lattice({})", is_lattice, ("12",), TypeError, "letter must be an integer, got '1'"),
     ("lr({},[1],[2])", lambda inner: lr_coefficient(inner, ONE, TWO), ((1,),), TypeError,
      "inner must be a Partition, got {!r}"),
     ("lr([1],{},[2])", lambda content: lr_coefficient(ONE, content, TWO), ((1,),), TypeError,

@@ -1,5 +1,8 @@
 import functools
+import importlib
+import inspect
 import itertools
+import pkgutil
 import sys
 import threading
 from itertools import permutations
@@ -8,6 +11,7 @@ from math import comb
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
+import tableaux
 from tableaux import (
     Partition,
     Polynomial,
@@ -16,10 +20,8 @@ from tableaux import (
     partitions_of,
     schur_polynomial,
 )
-from tableaux.littlewood_richardson import _pair_bounds
-from tableaux.partitions import _partitions_below
 from tableaux.polynomials import _orbit, _orbit_size, _split_keys
-from tableaux.schur import _schur, _strip_removals
+from tableaux.schur import _schur
 
 
 def poly_terms(width, max_degree=3, max_terms=6):
@@ -408,8 +410,17 @@ class TestOrbitProduct:
             assert other._dominant is None
 
     def test_tables_are_bounded(self):
-        for table in (_schur, _split_keys, _partitions_below, _strip_removals, _pair_bounds):
-            assert table.cache_info().maxsize is not None
+        # every cached callable of the package, found rather than listed, so a new table cannot land
+        # unbounded; one of no parameters (cli._parser) holds a single value and needs no bound
+        tables = {}
+        for module in pkgutil.iter_modules(tableaux.__path__, "tableaux."):
+            for value in vars(importlib.import_module(module.name)).values():
+                if hasattr(value, "cache_info") and inspect.signature(value).parameters:
+                    tables[f"{value.__module__}.{value.__qualname__}"] = value
+        assert {"tableaux.schur._schur", "tableaux.polynomials._split_keys", "tableaux.partitions._partitions_below",
+                "tableaux.schur._strip_removals", "tableaux.littlewood_richardson._pair_bounds"} <= tables.keys()
+        for name, table in tables.items():
+            assert table.cache_info().maxsize is not None, name
 
     def test_split_keys_match_every_split_through_degree_eight(self):
         # brute force over every beta with 0 <= beta <= alpha entrywise
