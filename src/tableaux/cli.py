@@ -38,11 +38,10 @@ EMPTY_MARK = "(empty)"
 
 def _ascii_int(text: str) -> int:
     """One integer in the form of a partition's part: ASCII digits, after a minus sign at most."""
-    try:
-        (value,) = _ascii_ints(text)
-    except ValueError:
-        raise ValueError(f"expected an integer, got {text!r}") from None
-    return value
+    values = _ascii_ints(text)
+    if values is None or len(values) != 1:
+        raise ValueError(f"expected an integer, got {text!r}")
+    return values[0]
 
 
 def _box_limit(text: str) -> int:
@@ -64,13 +63,10 @@ def _parse_rows(text: str) -> tuple[tuple[int, ...], ...]:
     """
     if not text.strip():
         return ()
-    rows = []
-    for chunk in text.split("/"):
-        try:
-            rows.append(_ascii_ints(chunk) if chunk.strip() else ())
-        except ValueError:
-            raise ValueError(f"bad row string {text!r}; expected e.g. 1,3,5/2,4") from None
-    return tuple(rows)
+    rows = tuple(_ascii_ints(chunk) if chunk.strip() else () for chunk in text.split("/"))
+    if None in rows:
+        raise ValueError(f"bad row string {text!r}; expected e.g. 1,3,5/2,4")
+    return rows
 
 
 def _ascii_block(filling: Filling) -> str:

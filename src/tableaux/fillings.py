@@ -65,9 +65,10 @@ class Filling:
 
     def entry(self, row: int, col: int) -> int:
         """Entry at absolute coordinate (row, col); an absent box raises :class:`InvalidBoxError`."""
-        if not self.shape.has_box(row, col):
+        lo, hi = self.shape.row_span(row)
+        if not lo <= _count("col", col, None) < hi:
             raise InvalidBoxError(f"box ({row}, {col}) is not in {self.shape}")
-        return self.rows[row][col - self.shape.inner.part(row)]
+        return self.rows[row][col - lo]
 
     def is_semistandard(self) -> bool:
         """Rows weakly increase left to right; columns strictly increase downward.

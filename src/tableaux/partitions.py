@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain, repeat
 from math import factorial, prod
 from operator import le
 from typing import Iterator
@@ -182,8 +183,10 @@ class SkewShape:
         return self.outer.nrows
 
     def row_span(self, row: int) -> tuple[int, int]:
-        """Half-open column range of the boxes present in ``row``."""
-        return self.inner.part(row), self.outer.part(row)
+        """Half-open column range of the boxes present in ``row``; (0, 0) past either end."""
+        if 0 <= _count("row", row, None) < len(self.outer.parts):
+            return (self.inner.parts[row] if row < self.inner.nrows else 0), self.outer.parts[row]
+        return 0, 0
 
     def has_box(self, row: int, col: int) -> bool:
         lo, hi = self.row_span(row)
@@ -191,8 +194,7 @@ class SkewShape:
 
     def boxes(self) -> Iterator[Box]:
         """Box coordinates in row-reading order (top to bottom, left to right)."""
-        for r in range(self.outer.nrows):
-            lo, hi = self.row_span(r)
+        for r, (lo, hi) in enumerate(zip(chain(self.inner.parts, repeat(0)), self.outer.parts)):
             for c in range(lo, hi):
                 yield (r, c)
 
@@ -305,8 +307,8 @@ def _capped_vectors(caps: tuple[int, ...], total: int) -> list[tuple[int, ...]]:
     return [vector for vector, left in prefixes if not left]
 
 
-def _ascii_ints(text: str) -> tuple[int, ...]:
-    """Comma-separated integers, each ASCII digits after a minus sign at most; else ValueError.
+def _ascii_ints(text: str) -> tuple[int, ...] | None:
+    """Comma-separated integers, each ASCII digits after a minus sign at most; else ``None``.
 
     Whitespace around entries is ignored. ``int`` alone also reads ``+1``,
     ``1_0`` and non-ASCII digits such as ``٢``; with no ``+`` or ``_``, and
@@ -315,8 +317,11 @@ def _ascii_ints(text: str) -> tuple[int, ...]:
     whole string, not a Python step per entry.
     """
     if "+" in text or "_" in text or not (text.isascii() or "".join(text.split()).isascii()):
-        raise ValueError(f"entries must be ASCII digits, got {text!r}")
-    return tuple(map(int, text.split(",")))
+        return None
+    try:
+        return tuple(map(int, text.split(",")))
+    except ValueError:
+        return None
 
 
 def parse_partition(text: str) -> Partition:
@@ -332,10 +337,9 @@ def parse_partition(text: str) -> Partition:
     body = stripped[1:-1]
     if not body.strip():
         return EMPTY
-    try:
-        parts = _ascii_ints(body)
-    except ValueError:
-        raise ValueError(f"expected comma-separated integers, got {text!r}") from None
+    parts = _ascii_ints(body)
+    if parts is None:
+        raise ValueError(f"expected comma-separated integers, got {text!r}")
     return Partition(parts)
 
 

@@ -225,10 +225,9 @@ def parse_permutation(text: str) -> Permutation:
     """
     # glued digits are the comma form with a comma between each two characters
     entries = text if "," in text else ",".join("".join(text.split()))
-    try:
-        values = _ascii_ints(entries) if entries else ()
-    except ValueError:
-        raise ValueError(f"bad one-line notation: {text!r}") from None
+    values = _ascii_ints(entries) if entries else ()
+    if values is None:
+        raise ValueError(f"bad one-line notation: {text!r}")
     return Permutation(values)
 
 

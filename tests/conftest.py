@@ -1,10 +1,13 @@
 import faulthandler
 import importlib.util
 import os
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import settings
+
+ROOT = Path(__file__).resolve().parents[1]
 
 settings.register_profile("suite", deadline=None)
 settings.load_profile("suite")
@@ -36,11 +39,28 @@ def pytest_runtest_call(item):
     faulthandler.cancel_dump_traceback_later()
 
 
+def _load(name, relative):
+    """The file at ``relative`` to the repository root, run as a fresh module ``name``."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / relative)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # dataclasses look their module up by name
+    spec.loader.exec_module(module)
+    return module
+
+
 @pytest.fixture
 def crosscheck():
     """``scripts/crosscheck.py`` loaded as a fresh module, its ``CHECKS`` free to replace."""
-    path = Path(__file__).resolve().parents[1] / "scripts" / "crosscheck.py"
-    spec = importlib.util.spec_from_file_location("crosscheck", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load("crosscheck", "scripts/crosscheck.py")
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    """``bench/workloads.py`` loaded as a module; the tests read it and never change it."""
+    return _load("workloads", "bench/workloads.py")
+
+
+@pytest.fixture
+def process_env():
+    """The environment for a child interpreter that imports ``tableaux`` from this checkout's src/."""
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}

@@ -3,11 +3,9 @@ import contextlib
 import hashlib
 import io
 import json
-import os
 import random
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,12 +29,6 @@ SCHUR_21_IN_THREE_VARS = (
     "1 * x1^2 x2 + 1 * x1^2 x3 + 1 * x1 x2^2 + 2 * x1 x2 x3"
     " + 1 * x1 x3^2 + 1 * x2^2 x3 + 1 * x2 x3^2"
 )
-
-
-def process_env():
-    """The environment for ``python -m tableaux`` run on this checkout's src/."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
 
 
 def run(capsys, *argv):
@@ -616,12 +608,12 @@ class TestGlobalBehavior:
         assert build_parser() is not build_parser()
         assert tableaux.cli._parser() is tableaux.cli._parser()
 
-    def test_closed_pipe_exits_without_traceback(self):
+    def test_closed_pipe_exits_without_traceback(self, process_env):
         # about 470 kB of text, far more than a pipe buffers, so the writer
         # is still printing when the reader closes its end
         proc = subprocess.Popen(
             [sys.executable, "-m", "tableaux", "list-syt", "[5,4,3,1]"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=process_env(),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=process_env,
         )
         assert proc.stdout.readline() == b"1 2 3 4 5\n"
         proc.stdout.close()
@@ -634,11 +626,11 @@ class TestGlobalBehavior:
     @pytest.mark.parametrize(
         "argv, code", [(["count-syt", "[2_1]"], 1), (["rsk", "1_0,2"], 1), (["count-syt"], 2)]
     )
-    def test_refusals_exit_cleanly_as_processes(self, argv, code):
+    def test_refusals_exit_cleanly_as_processes(self, argv, code, process_env):
         # a malformed shape, a malformed permutation and a missing positional, each run by a
         # fresh interpreter: never a traceback, and exit code 1 is one stderr line
         proc = subprocess.run(
-            [sys.executable, "-m", "tableaux", *argv], capture_output=True, text=True, env=process_env(), timeout=60
+            [sys.executable, "-m", "tableaux", *argv], capture_output=True, text=True, env=process_env, timeout=60
         )
         assert proc.returncode == code, proc.stderr
         assert "Traceback" not in proc.stderr

@@ -6,24 +6,7 @@ by a refactor fails here. A change that moves one on purpose updates it
 and says why in CHANGES.md.
 """
 
-import importlib.util
-import sys
-from pathlib import Path
-
 import pytest
-
-WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
-
-
-def _load():
-    spec = importlib.util.spec_from_file_location("workloads", WORKLOADS)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look their module up by name
-    spec.loader.exec_module(module)
-    return module
-
-
-workloads = _load()
 
 
 def _cache(hits, misses):
@@ -53,7 +36,7 @@ GOLDEN = {
 
 
 @pytest.mark.parametrize("name, seed", list(GOLDEN))
-def test_one_batch_repeats_its_golden_work_line(name, seed):
+def test_one_batch_repeats_its_golden_work_line(workloads, name, seed):
     workload = workloads.WORKLOADS[name](seed)
     workloads.SCHUR_POLYNOMIAL.cache_clear()  # the cache counts are those of a cold start
     batch = workload.run_batch()

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from tableaux import (
     Filling,
-    MalformedPairError,
     Permutation,
     RskPair,
     enumerate_ssyt,
@@ -69,25 +68,6 @@ def scan_insertion(images):
 
 
 class TestPermutation:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Permutation((1, 3))
-        with pytest.raises(ValueError):
-            Permutation((1, 1, 2))
-
-    def test_rejects_non_integer_images(self):
-        for images in ((True,), (2.0, 1.0), (1, 2.5), (2, True)):
-            with pytest.raises(TypeError):
-                Permutation(images)
-        with pytest.raises(TypeError):
-            rsk([2, True])  # refused as a permutation, before any insertion
-
-    def test_pins_the_not_a_permutation_message(self):
-        for images in ((1, 1), (0, 1), (1, 3), (2, 3, 4)):
-            with pytest.raises(ValueError) as exc:
-                Permutation(images)
-            assert str(exc.value) == f"{list(images)} is not a permutation of 1..{len(images)}"
-
     def test_accepts_an_int_subclass(self):
         class Label(int):
             pass
@@ -118,31 +98,11 @@ class TestPermutation:
         assert ("," in text) == (perm.n >= 10)  # digits glued up to n = 9, commas beyond
         assert parse_permutation(text) == perm
 
-    def test_parse_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            parse_permutation("21x")
-        with pytest.raises(ValueError):
-            parse_permutation("2,a")
-
-    def test_parse_takes_only_ascii_digits(self):
-        # int() reads most of these, the glued ones as one entry; the parser reads none
-        for text in ("1_0,2,3,4,5,6,7,8,9,1", "+2,1", "2,+1", "٢١", "٢,١", "²1", "1,²", "21_",
-                     "2-1", "-21", "+21"):
-            with pytest.raises(ValueError) as exc:
-                parse_permutation(text)
-            assert str(exc.value) == f"bad one-line notation: {text!r}"
-        assert parse_permutation("2,\u20031") == parse_permutation("2\u20031") == Permutation((2, 1))
-
     def test_parse_ignores_whitespace_around_entries(self):
         assert parse_permutation(" 2 , 1,4 ,\t5,3 ") == SIGMA
         assert parse_permutation(" 2 1 45 3 ") == SIGMA  # glued digits: each digit is an entry
         assert parse_permutation("  ") == Permutation(())
-
-    def test_parse_rejects_whitespace_inside_an_entry(self):
-        # deleting the space would read "1 0" as 10 and print the identity on 1..10
-        for text in ("1,2,3,4,5,6,7,8,9,1 0", "1 0,2,3,4,5,6,7,8,9,1", "2,1 3"):
-            with pytest.raises(ValueError, match="bad one-line notation"):
-                parse_permutation(text)
+        assert parse_permutation("2,\u20031") == parse_permutation("2\u20031") == Permutation((2, 1))
 
 
 class TestRowInsert:
@@ -184,19 +144,6 @@ class TestRowInsert:
                         assert grown.rows == tuple(map(tuple, rows))
                         assert box == (r, len(rows[r]) - 1)
                         assert grown.is_semistandard()
-
-    def test_rejects_a_value_already_present(self):
-        # bumping an equal entry would stack two 1s in the first column
-        for rows, value in [([[1, 2]], 1), ([[1, 2]], 2), ([[1, 3], [2]], 2)]:
-            with pytest.raises(ValueError, match=f"{value} is already an entry"):
-                row_insert(Filling.from_rows(rows), value)
-
-    def test_rejects_a_tableau_that_is_skew_or_not_semistandard(self):
-        # bumping into such rows returned ((3, 1, 2),) and ((1, 2), (1, 3)), and dropped the inner shape
-        for tableau in [Filling.from_rows([[3, 1]]), Filling.from_rows([[1, 3], [1]]),
-                        Filling.from_rows([[3], [4]], inner=[1])]:
-            with pytest.raises(ValueError, match="need a straight semistandard tableau"):
-                row_insert(tableau, 2)
 
 
 class TestRsk:
@@ -354,18 +301,6 @@ class TestInverse:
         perm = inverse_rsk(RskPair(column, column))
         assert perm == Permutation(tuple(range(1200, 0, -1)))
         assert rsk(perm) == RskPair(column, column)
-
-    def test_malformed_pairs_rejected(self):
-        t = Filling.from_rows([[1, 2], [3]])
-        u = Filling.from_rows([[1, 2, 3]])
-        with pytest.raises(MalformedPairError):
-            RskPair(t, u)
-        not_standard = Filling.from_rows([[1, 1], [2]])
-        with pytest.raises(MalformedPairError):
-            RskPair(not_standard, not_standard)
-        skew = Filling.from_rows([[1]], inner=[1])
-        with pytest.raises(MalformedPairError):
-            RskPair(skew, skew)
 
 
 class TestLis:

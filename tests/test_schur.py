@@ -204,18 +204,6 @@ class TestSchurExpand:
         s1 = Polynomial(2, {(1, 0): 1, (0, 1): 1})
         assert schur_expand(s1 * s1) == {Partition((2,)): 1, Partition((1, 1)): 1}
 
-    def test_not_symmetric(self):
-        with pytest.raises(NotSymmetricError):
-            schur_expand(Polynomial.monomial(2, (1, 2)))
-        # symmetric-looking leading term, broken tail
-        with pytest.raises(NotSymmetricError):
-            schur_expand(Polynomial(2, {(2, 0): 1, (1, 1): 1}))
-
-    def test_incomplete_orbit_is_not_symmetric(self):
-        # each present term agrees with its sorted exponent, but (0, 1, 1) is missing
-        with pytest.raises(NotSymmetricError):
-            schur_expand(Polynomial(3, {(1, 1, 0): 1, (1, 0, 1): 1}))
-
     @pytest.mark.parametrize("terms", [
         # invariant under (x1 x2) only
         {(2, 1, 0): 1, (1, 2, 0): 1},
@@ -237,14 +225,6 @@ class TestSchurExpand:
 
     def test_width_zero_constant(self):
         assert schur_expand(Polynomial(0, {(): 5})) == {EMPTY: 5}
-
-    def test_not_homogeneous(self):
-        # x1 + 1 is neither homogeneous nor symmetric: homogeneity is reported
-        with pytest.raises(NotHomogeneousError):
-            schur_expand(Polynomial(2, {(1, 0): 1, (0, 0): 1}))
-        # symmetric, of degrees 1 and 0
-        with pytest.raises(NotHomogeneousError):
-            schur_expand(Polynomial(2, {(1, 0): 1, (0, 1): 1, (0, 0): 1}))
 
     def test_negative_coefficients_survive_as_data(self):
         poly = schur_polynomial(Partition((2,)), 3) * (-2)

@@ -1,5 +1,4 @@
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -10,13 +9,11 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("argv", [["-h"], ["--max-total", "12"], ["lr-rule-vs-expansion"]])
-def test_crosscheck_takes_no_arguments(argv):
+def test_crosscheck_takes_no_arguments(argv, process_env):
     # the table fixes every budget, so an argument could only be a mistake
-    src = str(ROOT / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "crosscheck.py"), *argv],
-        capture_output=True, text=True, env=env, timeout=60,
+        capture_output=True, text=True, env=process_env, timeout=60,
     )
     assert proc.returncode == 2
     assert proc.stdout == ""

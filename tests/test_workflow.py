@@ -1,6 +1,7 @@
 import ast
 import os
 import re
+import shlex
 import shutil
 import subprocess
 from pathlib import Path
@@ -11,10 +12,15 @@ REPO = Path(__file__).resolve().parent.parent
 WORKFLOW = REPO / ".github" / "workflows" / "tests.yml"
 
 
-def test_workflow_steps_are_well_formed():
-    # a workflow that is not valid YAML runs no step at all, so no CI step can catch it
+@pytest.fixture
+def workflow():
+    """``.github/workflows/tests.yml``, parsed; without PyYAML the test is skipped."""
     yaml = pytest.importorskip("yaml")
-    workflow = yaml.safe_load(WORKFLOW.read_text())
+    return yaml.safe_load(WORKFLOW.read_text())
+
+
+def test_workflow_steps_are_well_formed(workflow):
+    # a workflow that is not valid YAML runs no step at all, so no CI step can catch it
     jobs = workflow["jobs"]
     assert jobs
     for job, spec in jobs.items():
@@ -24,10 +30,8 @@ def test_workflow_steps_are_well_formed():
             assert ("run" in step) != ("uses" in step), (job, step["name"])
 
 
-def test_lowest_python_in_the_matrix_is_the_supported_floor():
+def test_lowest_python_in_the_matrix_is_the_supported_floor(workflow):
     # a matrix above the floor leaves the oldest supported Python untested; 3.10 has no tomllib, so a regex reads it
-    yaml = pytest.importorskip("yaml")
-    workflow = yaml.safe_load(WORKFLOW.read_text())
     versions = [version for spec in workflow["jobs"].values()
                 for version in spec.get("strategy", {}).get("matrix", {}).get("python-version", [])]
     floor = re.search(r'^requires-python = ">=(\d+\.\d+)"$', (REPO / "pyproject.toml").read_text(), re.M)
@@ -35,10 +39,18 @@ def test_lowest_python_in_the_matrix_is_the_supported_floor():
     assert min(versions, key=lambda version: tuple(map(int, version.split(".")))) == floor.group(1)
 
 
-def test_every_run_step_has_a_timeout():
+def test_ci_installs_the_test_extra(workflow):
+    # the install step and pyproject's test extra are one set of packages kept in two places
+    (install,) = [step["run"] for spec in workflow["jobs"].values() for step in spec["steps"]
+                  if "pip install" in step.get("run", "")]
+    words = shlex.split(install)
+    extra = re.search(r"^test = (\[.*\])$", (REPO / "pyproject.toml").read_text(), re.M)
+    assert extra
+    assert sorted(words[words.index("install") + 1:]) == sorted(ast.literal_eval(extra.group(1)))
+
+
+def test_every_run_step_has_a_timeout(workflow):
     # without one, a step that hangs holds the runner until the job's own limit
-    yaml = pytest.importorskip("yaml")
-    workflow = yaml.safe_load(WORKFLOW.read_text())
     for job, spec in workflow["jobs"].items():
         for step in spec["steps"]:
             if "run" in step:
@@ -46,10 +58,8 @@ def test_every_run_step_has_a_timeout():
                 assert isinstance(minutes, int) and minutes > 0, (job, step["name"])
 
 
-def test_cross_checks_run_from_one_table(crosscheck):
+def test_cross_checks_run_from_one_table(crosscheck, workflow):
     # a new route registers in scripts/crosscheck.py, not as an inline one-liner or a sweep script
-    yaml = pytest.importorskip("yaml")
-    workflow = yaml.safe_load(WORKFLOW.read_text())
     steps = [step for spec in workflow["jobs"].values() for step in spec["steps"] if "run" in step]
     table = [step for step in steps if "scripts/crosscheck.py" in step["run"]]
     assert [step["run"].strip() for step in table] == ["PYTHONPATH=src python scripts/crosscheck.py"]
@@ -60,16 +70,14 @@ def test_cross_checks_run_from_one_table(crosscheck):
         assert "_sweep.py" not in step["run"], step["name"]
 
 
-def _bench_steps():
-    yaml = pytest.importorskip("yaml")
-    workflow = yaml.safe_load(WORKFLOW.read_text())
+def _bench_steps(workflow):
     return [step for spec in workflow["jobs"].values() for step in spec["steps"]
             if "bench/run.py" in step.get("run", "")]
 
 
-def test_benchmark_self_checks_run_every_workload():
+def test_benchmark_self_checks_run_every_workload(workflow):
     # a workload added to bench/run.py is self-checked by these steps, with no new step
-    commands = [re.search(r"python3 bench/run\.py[^)|]*", step["run"]).group(0).strip() for step in _bench_steps()]
+    commands = [re.search(r"python3 bench/run\.py[^)|]*", step["run"]).group(0).strip() for step in _bench_steps(workflow)]
     assert commands == [
         "python3 bench/run.py --workload all --seconds 1",
         "python3 bench/run.py --workload all --seconds 1 --trace 1",
@@ -78,7 +86,7 @@ def test_benchmark_self_checks_run_every_workload():
 
 @pytest.mark.skipif(shutil.which("bash") is None, reason="the workflow's run steps are bash scripts")
 @pytest.mark.parametrize("second, fails", [("true", False), ("false", True), (None, True)])
-def test_every_workload_step_fails_unless_each_result_is_correct(tmp_path, second, fails):
+def test_every_workload_step_fails_unless_each_result_is_correct(workflow, tmp_path, second, fails):
     # a python3 that prints three workloads' reports stands in for bench/run.py;
     # the second reads correct, not correct, or has no result line
     lines = []
@@ -90,7 +98,7 @@ def test_every_workload_step_fails_unless_each_result_is_correct(tmp_path, secon
     fake.write_text("#!/bin/sh\ncat <<'EOF'\n" + "\n".join(lines) + "\nEOF\n")
     fake.chmod(0o755)
     env = {**os.environ, "PATH": os.pathsep.join([str(tmp_path), os.environ.get("PATH", "")])}
-    steps = [step for step in _bench_steps() if "--workload all" in step["run"]]
+    steps = [step for step in _bench_steps(workflow) if "--workload all" in step["run"]]
     assert len(steps) == 2
     for step in steps:
         proc = subprocess.run(["bash", "-e", "-c", step["run"]], capture_output=True, text=True, env=env,
