@@ -2,17 +2,19 @@
 """Run every two-route cross-check at its fixed budget.
 
 ``CHECKS`` is the table. Each entry names a check, a generator that works
-out each case by two independent routes and yields ``(case, agree)``, the
-budget the generator is called with, and a time limit in seconds. The
-checks run in table order in one process, and each prints one JSON line:
-its name, budget, case count and wall time. The first disagreement ends
-the run with exit code 1 and one ``error:`` line on stderr naming the
-check and the case. A check still running past its limit ends the run
-with exit code 1 and every thread's traceback on stderr.
+out each case by two independent routes and yields ``(case, agree)``, two
+budgets the generator is called with, and a time limit in seconds. A
+budget is an upper limit: a check sweeps every size up to it. The checks
+run in table order in one process at ``budget``, and each prints one
+JSON line: its name, budget, case count and wall time. The first
+disagreement ends the run with exit code 1 and one ``error:`` line on
+stderr naming the check and the case. A check still running past its
+limit ends the run with exit code 1 and every thread's traceback on
+stderr.
 
-An entry holds a budget that the tier-1 tests do not reach. A check that
-a tier-1 test already makes at the same or a larger budget belongs there
-alone, not here as well.
+Each entry is also a tier-1 test, run at ``tier1``, a budget below
+``budget`` (``tests/test_scripts.py``). A route pair is written here
+once, and no tier-1 test repeats it.
 
 Usage: PYTHONPATH=src python scripts/crosscheck.py   (takes no arguments)
 """
@@ -27,7 +29,7 @@ import sys
 import time
 from bisect import bisect_left
 from collections import Counter
-from typing import Any, Callable, Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import tableaux.cli
 from tableaux import (
@@ -47,14 +49,28 @@ from tableaux.schur import _product_expansion
 Cases = Iterator[tuple[tuple, bool]]
 
 
+class Disagreement(Exception):
+    """The two routes of a check differ at one case."""
+
+
 class Check(NamedTuple):
     name: str
-    cases: Callable[[Any], Cases]
-    budget: Any
+    cases: Callable[[int], Cases]
+    tier1: int
+    budget: int
     limit_s: int
 
+    def sweep(self, budget: int) -> int:
+        """The number of cases worked out at ``budget``; :class:`Disagreement` at the first that fails."""
+        cases = 0
+        for case, agree in self.cases(budget):
+            if not agree:
+                raise Disagreement(f"{self.name} disagrees at {', '.join(map(str, case))}")
+            cases += 1
+        return cases
 
-def _pairs(degree: int) -> Iterator[tuple[Partition, Partition]]:
+
+def pairs(degree: int) -> Iterator[tuple[Partition, Partition]]:
     """Every (λ, μ) with |λ| + |μ| = degree: 185 pairs at degree 8."""
     for a in range(degree + 1):
         for lam in partitions_of(a):
@@ -65,40 +81,55 @@ def _pairs(degree: int) -> Iterator[tuple[Partition, Partition]]:
 def lr_rule_vs_expansion(max_degree: int) -> Cases:
     """c^ν_λμ by lattice fillings against the expansion of s_λ·s_μ, zeros included, for every ν."""
     for degree in range(max_degree + 1):
-        for lam, mu in _pairs(degree):
+        for lam, mu in pairs(degree):
             expansion = _product_expansion(lam, mu)
             for nu in partitions_of(degree):
                 yield (lam, mu, nu), lr_coefficient(lam, mu, nu) == expansion.get(nu, 0)
 
 
-def kostka_vs_enumeration(boxes: int) -> Cases:
-    """s_λ from Kostka numbers against the weights of its tableaux, for λ ⊢ boxes in 0..boxes variables."""
-    for lam in partitions_of(boxes):
-        for width in range(boxes + 1):
-            weights = Counter(f.weight(width) for f in enumerate_ssyt(lam, width))
-            yield (lam, width), schur_polynomial(lam, width) == Polynomial(width, weights)
+def kostka_vs_enumeration(max_boxes: int) -> Cases:
+    """s_λ from Kostka numbers against the weights of its tableaux, for |λ| <= max_boxes in 0..max_boxes variables."""
+    for boxes in range(max_boxes + 1):
+        for lam in partitions_of(boxes):
+            for width in range(max_boxes + 1):
+                weights = Counter(f.weight(width) for f in enumerate_ssyt(lam, width))
+                yield (lam, width), schur_polynomial(lam, width) == Polynomial(width, weights)
 
 
-def product_route_vs_full_width(degree: int) -> Cases:
-    """The expansion that ``expand`` forms against the product in ``degree`` variables."""
-    for lam, mu in _pairs(degree):
-        full = schur_polynomial(lam, degree) * schur_polynomial(mu, degree)
-        yield (lam, mu), _product_expansion(lam, mu) == schur_expand(full)
+def product_route_vs_full_width(max_degree: int) -> Cases:
+    """The expansion that ``expand`` forms against the product in |λ| + |μ| variables, in the same order."""
+    for degree in range(max_degree + 1):
+        for lam, mu in pairs(degree):
+            full = schur_polynomial(lam, degree) * schur_polynomial(mu, degree)
+            yield (lam, mu), list(_product_expansion(lam, mu).items()) == list(schur_expand(full).items())
 
 
-def square_vs_rule(parts: list[int]) -> Cases:
-    """The 20-box s_[4,3,2,1]² in 8 variables: 206 ν with Σc = 930, each c equal to the rule."""
-    lam = Partition(tuple(parts))
+# staircase size k -> (how many ν have c^ν_δδ != 0, Σc) for δ = (k, k - 1, ..., 1); each pair
+# satisfies Σ c·f^ν = C(2n, n)·(f^δ)² with n = |δ|
+SQUARES = {3: (34, 62), 4: (206, 930)}
+
+
+def square_vs_rule(k: int) -> Cases:
+    """s_δ² for the staircase δ = (k, ..., 1), its support pinned, against the rule at every ν ⊢ 2|δ|, zeros included."""
+    lam = Partition(tuple(range(k, 0, -1)))
     expansion = _product_expansion(lam, lam)
-    yield ("206 ν", "Σc = 930"), len(expansion) == 206 and sum(expansion.values()) == 930
-    for nu, c in expansion.items():
-        yield (lam, lam, nu), lr_coefficient(lam, lam, nu) == c
+    support, total = SQUARES[k]
+    yield (f"{support} ν", f"Σc = {total}"), len(expansion) == support and sum(expansion.values()) == total
+    for nu in partitions_of(2 * lam.size):
+        yield (lam, lam, nu), lr_coefficient(lam, lam, nu) == expansion.get(nu, 0)
 
 
-def power_sum_vs_hooks(k: int) -> Cases:
-    """x1^k + ... + x8^k in the Schur basis: the hooks (k - j, 1^j) with sign (-1)^j (Murnaghan–Nakayama)."""
-    p = Polynomial(8, {tuple(k * (i == j) for i in range(8)): 1 for j in range(8)})
-    yield (k,), schur_expand(p) == {Partition((k - j,) + (1,) * j): (-1) ** j for j in range(8)}
+def power_sum_vs_hooks(max_k: int) -> Cases:
+    """x1^k + ... + xw^k in the Schur basis for k <= max_k, w <= 8: the hooks (k - j, 1^j) with sign (-1)^j.
+
+    This is Murnaghan–Nakayama, with j < min(k, w). Only w terms, but each
+    hook's Kostka table spans the partitions of k.
+    """
+    for k in range(1, max_k + 1):
+        for width in range(1, 9):
+            p = Polynomial(width, {tuple(k * (i == j) for i in range(width)): 1 for j in range(width)})
+            hooks = {Partition((k - j,) + (1,) * j): (-1) ** j for j in range(min(k, width))}
+            yield (k, width), schur_expand(p) == hooks
 
 
 def insertion_bijection(max_n: int) -> Cases:
@@ -177,14 +208,14 @@ def cli_rsk_round_trip(n: int) -> Cases:
 
 
 CHECKS = (
-    Check("lr-rule-vs-expansion", lr_rule_vs_expansion, 12, 300),
-    Check("kostka-vs-enumeration", kostka_vs_enumeration, 8, 300),
-    Check("product-route-vs-full-width", product_route_vs_full_width, 8, 300),
-    Check("square-4321-vs-rule", square_vs_rule, [4, 3, 2, 1], 60),
-    Check("power-sum-vs-hooks", power_sum_vs_hooks, 30, 20),
-    Check("insertion-bijection", insertion_bijection, 7, 300),
-    Check("insertion-vs-row-streams", insertion_vs_row_streams, 20_000, 60),
-    Check("cli-rsk-round-trip", cli_rsk_round_trip, 20_000, 60),
+    Check("lr-rule-vs-expansion", lr_rule_vs_expansion, 7, 12, 45),
+    Check("kostka-vs-enumeration", kostka_vs_enumeration, 7, 8, 120),
+    Check("product-route-vs-full-width", product_route_vs_full_width, 7, 8, 10),
+    Check("square-4321-vs-rule", square_vs_rule, 3, 4, 30),
+    Check("power-sum-vs-hooks", power_sum_vs_hooks, 20, 30, 60),
+    Check("insertion-bijection", insertion_bijection, 6, 7, 30),
+    Check("insertion-vs-row-streams", insertion_vs_row_streams, 1_000, 20_000, 30),
+    Check("cli-rsk-round-trip", cli_rsk_round_trip, 1_000, 20_000, 40),
 )
 
 
@@ -194,14 +225,12 @@ def main(argv: list[str]) -> int:
         return 2
     for check in CHECKS:
         started = time.perf_counter()
-        cases = 0
         faulthandler.dump_traceback_later(check.limit_s, exit=True)
         try:
-            for case, agree in check.cases(check.budget):
-                cases += 1
-                if not agree:
-                    print(f"error: {check.name} disagrees at {', '.join(map(str, case))}", file=sys.stderr)
-                    return 1
+            cases = check.sweep(check.budget)
+        except Disagreement as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
         finally:
             faulthandler.cancel_dump_traceback_later()
         seconds = round(time.perf_counter() - started, 3)

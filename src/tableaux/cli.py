@@ -199,9 +199,7 @@ def _read(args: argparse.Namespace) -> None:
     if args.command == "list-ssyt":
         args.shape = SkewShape(args.shape, args.inner)
     elif args.command == "bk":
-        rows = _parse_rows(args.rows)
-        # "" parses to no rows, but inside a nonempty inner shape it is one row of no boxes
-        args.filling = Filling.from_rows(rows + ((),) * (args.inner.nrows - len(rows)), args.inner)
+        args.filling = Filling.from_rows(_parse_rows(args.rows), args.inner)
     elif args.command == "rsk" and args.invert:
         if len(args.items) != 2:
             raise ValueError("--invert needs exactly two row strings: T U")

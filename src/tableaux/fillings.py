@@ -14,6 +14,17 @@ class EntryExceedsBoundError(ValueError):
     """Filling holds an entry above the requested variable bound."""
 
 
+def _shifts(inner: Partition, nrows: int) -> Iterator[tuple[int, int]]:
+    """``(r, shift)`` for each row r >= 1: entry j of row r - 1 sits above entry j + shift of row r.
+
+    Rows r - 1 and r share columns inner[r - 1] (>= inner[r]) up to
+    outer[r] (<= outer[r - 1]), so row r's slice from ``shift`` lines up
+    with row r - 1, and a zip of the two stops at the last shared column.
+    """
+    parts = inner.parts
+    return zip(range(1, nrows), map(sub, chain(parts, repeat(0)), chain(parts[1:], repeat(0))))
+
+
 @dataclass(frozen=True)
 class Filling:
     """One positive integer per box of a (possibly skew) shape.
@@ -54,9 +65,14 @@ class Filling:
     def from_rows(
         cls, rows: Iterable[Iterable[int]], inner: Partition | Iterable[int] = ()
     ) -> "Filling":
-        """Build a filling from per-row entry lists, inferring the outer shape."""
+        """Build a filling from per-row entry lists, inferring the outer shape.
+
+        Rows past the given ones, down to the inner shape's last row, hold
+        no boxes: ``from_rows([], inner=[1])`` is the empty filling of (1)/(1).
+        """
         inner_p = inner if isinstance(inner, Partition) else Partition(tuple(inner))
         rows_t = tuple(tuple(row) for row in rows)
+        rows_t += ((),) * (inner_p.nrows - len(rows_t))
         outer = Partition(tuple(inner_p.part(r) + len(row) for r, row in enumerate(rows_t)))
         return cls(SkewShape(outer, inner_p), rows_t)
 
@@ -80,11 +96,8 @@ class Filling:
         for row in rows:
             if not all(map(le, row, row[1:])):
                 return False
-        inner = self.shape.inner
-        for r in range(1, len(rows)):
-            # rows r-1 and r share columns inner[r-1] (>= inner[r]) up to outer[r] (<= outer[r-1]),
-            # so the slice of row r starts that many boxes in and map stops at the shorter one
-            if not all(map(lt, rows[r - 1], rows[r][inner.part(r - 1) - inner.part(r):])):
+        for r, shift in _shifts(self.shape.inner, len(rows)):
+            if not all(map(lt, rows[r - 1], rows[r][shift:])):
                 return False
         return True
 
@@ -277,11 +290,8 @@ def bender_knuth(filling: Filling, index: int) -> Filling:
         raise ValueError("operation is only defined on semistandard fillings")
     small, large = index, index + 1
     rows = filling.rows
-    inner = filling.shape.inner
     marks = [list(row) for row in rows]  # a small over a large, and that large, are marked 0: not free
-    for r in range(1, len(rows)):
-        # rows r-1 and r aligned on their shared columns, as in Filling.is_semistandard
-        shift = inner.part(r - 1) - inner.part(r)
+    for r, shift in _shifts(filling.shape.inner, len(rows)):
         for j, (above, below) in enumerate(zip(rows[r - 1], rows[r][shift:])):
             if above == small and below == large:
                 marks[r - 1][j] = marks[r][j + shift] = 0

@@ -54,6 +54,19 @@ def crosscheck():
     return _load("crosscheck", "scripts/crosscheck.py")
 
 
+def pytest_generate_tests(metafunc):
+    # a test that takes ``check`` runs once per entry of the cross-check table, named by the entry
+    if "check" in metafunc.fixturenames:
+        checks = _load("crosscheck", "scripts/crosscheck.py").CHECKS
+        metafunc.parametrize("check", checks, ids=[check.name for check in checks])
+
+
+@pytest.fixture(scope="session")
+def pairs():
+    """The one walk over (λ, μ) by total degree, ``pairs`` of ``scripts/crosscheck.py``."""
+    return _load("crosscheck", "scripts/crosscheck.py").pairs
+
+
 @pytest.fixture(scope="module")
 def workloads():
     """``bench/workloads.py`` loaded as a module; the tests read it and never change it."""

@@ -95,6 +95,11 @@ class TestStructure:
         assert filling.shape == SkewShape(Partition((3, 2, 1)), Partition((2, 1)))
         assert filling.entry(0, 2) == 1
         assert filling.entry(2, 0) == 2
+        # rows not given, down to the inner shape's last row, hold no boxes
+        assert Filling.from_rows([], inner=[1]) == Filling(SkewShape(Partition((1,)), Partition((1,))), [()])
+        filling = Filling.from_rows([[1]], inner=[2, 1])
+        assert filling.shape == SkewShape(Partition((3, 1)), Partition((2, 1)))
+        assert filling.rows == ((1,), ())
 
     def test_empty_filling(self):
         filling = Filling.from_rows(())

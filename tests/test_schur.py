@@ -11,7 +11,6 @@ from tableaux import (
     NotSymmetricError,
     Partition,
     Polynomial,
-    enumerate_ssyt,
     partitions_of,
     schur_expand,
     schur_polynomial,
@@ -34,20 +33,6 @@ class TestSchurPolynomial:
     def test_single_column_is_elementary(self):
         poly = schur_polynomial(Partition((1, 1)), 3)
         assert poly == Polynomial(3, {(1, 1, 0): 1, (1, 0, 1): 1, (0, 1, 1): 1})
-
-    def test_kostka_build_equals_tableau_enumeration(self):
-        # two routes: Kostka numbers by strips vs. the weight generating function of enumerate_ssyt
-        for n in range(8):
-            for shape in partitions_of(n):
-                for width in range(8):
-                    terms = {}
-                    for filling in enumerate_ssyt(shape, width):
-                        weight = filling.weight(width)
-                        terms[weight] = terms.get(weight, 0) + 1
-                    assert schur_polynomial(shape, width) == Polynomial(width, terms), (
-                        shape,
-                        width,
-                    )
 
     def test_terms_stored_lex_descending(self):
         # s_shape is homogeneous of degree |shape|, and its orbits are
@@ -162,18 +147,12 @@ class TestStripRemovals:
         assert _strip_removals((3, 2), 3, 2) is strips
         assert _strip_removals.cache_info().hits == 1
 
-    def test_products_from_cold_tables_equal_warm(self):
+    def test_products_from_cold_tables_equal_warm(self, pairs):
         # every pair through degree 7, each built again from cleared tables and
         # a cleared schur_polynomial cache, gives what the warm tables give
-        pairs = [
-            (lam, mu)
-            for total in range(8)
-            for a in range(total + 1)
-            for lam in partitions_of(a)
-            for mu in partitions_of(total - a)
-        ]
-        warm = [_product_expansion(lam, mu) for lam, mu in pairs]
-        for (lam, mu), expected in zip(pairs, warm):
+        walk = [pair for total in range(8) for pair in pairs(total)]
+        warm = [_product_expansion(lam, mu) for lam, mu in walk]
+        for (lam, mu), expected in zip(walk, warm):
             for table in (_partitions_below, _strip_removals, schur_polynomial):
                 table.cache_clear()
             cold = _product_expansion(lam, mu)
@@ -265,59 +244,42 @@ class TestSchurExpand:
             assert copy._dominant is None
             assert schur_expand(copy) == expansion
 
-    def test_oracle_query_fills_no_orbit(self):
+    def test_oracle_query_fills_no_orbit(self, pairs):
         # the product route reads dominant tables only: neither operand, nor the
         # product, nor any s_nu whose Kostka numbers the elimination reads is filled
         schur_polynomial.cache_clear()
         width = 7
-        for a in range(8):
-            for lam in partitions_of(a):
-                for mu in partitions_of(7 - a):
-                    left, right = schur_polynomial(lam, width), schur_polynomial(mu, width)
-                    product = left * right
-                    expansion = schur_expand(product)
-                    read = [schur_polynomial(nu, width) for nu in expansion]
-                    for p in (left, right, product, *read):
-                        assert p._terms is None, (lam, mu)
+        for lam, mu in pairs(7):
+            left, right = schur_polynomial(lam, width), schur_polynomial(mu, width)
+            product = left * right
+            expansion = schur_expand(product)
+            read = [schur_polynomial(nu, width) for nu in expansion]
+            for p in (left, right, product, *read):
+                assert p._terms is None, (lam, mu)
 
-    def test_result_keys_are_valid_partitions(self):
+    def test_result_keys_are_valid_partitions(self, pairs):
         # the keys are built unchecked from the walk table; each must be what the
         # checking constructor builds from its parts, on both branches of the route
         conjugated = 0
         for total in range(9):
-            for a in range(total + 1):
-                for lam in partitions_of(a):
-                    for mu in partitions_of(total - a):
-                        conjugated += lam.part(0) + mu.part(0) < lam.nrows + mu.nrows
-                        for key in _product_expansion(lam, mu):
-                            assert type(key) is Partition, (lam, mu, key)
-                            assert 0 not in key.parts, (lam, mu, key)
-                            checked = Partition(key.parts)
-                            assert key == checked and hash(key) == hash(checked), (lam, mu, key)
+            for lam, mu in pairs(total):
+                conjugated += lam.part(0) + mu.part(0) < lam.nrows + mu.nrows
+                for key in _product_expansion(lam, mu):
+                    assert type(key) is Partition, (lam, mu, key)
+                    assert 0 not in key.parts, (lam, mu, key)
+                    checked = Partition(key.parts)
+                    assert key == checked and hash(key) == hash(checked), (lam, mu, key)
         assert conjugated
 
-    def test_power_sums_are_alternating_hooks(self):
-        # Murnaghan-Nakayama: p_k = sum over j < min(k, w) of (-1)^j s_(k - j, 1^j).
-        # Only w terms, but each hook's Kostka table spans the partitions of k
-        for k in range(1, 21):
-            for width in range(1, 9):
-                power_sum = Polynomial(width, {
-                    tuple(k if i == j else 0 for i in range(width)): 1 for j in range(width)
-                })
-                hooks = {Partition((k - j,) + (1,) * j): (-1) ** j for j in range(min(k, width))}
-                assert schur_expand(power_sum) == hooks, (k, width)
-
-    def test_coefficients_stable_in_width(self):
+    def test_coefficients_stable_in_width(self, pairs):
         # c^nu_{lam mu} != 0 forces l(nu) <= l(lam) + l(mu), so that many variables suffice
         for total in range(1, 7):
-            for a in range(total + 1):
-                for lam in partitions_of(a):
-                    for mu in partitions_of(total - a):
-                        expansions = [
-                            schur_expand(schur_polynomial(lam, w) * schur_polynomial(mu, w))
-                            for w in (lam.nrows + mu.nrows, total, total + 1)
-                        ]
-                        assert expansions[0] == expansions[1] == expansions[2], (lam, mu)
+            for lam, mu in pairs(total):
+                expansions = [
+                    schur_expand(schur_polynomial(lam, w) * schur_polynomial(mu, w))
+                    for w in (lam.nrows + mu.nrows, total, total + 1)
+                ]
+                assert expansions[0] == expansions[1] == expansions[2], (lam, mu)
 
 
 def orbit_size(exps):

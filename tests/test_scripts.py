@@ -23,12 +23,18 @@ def test_crosscheck_takes_no_arguments(argv, process_env):
 def test_a_disagreement_ends_the_run_naming_the_check_and_the_case(crosscheck, capfd):
     Check = crosscheck.Check
     crosscheck.CHECKS = (
-        Check("agrees", lambda budget: iter([((budget,), True)]), 3, 60),
-        Check("planted", lambda budget: iter([(("[2,1]", budget), False)]), 5, 60),
-        Check("never-run", lambda budget: iter([((budget,), True)]), 7, 60),
+        Check("agrees", lambda budget: iter([((budget,), True)]), 1, 3, 60),
+        Check("planted", lambda budget: iter([(("[2,1]", budget), False)]), 1, 5, 60),
+        Check("never-run", lambda budget: iter([((budget,), True)]), 1, 7, 60),
     )
     assert crosscheck.main([]) == 1
     out, err = capfd.readouterr()
     lines = [json.loads(line) for line in out.splitlines()]
     assert [(line["name"], line["budget"], line["cases"]) for line in lines] == [("agrees", 3, 1)]
     assert err.splitlines() == ["error: planted disagrees at [2,1], 5"]
+
+
+def test_each_check_agrees_at_its_tier1_budget(check):
+    # every route pair of the table, written there once, at a budget small enough for each run
+    assert check.tier1 < check.budget
+    assert check.sweep(check.tier1), f"{check.name} works out no case at {check.tier1}"

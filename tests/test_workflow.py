@@ -63,7 +63,8 @@ def test_cross_checks_run_from_one_table(crosscheck, workflow):
     steps = [step for spec in workflow["jobs"].values() for step in spec["steps"] if "run" in step]
     table = [step for step in steps if "scripts/crosscheck.py" in step["run"]]
     assert [step["run"].strip() for step in table] == ["PYTHONPATH=src python scripts/crosscheck.py"]
-    assert table[0]["timeout-minutes"] * 60 >= max(check.limit_s for check in crosscheck.CHECKS)
+    # the checks run one after another in the one step, so the step outlasts every limit added up
+    assert table[0]["timeout-minutes"] * 60 >= sum(check.limit_s for check in crosscheck.CHECKS)
     for step in steps:
         # a check that imports the library is a tier-1 test or a table entry, never a python -c line
         assert not any("python -c" in line and "tableaux" in line for line in step["run"].splitlines()), step["name"]
