@@ -7,8 +7,9 @@ budgets the generator is called with, and a time limit in seconds. A
 budget is an upper limit: a check sweeps every size up to it. The checks
 run in table order in one process at ``budget``, and each prints one
 JSON line: its name, budget, case count and wall time. The first
-disagreement ends the run with exit code 1 and one ``error:`` line on
-stderr naming the check and the case. A check still running past its
+disagreement, or a check that works out no case, ends the run with exit
+code 1 and one ``error:`` line on stderr naming the check and the case
+or budget. A check still running past its
 limit ends the run with exit code 1 and every thread's traceback on
 stderr.
 
@@ -49,8 +50,8 @@ from tableaux.schur import _product_expansion
 Cases = Iterator[tuple[tuple, bool]]
 
 
-class Disagreement(Exception):
-    """The two routes of a check differ at one case."""
+class CheckFailed(Exception):
+    """The two routes of a check differ at one case, or its sweep works out no case."""
 
 
 class Check(NamedTuple):
@@ -61,12 +62,15 @@ class Check(NamedTuple):
     limit_s: int
 
     def sweep(self, budget: int) -> int:
-        """The number of cases worked out at ``budget``; :class:`Disagreement` at the first that fails."""
+        """The number of cases worked out at ``budget``; :class:`CheckFailed` at the first that
+        fails, or if there is none."""
         cases = 0
         for case, agree in self.cases(budget):
             if not agree:
-                raise Disagreement(f"{self.name} disagrees at {', '.join(map(str, case))}")
+                raise CheckFailed(f"{self.name} disagrees at {', '.join(map(str, case))}")
             cases += 1
+        if not cases:
+            raise CheckFailed(f"{self.name} works out no case at {budget}")
         return cases
 
 
@@ -228,7 +232,7 @@ def main(argv: list[str]) -> int:
         faulthandler.dump_traceback_later(check.limit_s, exit=True)
         try:
             cases = check.sweep(check.budget)
-        except Disagreement as exc:
+        except CheckFailed as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
         finally:

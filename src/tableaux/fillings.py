@@ -7,7 +7,7 @@ from itertools import chain, repeat
 from operator import le, lt, sub
 from typing import Iterable, Iterator, Sequence
 
-from .partitions import InvalidBoxError, Partition, SkewShape, _count, _ints, _typed
+from .partitions import InvalidBoxError, Partition, SkewShape, _count, _ints, _is_one_to_n, _typed
 
 
 class EntryExceedsBoundError(ValueError):
@@ -103,9 +103,7 @@ class Filling:
 
     def is_standard(self) -> bool:
         """Semistandard and using each of 1..n exactly once."""
-        # entries are positive integers, so n distinct ones with largest n are exactly 1..n
-        entries = dict.fromkeys(chain.from_iterable(self.rows))  # a third of a set's peak memory
-        return len(entries) == self.shape.size == max(entries, default=0) and self.is_semistandard()
+        return _is_one_to_n(chain.from_iterable(self.rows), self.shape.size) and self.is_semistandard()
 
     def weight(self, bound: int) -> tuple[int, ...]:
         """Multiplicity vector of width ``bound``: slot i-1 counts the i's."""

@@ -60,6 +60,13 @@ def _typed(name: str, value, *kinds: type) -> None:
         raise TypeError(f"{name} must be a {' or '.join(kind.__name__ for kind in kinds)}, got {value!r}")
 
 
+def _is_one_to_n(values, n: int) -> bool:
+    """Whether the integers ``values`` are exactly 1..n, each once, in any order."""
+    # n distinct integers from 1 to n are exactly 1..n; dict.fromkeys peaks at a third of a set's memory
+    seen = dict.fromkeys(values)
+    return len(seen) == n and min(seen, default=1) == 1 and max(seen, default=0) == n
+
+
 def _columns(parts: tuple[int, ...], floor: int = 0) -> list[int]:
     """The heights, less ``floor``, of the columns of ``parts`` taller than ``floor``, left to right."""
     heights: list[int] = []

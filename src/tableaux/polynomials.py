@@ -201,10 +201,8 @@ class Polynomial:
         workload takes the loop; the tests keep it as the orbit route's
         reference.
         """
-        if _scalar(other):
-            scaled = {key: c * other for key, c in self._filled().items()}
-            return Polynomial._from_terms(self._width, scaled)
-        if not isinstance(other, Polynomial):
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
         self._check_width(other)
         if self._dominant is not None and other._dominant is not None:

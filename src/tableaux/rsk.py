@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .fillings import Filling
-from .partitions import Partition, _ascii_ints, _count, _ints, _typed
+from .partitions import Partition, _ascii_ints, _count, _ints, _is_one_to_n, _typed
 
 
 class MalformedPairError(ValueError):
@@ -24,10 +24,8 @@ class Permutation:
     def __post_init__(self):
         images = _ints("image", self.images, None)
         object.__setattr__(self, "images", images)
-        n = len(images)
-        # n distinct integers from 1 to n are exactly 1..n; dict.fromkeys peaks at a third of a set's memory
-        if images and not (len(dict.fromkeys(images)) == n and min(images) == 1 and max(images) == n):
-            raise ValueError(f"{list(images)} is not a permutation of 1..{n}")
+        if not _is_one_to_n(images, len(images)):
+            raise ValueError(f"{list(images)} is not a permutation of 1..{len(images)}")
 
     def __repr__(self):
         return f"Permutation({list(self.images)})"

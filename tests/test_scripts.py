@@ -34,7 +34,14 @@ def test_a_disagreement_ends_the_run_naming_the_check_and_the_case(crosscheck, c
     assert err.splitlines() == ["error: planted disagrees at [2,1], 5"]
 
 
+def test_a_check_of_no_cases_ends_the_run(crosscheck, capfd):
+    Check = crosscheck.Check
+    crosscheck.CHECKS = (Check("empty", lambda budget: iter(()), 1, 3, 60),)
+    assert crosscheck.main([]) == 1
+    assert capfd.readouterr() == ("", "error: empty works out no case at 3\n")
+
+
 def test_each_check_agrees_at_its_tier1_budget(check):
     # every route pair of the table, written there once, at a budget small enough for each run
     assert check.tier1 < check.budget
-    assert check.sweep(check.tier1), f"{check.name} works out no case at {check.tier1}"
+    check.sweep(check.tier1)
