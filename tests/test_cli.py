@@ -218,6 +218,8 @@ ERROR_LINES = {
     ("schur", "[1 1]", "3"): "expected comma-separated integers, got '[1 1]'",
     ("schur", "[2,1]", "3.0"): "expected an integer, got '3.0'",
     ("schur", "[21]", "2"): "schur asks for 21 boxes; guard is 20 (see --max-boxes)",
+    # a refusal is a plain line on stderr under --json too
+    ("schur", "[21]", "2", "--json"): "schur asks for 21 boxes; guard is 20 (see --max-boxes)",
     ("lr", "[x]", "[1]", "[2]"): "expected comma-separated integers, got '[x]'",
     ("lr", "[1]", "[-1]", "[2]"): "part must be nonnegative, got -1",
     ("lr", "[1]", "[1]", "[2,,]"): "expected comma-separated integers, got '[2,,]'",
@@ -303,24 +305,79 @@ REUSE_SEQUENCE = [
 ]
 
 
-class TestArgumentContract:
-    # Each row runs twice: the same exit code, stdout and stderr both times.
-    @pytest.mark.parametrize("argv", list(ANSWERS), ids=_id)
-    def test_an_answer_is_its_stdout_alone(self, argv):
+# Rows that each run in the test of that name below, where an earlier test pinned them, and
+# that TestArgumentContract's parametrized tests leave out, so each row still runs once.
+NAMED_ROWS = {
+    "test_max_boxes_is_ascii_digits_too": [
+        ("count-syt", "[2,1]", "--max-boxes", "1_0"), ("schur", "[2,1]", " 3 "), ("schur", "[2,1]", "03"),
+    ],
+    "test_guard": [("schur", "[21]", "2")],
+    "test_witnesses": [
+        ("lr", "[2,1]", "[2,1]", "[3,2,1]", "--witnesses"),
+        ("lr", "[2,1]", "[2,1]", "[3,2,1]", "--witnesses", "--verify"),
+        ("lr", "[2,2]", "[1,1]", "[3,2,1]", "--witnesses"),
+    ],
+    "test_json_with_witnesses": [("lr", "[2,1]", "[2,1]", "[3,2,1]", "--witnesses", "--json")],
+    "test_json_raw_text": [("lr", "[2,1]", "[2,1]", "[3,2,1]", "--witnesses", "--verify", "--json")],
+    "test_invert_pins_the_error_line_of_each_malformed_pair": [
+        ("rsk", "--invert", "1,2/3", "1,2,3"),
+        ("rsk", "--invert", "1,1/2", "1,1/2"),
+        ("rsk", "--invert", "2,1/3", "1,2/3"),
+        ("rsk", "--invert", "1,3/2", "1,2/4"),
+        ("rsk", "--invert", "1,2/0", "1,2/3"),
+        ("rsk", "--invert", "1,2/", "1,2"),
+        ("rsk", "--invert", "1,+2", "1,2"),
+        ("rsk", "--invert", "1,2", "1,2", "1"),
+    ],
+    "test_errors_go_to_stderr_not_stdout": [("schur", "[21]", "2", "--json")],
+}
+_NAMED = {argv for rows in NAMED_ROWS.values() for argv in rows}
+
+
+def _rows(table):
+    return [argv for argv in table if argv not in _NAMED]
+
+
+def check(argv):
+    """Run argv twice and hold both runs to its row of ANSWERS, ERROR_LINES or FORM_ERRORS."""
+    if argv in ANSWERS:
         assert [outcome(argv), outcome(argv)] == [(0, ANSWERS[argv], "")] * 2
-
-    @pytest.mark.parametrize("argv", list(ERROR_LINES), ids=_id)
-    def test_an_unreadable_value_is_one_error_line(self, argv):
+    elif argv in ERROR_LINES:
         assert [outcome(argv), outcome(argv)] == [(1, "", f"error: {ERROR_LINES[argv]}\n")] * 2
-
-    @pytest.mark.parametrize("argv", list(FORM_ERRORS), ids=_id)
-    def test_a_form_error_is_a_usage_error(self, argv):
+    else:
         code, out, err = outcome(argv)
         assert outcome(argv) == (code, out, err)
         assert (code, out) == (2, "")
         assert err.startswith("usage: ") and "Traceback" not in err
         reason = err.splitlines()[-1].partition(": error: ")[2].partition(" (choose from ")[0]
         assert reason == FORM_ERRORS[argv]
+
+
+def check_named(name):
+    for argv in NAMED_ROWS[name]:
+        check(argv)
+
+
+class TestArgumentContract:
+    @pytest.mark.parametrize("argv", _rows(ANSWERS), ids=_id)
+    def test_an_answer_is_its_stdout_alone(self, argv):
+        check(argv)
+
+    @pytest.mark.parametrize("argv", _rows(ERROR_LINES), ids=_id)
+    def test_an_unreadable_value_is_one_error_line(self, argv):
+        check(argv)
+
+    @pytest.mark.parametrize("argv", _rows(FORM_ERRORS), ids=_id)
+    def test_a_form_error_is_a_usage_error(self, argv):
+        check(argv)
+
+    def test_max_boxes_is_ascii_digits_too(self):
+        check_named("test_max_boxes_is_ascii_digits_too")
+
+    def test_every_named_row_is_a_row_of_one_table(self):
+        named = [argv for rows in NAMED_ROWS.values() for argv in rows]
+        assert len(named) == len(_NAMED)
+        assert [argv for argv in named if sum(argv in table for table in (ANSWERS, ERROR_LINES, FORM_ERRORS)) != 1] == []
 
     def test_every_subcommand_has_a_malformed_value_in_the_table(self):
         (commands,) = [action.choices for action in build_parser()._actions
@@ -331,7 +388,8 @@ class TestArgumentContract:
         # a repeated key of a dict display keeps only its last row, silently
         tables = {node.targets[0].id: len(node.value.keys) for node in ast.parse(Path(__file__).read_text("utf-8")).body
                   if isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict)}
-        assert tables == {"ANSWERS": len(ANSWERS), "ERROR_LINES": len(ERROR_LINES), "FORM_ERRORS": len(FORM_ERRORS)}
+        assert tables == {"ANSWERS": len(ANSWERS), "ERROR_LINES": len(ERROR_LINES), "FORM_ERRORS": len(FORM_ERRORS),
+                          "NAMED_ROWS": len(NAMED_ROWS)}
 
     def test_every_readme_example_is_an_answer(self):
         # the lines of README's command examples, each "tableaux ..." and a comment
@@ -344,6 +402,9 @@ class TestArgumentContract:
 
 
 class TestSchur:
+    def test_guard(self):
+        check_named("test_guard")
+
     def test_filled_output_is_pinned(self):
         # 4410 terms at width 10, and exponents of two digits: the sha256 of stdout
         golden = {
@@ -364,6 +425,15 @@ class TestSchur:
 
 
 class TestLr:
+    def test_witnesses(self):
+        check_named("test_witnesses")
+
+    def test_json_with_witnesses(self):
+        check_named("test_json_with_witnesses")
+
+    def test_json_raw_text(self):
+        check_named("test_json_raw_text")
+
     def test_verify_mismatch_is_an_error(self, monkeypatch):
         monkeypatch.setattr(tableaux.cli, "lr_coefficient", lambda lam, mu, nu: 3)
         assert outcome(["lr", "[2,1]", "[2,1]", "[3,2,1]", "--verify"]) == (1, "", (
@@ -418,6 +488,9 @@ class TestRsk:
             patch.setattr(Filling, "to_ascii", refuse)
             assert outcome([*argv, "--json"]) == as_json
 
+    def test_invert_pins_the_error_line_of_each_malformed_pair(self):
+        check_named("test_invert_pins_the_error_line_of_each_malformed_pair")
+
     def test_output_is_pinned(self):
         # the sha256 of stdout, text then JSON, for a permutation of 200, its pair, and a trace of 12
         images = random.Random(200).sample(range(1, 201), 200)
@@ -463,6 +536,9 @@ class TestGlobalBehavior:
         assert reused[6][1] != reused[7][1]
         assert reused[8] == reused[9] and reused[10][1] != reused[8][1]
         assert reused[11][1] == "21453\n"
+
+    def test_errors_go_to_stderr_not_stdout(self):
+        check_named("test_errors_go_to_stderr_not_stdout")
 
     def test_build_parser_returns_a_fresh_parser(self):
         assert build_parser() is not build_parser()
