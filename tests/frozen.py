@@ -1,4 +1,16 @@
-"""The one search of the frozen enumerator references; it imports nothing from ``tableaux``."""
+"""The one search and the one column-height loop of the frozen enumerator references.
+
+It imports nothing from ``tableaux``, so a fault in the library's own
+search or its ``partitions._columns`` cannot move a reference with it.
+"""
+
+
+def frozen_heights(parts):
+    """The column heights of the diagram with row lengths ``parts``, left to right."""
+    heights = []
+    for r in range(len(parts) - 1, -1, -1):
+        heights += [r + 1] * (parts[r] - len(heights))
+    return heights
 
 
 def frozen_search(skew, candidates, reverse=False):

@@ -123,3 +123,27 @@ def test_the_integer_rule_is_written_once():
     found = {(path.name, where) for path in (REPO / "src" / "tableaux").glob("*.py")
              for where in copies(ast.parse(path.read_text()), "<module>")}
     assert found == {("partitions.py", "_count"), ("partitions.py", "_ints"), ("polynomials.py", "_scalar")}
+
+
+def test_the_frozen_references_import_nothing_from_tableaux():
+    # a reference that reads the library's own loops moves with a fault in them, and passes
+    tree = ast.parse((REPO / "tests" / "frozen.py").read_text())
+    modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
+    modules += [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert [module for module in modules if module.partition(".")[0] == "tableaux"] == []
+
+
+def test_every_test_readme_names_exists():
+    # README names a test as tests/<file>.py::<class>::<test>; one renamed or folded away leaves it pointing at nothing
+    def defined(file, name):
+        scope = ast.parse((REPO / "tests" / file).read_text(encoding="utf-8")).body
+        for part in name.split("::"):
+            nodes = [node for node in scope if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name == part]
+            if not nodes:
+                return False
+            scope = nodes[0].body
+        return True
+
+    cited = re.findall(r"`tests/(\w+\.py)::([\w:]+)`", (REPO / "README.md").read_text(encoding="utf-8"))
+    assert len(cited) == 3
+    assert [f"{file}::{name}" for file, name in cited if not defined(file, name)] == []
