@@ -22,6 +22,10 @@ STANDARD_EXAMPLE = Filling.from_rows([[1, 3, 4, 6], [2, 7], [5]])
 ARBITRARY_FILLING = Filling.from_rows([[2, 1, 1, 4], [6, 2], [4]])
 
 
+def reading_word(filling):
+    return flat(filling.rows)
+
+
 def flat(rows):
     return tuple(v for row in rows for v in row)
 
@@ -250,10 +254,26 @@ class TestWeight:
 
 
 class TestEnumerateSsyt:
+    def test_reading_word_order(self):
+        fillings = list(enumerate_ssyt(Partition((3, 1)), 3))
+        words = [reading_word(f) for f in fillings]
+        assert words == sorted(words)
+        assert len(words) == len(set(words))
+
+    def test_column_too_tall_gives_nothing(self):
+        assert list(enumerate_ssyt(Partition((1, 1, 1, 1)), 3)) == []
+
     def test_single_box(self):
         assert len(list(enumerate_ssyt(Partition((1,)), 5))) == 5
         # bound 0 is zero variables, as for schur_polynomial: no box can be filled
         assert list(enumerate_ssyt(Partition((1,)), 0)) == []
+
+    def test_empty_shape(self):
+        assert len(list(enumerate_ssyt(EMPTY, 3))) == 1
+
+    def test_yields_semistandard(self):
+        for filling in enumerate_ssyt(SkewShape(Partition((3, 2)), Partition((1,))), 3):
+            assert filling.is_semistandard()
 
     def test_matches_brute_force_small_shapes(self):
         for n in range(7):
@@ -305,7 +325,6 @@ class TestEnumerateSsyt:
     def test_matches_brute_force_skew_shapes(self):
         cases = [
             ((3, 2, 1), (2, 1)),
-            ((3, 2), (1,)),
             ((2, 2), (1,)),
             ((3, 3), (2,)),
             ((4, 2), (1,)),
@@ -320,6 +339,26 @@ class TestEnumerateSsyt:
 
 
 class TestEnumerateSyt:
+    def test_single_row(self):
+        assert [f.rows for f in enumerate_syt(Partition((5,)))] == [((1, 2, 3, 4, 5),)]
+
+    def test_two_by_two(self):
+        assert [f.rows for f in enumerate_syt(Partition((2, 2)))] == [
+            ((1, 2), (3, 4)),
+            ((1, 3), (2, 4)),
+        ]
+
+    def test_all_yields_are_standard(self):
+        for filling in enumerate_syt(Partition((3, 2))):
+            assert filling.is_standard()
+
+    def test_reading_word_order(self):
+        words = [reading_word(f) for f in enumerate_syt(Partition((3, 2, 1)))]
+        assert words == sorted(words)
+
+    def test_box_guard(self):
+        assert sum(1 for _ in enumerate_syt(Partition((25,)))) == 1
+
     def test_long_row_does_not_recurse(self):
         rows = [f.rows for f in enumerate_syt(Partition((1200,)))]
         assert rows == [(tuple(range(1, 1201)),)]

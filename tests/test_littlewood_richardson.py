@@ -170,6 +170,12 @@ class TestEnumeration:
         ]
         assert all(type(w) is Filling and w.shape == SkewShape(NU, LAM) for w in witnesses)
 
+    def test_witnesses_ordered_by_reading_word(self):
+        for nu in partitions_of(5):
+            witnesses = list(enumerate_lr_fillings(nu, Partition((2,)), Partition((2, 1))))
+            words = [reverse_reading_word(w) for w in witnesses]
+            assert words == sorted(words)
+
     def test_equal_shapes_leave_the_empty_filling(self):
         witnesses = list(enumerate_lr_fillings(LAM, LAM, EMPTY))
         assert len(witnesses) == 1
@@ -190,6 +196,16 @@ class TestEnumeration:
 
     def test_not_contained_is_empty(self):
         assert list(enumerate_lr_fillings(Partition((2, 2)), Partition((3,)), LAM)) == []
+
+    def test_witness_invariants_rechecked(self, pairs):
+        for total in range(6):
+            for lam, mu in pairs(total):
+                for nu in partitions_of(total):
+                    for filling in enumerate_lr_fillings(nu, lam, mu):
+                        assert filling.is_semistandard()
+                        assert is_lattice(reverse_reading_word(filling))
+                        width = max(len(mu.parts), 1)
+                        assert filling.weight(width) == mu.parts + (0,) * (width - len(mu.parts))
 
 
 class TestCoefficient:

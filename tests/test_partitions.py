@@ -1,6 +1,6 @@
 import itertools
 import math
-from functools import partial
+from functools import lru_cache, partial
 
 import pytest
 from hypothesis import given, strategies as st
@@ -48,6 +48,14 @@ def partitions(draw, max_part=6, max_rows=5):
     return Partition(tuple(sorted(parts, reverse=True)))
 
 
+@lru_cache(maxsize=None)
+def partition_count_oracle(n: int, cap: int) -> int:
+    """Independent count of partitions of n with parts at most cap."""
+    if n == 0:
+        return 1
+    return sum(partition_count_oracle(n - first, first) for first in range(1, min(n, cap) + 1))
+
+
 def reverse_lex_partitions(n: int, cap: int | None = None):
     """Independent generator: largest first part first, then the rest recursively."""
     if n == 0:
@@ -75,6 +83,27 @@ def pentagonal_counts(limit: int) -> list[int]:
 def contains_reference(outer: Partition, inner: Partition) -> bool:
     """Row by row: every row of inner fits under the same row of outer, missing rows being 0."""
     return all(inner.part(r) <= outer.part(r) for r in range(max(outer.nrows, inner.nrows)))
+
+
+def brute_force_standard_count(parts: tuple[int, ...]) -> int:
+    """Oracle: place 1..n in reading order, keep increasing rows and columns."""
+    n = sum(parts)
+    count = 0
+    for perm in itertools.permutations(range(1, n + 1)):
+        rows, k = [], 0
+        for length in parts:
+            rows.append(perm[k : k + length])
+            k += length
+        if any(row[i] >= row[i + 1] for row in rows for i in range(len(row) - 1)):
+            continue
+        if any(
+            rows[j][c] >= rows[j + 1][c]
+            for j in range(len(parts) - 1)
+            for c in range(parts[j + 1])
+        ):
+            continue
+        count += 1
+    return count
 
 
 class TestConstruction:
@@ -175,6 +204,15 @@ class TestCountStandard:
     def test_empty_shape(self):
         assert count_standard_tableaux(EMPTY) == 1
 
+    def test_two_by_two_against_brute_force(self):
+        assert brute_force_standard_count((2, 2)) == 2
+        assert count_standard_tableaux(Partition((2, 2))) == 2
+
+    def test_matches_brute_force_small(self):
+        for n in range(6):
+            for shape in partitions_of(n):
+                assert count_standard_tableaux(shape) == brute_force_standard_count(shape.parts)
+
     def test_matches_enumeration_up_to_ten(self):
         for n in range(11):
             for shape in partitions_of(n):
@@ -198,9 +236,29 @@ class TestCountStandard:
 
 
 class TestPartitionsOf:
+    def test_zero(self):
+        assert list(partitions_of(0)) == [EMPTY]
+
+    def test_three(self):
+        assert [p.parts for p in partitions_of(3)] == [(3,), (2, 1), (1, 1, 1)]
+
+    def test_classical_count_of_seven(self):
+        assert len(list(partitions_of(7))) == 15
+
+    @pytest.mark.parametrize("n", range(21))
+    def test_complete_distinct_and_ordered(self, n):
+        shapes = list(partitions_of(n))
+        assert len(shapes) == len(set(shapes)) == partition_count_oracle(n, n)
+        assert all(shape.size == n for shape in shapes)
+        assert shapes == sorted(shapes, key=lambda s: s.parts, reverse=True)
+
+    def test_yields_equal_their_validated_rebuild(self):
+        for n in range(13):
+            for shape in partitions_of(n):
+                assert shape == Partition(list(shape.parts))
+                assert hash(shape) == hash(Partition(list(shape.parts)))
+
     def test_matches_recursive_generator_in_order(self):
-        # the reference lists each partition of n once, lex-descending: the sequence pins the
-        # count, the order and distinctness, and each yield must equal its validated rebuild
         for n in range(31):
             shapes = list(partitions_of(n))
             assert [shape.parts for shape in shapes] == list(reverse_lex_partitions(n)), n

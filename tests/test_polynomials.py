@@ -103,14 +103,6 @@ def naive_product(p, q):
     return Polynomial(p.width, terms)
 
 
-def naive_sum(p, q):
-    """Reference add: the terms of ``p`` updated by each term of ``q``, zeros dropped at the end."""
-    terms = dict(p.terms)
-    for exps, coeff in q.terms.items():
-        terms[exps] = terms.get(exps, 0) + coeff
-    return {e: c for e, c in terms.items() if c}
-
-
 def wide_terms(width, max_exponent):
     exps = st.tuples(*[st.integers(0, max_exponent) for _ in range(width)])
     coeffs = st.integers(-5, 5) | st.integers(-(2**70), 2**70)
@@ -130,8 +122,6 @@ class TestPairLoop:
         assert list(product.terms) == list(naive_product(p, q).terms)
         assert 0 not in product.terms.values()
         assert all(len(e) == width for e in product.terms)
-        for left, right in ((p, q), (product, p), (p, product)):
-            assert (left + right).terms == naive_sum(left, right), (left, right)
 
     def test_width_zero(self):
         three = Polynomial(0, {(): 3})
@@ -139,22 +129,53 @@ class TestPairLoop:
         assert (three * Polynomial.zero(0)).is_zero
 
     def test_cancellation_to_zero(self):
-        # products worked by hand: the cross terms of the first two cancel, and the
-        # binomial square doubles them
-        cases = [
-            ((X1 + X2) * (X1 - X2), {(2, 0): 1, (0, 2): -1}),
-            ((X1 * X1 + X2) * (X1 * X1 - X2), {(4, 0): 1, (0, 2): -1}),
-            ((X1 + X2) * (X1 + X2), {(2, 0): 1, (1, 1): 2, (0, 2): 1}),
-            (X1 * X2, {(1, 1): 1}),
-        ]
-        for product, terms in cases:
-            assert product.terms == terms and product == Polynomial(2, terms)
-            assert product != Polynomial(2, {**terms, (0, 0): 1})
+        # (x1 + x2)(x1 - x2) = x1^2 - x2^2: the cross terms cancel
+        product = (X1 + X2) * (X1 - X2)
+        assert product == Polynomial(2, {(2, 0): 1, (0, 2): -1})
+        assert (1, 1) not in product.terms
         assert ((X1 - X1) * (X1 + X2)).is_zero
 
     def test_negative_coefficients(self):
         p = Polynomial(2, {(1, 0): -3, (0, 12): 2})
         assert p * p == Polynomial(2, {(2, 0): 9, (1, 12): -12, (0, 24): 4})
+
+
+def naive_sum(p, q):
+    terms = dict(p.terms)
+    for exps, coeff in q.terms.items():
+        terms[exps] = terms.get(exps, 0) + coeff
+    return {e: c for e, c in terms.items() if c}
+
+
+class TestOperandsOfDifferentDegrees:
+    # Products of operands with different largest exponents, sums and equality
+    # must agree with values built from tuples by the constructor and the naive sum.
+
+    def test_product_equals_tuple_built(self):
+        cases = [
+            ((X1 + X2) * (X1 + X2), {(2, 0): 1, (1, 1): 2, (0, 2): 1}),
+            (X1 * X2, {(1, 1): 1}),
+            ((X1 * X1 + X2) * (X1 * X1 - X2), {(4, 0): 1, (0, 2): -1}),
+        ]
+        for product, terms in cases:
+            built = Polynomial(2, terms)
+            assert product == built and built == product
+            assert product.terms == terms
+            assert product != Polynomial(2, {**terms, (0, 0): 1})
+
+    def test_same_length_different_terms_differ(self):
+        assert X1 * X2 != X2
+        assert X1 * X1 != Polynomial(2, {(0, 2): 1})
+
+    @given(st.data())
+    def test_add_matches_naive_sum(self, data):
+        width = data.draw(st.integers(0, 4))
+        max_exponent = data.draw(st.sampled_from((1, 3, 12)))
+        p, q, r = (Polynomial(width, data.draw(wide_terms(width, max_exponent))) for _ in range(3))
+        for left, right in ((p * q, r), (r, p * q), (p * q, p * r)):
+            total = left + right
+            assert total.terms == naive_sum(left, right)
+            assert total == Polynomial(width, naive_sum(left, right))
 
 
 def race(work, count):

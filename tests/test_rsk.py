@@ -146,6 +146,35 @@ class TestRowInsert:
                         assert grown.is_semistandard()
 
 
+class TestRsk:
+    def test_worked_example(self):
+        pair = rsk(SIGMA)
+        assert pair.insertion.rows == ((1, 3, 5), (2, 4))
+        assert pair.recording.rows == ((1, 3, 4), (2, 5))
+
+    def test_identity_gives_single_rows(self):
+        pair = rsk(Permutation((1, 2, 3, 4)))
+        assert pair.insertion.rows == ((1, 2, 3, 4),)
+        assert pair.recording.rows == ((1, 2, 3, 4),)
+
+    def test_reversal_gives_single_column(self):
+        pair = rsk(Permutation((3, 2, 1)))
+        assert pair.insertion.rows == ((1,), (2,), (3,))
+        assert pair.recording.rows == ((1,), (2,), (3,))
+
+    def test_empty_permutation(self):
+        pair = rsk(Permutation(()))
+        assert pair.shape.size == 0
+
+    def test_intermediate_tableaux_semistandard_with_distinct_entries(self):
+        for images in itertools.permutations(range(1, 6)):
+            for insertion, recording in rsk_trace(Permutation(images)):
+                assert insertion.is_semistandard()
+                entries = [v for row in insertion.rows for v in row]
+                assert len(entries) == len(set(entries))
+                assert recording.is_standard()
+
+
 def fold_row_insert(images):
     """The pair built step by step through the public, validating ``row_insert``."""
     insertion = Filling.from_rows(())
@@ -176,6 +205,14 @@ class TestPlainListSteps:
         for perm in seeded_permutations((10, 100, 500, 2000)):
             assert rsk(perm) == fold_row_insert(perm.images)
 
+    def test_trace_ends_at_rsk(self):
+        perms = [Permutation(images) for n in range(6) for images in itertools.permutations(range(1, n + 1))]
+        for perm in perms + seeded_permutations((20, 60)):
+            pair = rsk(perm)
+            trace = rsk_trace(perm)
+            assert len(trace) == perm.n + 1
+            assert trace[-1] == (pair.insertion, pair.recording)
+
     def test_trace_snapshots_equal_their_validated_rebuild(self):
         # snapshots are built without validation; rebuild each through Filling.from_rows
         perms = [Permutation(images) for n in range(7) for images in itertools.permutations(range(1, n + 1))]
@@ -202,9 +239,7 @@ class TestLinearScanReference:
                 want = scan_insertion(images)
                 pair = rsk(images)
                 assert (pair.insertion.rows, pair.recording.rows) == want
-                trace = rsk_trace(images)
-                assert len(trace) == n + 1
-                insertion, recording = trace[-1]
+                insertion, recording = rsk_trace(images)[-1]
                 assert (insertion.rows, recording.rows) == want
 
     def test_seeded(self):
