@@ -22,10 +22,6 @@ STANDARD_EXAMPLE = Filling.from_rows([[1, 3, 4, 6], [2, 7], [5]])
 ARBITRARY_FILLING = Filling.from_rows([[2, 1, 1, 4], [6, 2], [4]])
 
 
-def reading_word(filling):
-    return flat(filling.rows)
-
-
 def flat(rows):
     return tuple(v for row in rows for v in row)
 
@@ -206,6 +202,7 @@ class TestValidators:
             assert filling.is_semistandard() == per_box_semistandard(filling), filling
 
     def test_fixed_examples_match_per_box_reference(self):
+        # by hand: semistandard, standard, neither, one box, a column fault, a skew column over an inner box
         examples = [
             SEMISTANDARD_EXAMPLE,
             STANDARD_EXAMPLE,
@@ -220,29 +217,6 @@ class TestValidators:
             assert filling.is_semistandard() == per_box_semistandard(filling), filling
             assert filling.is_standard() == per_box_standard(filling), filling
 
-    def test_semistandard_example(self):
-        assert SEMISTANDARD_EXAMPLE.is_semistandard()
-
-    def test_arbitrary_filling_is_not_semistandard(self):
-        assert not ARBITRARY_FILLING.is_semistandard()
-
-    def test_single_box(self):
-        assert Filling.from_rows([[5]]).is_semistandard()
-
-    def test_column_violation(self):
-        assert not Filling.from_rows([[1, 2], [1]]).is_semistandard()
-
-    def test_standard_example(self):
-        assert STANDARD_EXAMPLE.is_standard()
-
-    def test_semistandard_is_not_standard(self):
-        assert not SEMISTANDARD_EXAMPLE.is_standard()
-
-    def test_skew_column_over_inner_box_is_unconstrained(self):
-        # (1,0) sits below a removed box, so only column 1 is constrained
-        assert Filling.from_rows([[1], [1, 2]], inner=[1]).is_semistandard()
-        assert not Filling.from_rows([[1], [1, 1]], inner=[1]).is_semistandard()
-
 
 class TestWeight:
     def test_counts_entries(self):
@@ -254,26 +228,10 @@ class TestWeight:
 
 
 class TestEnumerateSsyt:
-    def test_reading_word_order(self):
-        fillings = list(enumerate_ssyt(Partition((3, 1)), 3))
-        words = [reading_word(f) for f in fillings]
-        assert words == sorted(words)
-        assert len(words) == len(set(words))
-
-    def test_column_too_tall_gives_nothing(self):
-        assert list(enumerate_ssyt(Partition((1, 1, 1, 1)), 3)) == []
-
     def test_single_box(self):
         assert len(list(enumerate_ssyt(Partition((1,)), 5))) == 5
         # bound 0 is zero variables, as for schur_polynomial: no box can be filled
         assert list(enumerate_ssyt(Partition((1,)), 0)) == []
-
-    def test_empty_shape(self):
-        assert len(list(enumerate_ssyt(EMPTY, 3))) == 1
-
-    def test_yields_semistandard(self):
-        for filling in enumerate_ssyt(SkewShape(Partition((3, 2)), Partition((1,))), 3):
-            assert filling.is_semistandard()
 
     def test_matches_brute_force_small_shapes(self):
         for n in range(7):
@@ -325,6 +283,7 @@ class TestEnumerateSsyt:
     def test_matches_brute_force_skew_shapes(self):
         cases = [
             ((3, 2, 1), (2, 1)),
+            ((3, 2), (1,)),
             ((2, 2), (1,)),
             ((3, 3), (2,)),
             ((4, 2), (1,)),
@@ -339,23 +298,6 @@ class TestEnumerateSsyt:
 
 
 class TestEnumerateSyt:
-    def test_single_row(self):
-        assert [f.rows for f in enumerate_syt(Partition((5,)))] == [((1, 2, 3, 4, 5),)]
-
-    def test_two_by_two(self):
-        assert [f.rows for f in enumerate_syt(Partition((2, 2)))] == [
-            ((1, 2), (3, 4)),
-            ((1, 3), (2, 4)),
-        ]
-
-    def test_all_yields_are_standard(self):
-        for filling in enumerate_syt(Partition((3, 2))):
-            assert filling.is_standard()
-
-    def test_reading_word_order(self):
-        words = [reading_word(f) for f in enumerate_syt(Partition((3, 2, 1)))]
-        assert words == sorted(words)
-
     def test_box_guard(self):
         assert sum(1 for _ in enumerate_syt(Partition((25,)))) == 1
 

@@ -197,16 +197,6 @@ class TestEnumeration:
     def test_not_contained_is_empty(self):
         assert list(enumerate_lr_fillings(Partition((2, 2)), Partition((3,)), LAM)) == []
 
-    def test_witness_invariants_rechecked(self, pairs):
-        for total in range(6):
-            for lam, mu in pairs(total):
-                for nu in partitions_of(total):
-                    for filling in enumerate_lr_fillings(nu, lam, mu):
-                        assert filling.is_semistandard()
-                        assert is_lattice(reverse_reading_word(filling))
-                        width = max(len(mu.parts), 1)
-                        assert filling.weight(width) == mu.parts + (0,) * (width - len(mu.parts))
-
 
 class TestCoefficient:
     def test_empty_content(self):

@@ -4,6 +4,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from conftest import _load
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -45,3 +46,49 @@ def test_each_check_agrees_at_its_tier1_budget(check):
     # every route pair of the table, written there once, at a budget small enough for each run
     assert check.tier1 < check.budget
     check.sweep(check.tier1)
+
+
+PLANTED = {"pytest.ini": "[pytest]\naddopts = -p no:hypothesispytest\n", "src/tableaux/__init__.py": "",
+           "src/tableaux/planted.py": "def double(x):\n    return x + x  # x + x\n",
+           "tests/test_planted.py": "from tableaux.planted import double\n\n\ndef test_double():\n    assert double(3) == 6"
+                                    "\n\n\ndef test_fails():\n    assert False\n"}
+DOUBLE, FAILS = "tests/test_planted.py::test_double", "tests/test_planted.py::test_fails"
+
+
+@pytest.fixture
+def mutants(tmp_path):
+    """``scripts/mutants.py`` on a planted tree: one source file, two tests, no hypothesis plugin (slow to load)."""
+    for path, text in PLANTED.items():
+        (tmp_path / path).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / path).write_text(text)
+    module = _load("mutants", "scripts/mutants.py")
+    module.ROOT = tmp_path
+    return module
+
+
+def test_mutants_takes_no_arguments(mutants, capfd):
+    assert mutants.main(["-h"]) == 2
+    assert capfd.readouterr() == ("", "usage: mutants.py\nerror: takes no arguments, got ['-h']\n")
+
+
+def test_a_survivor_ends_the_run_naming_it(mutants, capfd):
+    # a comment edit changes nothing a test can see, and the run ends before the second row
+    mutants.MUTANTS = (mutants.Mutant("comment", "planted.py", "# x + x", "# x - x", (DOUBLE,)),
+                       mutants.Mutant("never-run", "planted.py", "return x + x", "return x - x", (DOUBLE,)))
+    assert mutants.main([]) == 1
+    out, err = capfd.readouterr()
+    assert [(line["name"], line["killed"]) for line in map(json.loads, out.splitlines())] == [("comment", False)]
+    assert err == f"error: comment survives {DOUBLE}\n"
+
+
+@pytest.mark.parametrize("old, found", [("x * 3", 0), ("x + x", 2)])
+def test_an_old_text_not_found_once_ends_the_run(mutants, capfd, old, found):
+    mutants.MUTANTS = (mutants.Mutant("misplaced", "planted.py", old, "x", (DOUBLE,)),)
+    assert mutants.main([]) == 1
+    assert capfd.readouterr() == ("", f"error: misplaced: old text found {found} times in planted.py\n")
+
+
+def test_a_failing_unmutated_tree_ends_the_run_before_any_mutant(mutants, capfd):
+    mutants.MUTANTS = (mutants.Mutant("unrun", "planted.py", "return x + x", "return x - x", (DOUBLE, FAILS)),)
+    assert mutants.main([]) == 1
+    assert capfd.readouterr() == ("", f"error: the unmutated tree fails {FAILS}\n")

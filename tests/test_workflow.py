@@ -7,6 +7,7 @@ import subprocess
 from pathlib import Path
 
 import pytest
+from conftest import _load
 
 REPO = Path(__file__).resolve().parent.parent
 WORKFLOW = REPO / ".github" / "workflows" / "tests.yml"
@@ -69,6 +70,14 @@ def test_cross_checks_run_from_one_table(crosscheck, workflow):
         # a check that imports the library is a tier-1 test or a table entry, never a python -c line
         assert not any("python -c" in line and "tableaux" in line for line in step["run"].splitlines()), step["name"]
         assert "_sweep.py" not in step["run"], step["name"]
+
+
+def test_mutants_run_in_one_step_that_outlasts_every_pytest_run(workflow):
+    # the unmutated tree, then each mutant, is one pytest run under the per-run limit
+    mutants = _load("mutants", "scripts/mutants.py")
+    steps = [step for spec in workflow["jobs"].values() for step in spec["steps"] if "mutants.py" in step.get("run", "")]
+    assert [step["run"].strip() for step in steps] == ["python scripts/mutants.py"]
+    assert steps[0]["timeout-minutes"] * 60 >= (len(mutants.MUTANTS) + 1) * mutants.LIMIT_S
 
 
 def _bench_steps(workflow):
