@@ -80,15 +80,15 @@ MUTANTS = (
 
 def failing(tree: Path, tests: list[str]) -> list[str]:
     """Those of ``tests`` that do not pass in ``tree``, run in one pytest process; all if it outlasts ``LIMIT_S``."""
-    # no bytecode is written, so an edit of the same length in the same second cannot run a stale .pyc
-    env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    # no bytecode is written, so an edit of the same length in the same second cannot run a stale .pyc;
+    # the tests need no pytest plugin, so none installed is loaded
+    env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1",
+           "PYTEST_DISABLE_PLUGIN_AUTOLOAD": "1"}
     try:
         out = subprocess.run([sys.executable, "-m", "pytest", "-q", "-rA", "-p", "no:cacheprovider", *tests],
                              cwd=tree, env=env, capture_output=True, text=True, timeout=LIMIT_S).stdout
     except subprocess.TimeoutExpired:
         return tests
-    finally:
-        shutil.rmtree(tree / ".hypothesis", ignore_errors=True)  # no failing example carries to the next run
     passed = set(re.findall(r"^PASSED (\S+)", out, re.M))
     return [test for test in tests if test not in passed]
 
@@ -99,7 +99,7 @@ def main(argv: list[str]) -> int:
         return 2
     with tempfile.TemporaryDirectory() as scratch:
         tree = Path(scratch) / "tree"
-        shutil.copytree(ROOT, tree, ignore=shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis"))
+        shutil.copytree(ROOT, tree, ignore=shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache"))
         for mutant in MUTANTS:
             found = (tree / "src" / "tableaux" / mutant.file).read_text(encoding="utf-8").count(mutant.old)
             if found != 1:

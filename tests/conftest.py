@@ -5,12 +5,8 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import settings
 
 ROOT = Path(__file__).resolve().parents[1]
-
-settings.register_profile("suite", deadline=None)
-settings.load_profile("suite")
 
 # A test still running after this many seconds ends the run with every thread's
 # traceback. It is above the longest wait inside any test (a thread join at 120 s)

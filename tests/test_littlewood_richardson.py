@@ -1,9 +1,9 @@
+import random
 from itertools import accumulate
 from math import comb
 from operator import add, ge
 
 from frozen import frozen_heights, frozen_search
-from hypothesis import given, settings, strategies as st
 
 import tableaux.fillings
 from tableaux import (
@@ -115,22 +115,22 @@ def witness_count_three_ways(lam, mu, nu):
     return count
 
 
-@st.composite
-def lr_triples(draw):
-    """λ and μ inside a 5 x 5 box, and ν grown from λ by |μ| boxes, each at a drawn addable box."""
-
-    def box_partition():
-        return sorted(draw(st.lists(st.integers(1, 5), max_size=5)), reverse=True)
-
-    lam, mu = box_partition(), box_partition()
-    nu = list(lam)
-    for _ in range(sum(mu)):
-        rows = [r for r in range(len(nu) + 1) if r == 0 or r == len(nu) or nu[r - 1] > nu[r]]
-        r = rows[draw(st.integers(0, len(rows) - 1))]
-        if r == len(nu):
-            nu.append(0)
-        nu[r] += 1
-    return Partition(tuple(lam)), Partition(tuple(mu)), Partition(tuple(nu))
+def lr_triples(count, seed=0):
+    """Edge triples, then λ and μ inside a 5 x 5 box and ν grown from λ by |μ| boxes, each at a seeded addable box."""
+    full = (5,) * 5
+    yield from (tuple(map(Partition, triple)) for triple in [
+        ((), (), ()), ((), (1,), (1,)), ((1,), (1,), (2,)), ((1,), (1,), (1, 1)),
+        (full, full, (10,) * 5), (full, full, (5,) * 10)])
+    rng = random.Random(seed)
+    for _ in range(count):
+        lam, mu = (sorted(rng.choices(range(1, 6), k=rng.randint(0, 5)), reverse=True) for _ in range(2))
+        nu = list(lam)
+        for _ in range(sum(mu)):
+            r = rng.choice([r for r in range(len(nu) + 1) if r == 0 or r == len(nu) or nu[r - 1] > nu[r]])
+            if r == len(nu):
+                nu.append(0)
+            nu[r] += 1
+        yield Partition(tuple(lam)), Partition(tuple(mu)), Partition(tuple(nu))
 
 
 class TestReadingWord:
@@ -273,13 +273,11 @@ class TestCoefficient:
                 searched += 1
         assert searched > 7000
 
-    @settings(max_examples=60)
-    @given(lr_triples())
-    def test_count_matches_frozen_reference_in_a_five_box(self, triple):
-        lam, mu, nu = triple
-        rows = [w.rows for w in enumerate_lr_fillings(nu, lam, mu)]
-        assert rows == frozen_lr_rows(nu, lam, mu)
-        assert lr_coefficient(lam, mu, nu) == len(rows)
+    def test_count_matches_frozen_reference_in_a_five_box(self):
+        for lam, mu, nu in lr_triples(60):
+            rows = [w.rows for w in enumerate_lr_fillings(nu, lam, mu)]
+            assert rows == frozen_lr_rows(nu, lam, mu), (lam, mu, nu)
+            assert lr_coefficient(lam, mu, nu) == len(rows)
 
     def test_table_identity_through_eleven_boxes(self, pairs):
         # sum_nu c^nu_{lam mu} f^nu = C(n, |lam|) f^lam f^mu counts the standard

@@ -3,14 +3,13 @@ import importlib
 import inspect
 import itertools
 import pkgutil
+import random
 import sys
 import threading
 from itertools import permutations
 from math import comb
 
 import pytest
-from hypothesis import given, strategies as st
-
 import tableaux
 from tableaux import (
     Partition,
@@ -23,16 +22,10 @@ from tableaux.polynomials import _orbit, _orbit_size, _split_keys
 from tableaux.schur import _schur
 
 
-def poly_terms(width, max_degree=3, max_terms=6):
-    exps = st.tuples(*[st.integers(0, max_degree) for _ in range(width)]).filter(
-        lambda e: sum(e) <= max_degree
-    )
-    return st.dictionaries(exps, st.integers(-2, 2), max_size=max_terms)
-
-
-@st.composite
-def polynomials(draw, width):
-    return Polynomial(width, draw(poly_terms(width)))
+def polynomials(rng, width, max_degree=3, max_terms=6):
+    """Up to ``max_terms`` terms of degree at most ``max_degree``, coefficients -2..2, drawn from ``rng``."""
+    exps = [e for e in itertools.product(range(max_degree + 1), repeat=width) if sum(e) <= max_degree]
+    return Polynomial(width, {rng.choice(exps): rng.randint(-2, 2) for _ in range(rng.randint(0, max_terms))})
 
 
 X1 = Polynomial.monomial(2, (1, 0))
@@ -74,23 +67,22 @@ class TestArithmetic:
         assert str(3 - (X1 + 2 * X2)) == "-1 * x1 + -2 * x2 + 3"
         assert (X1 == "x") is False
 
-    @given(st.data())
-    def test_ring_laws(self, data):
-        width = data.draw(st.integers(1, 3))
-        p = data.draw(polynomials(width))
-        q = data.draw(polynomials(width))
-        r = data.draw(polynomials(width))
-        assert p + q == q + p
-        assert (p + q) + r == p + (q + r)
-        assert p * q == q * p
-        assert (p * q) * r == p * (q * r)
-        assert p * (q + r) == p * q + p * r
+    def test_ring_laws(self):
+        rng = random.Random(1)
+        for width in (1, 2, 3):
+            zero = Polynomial.zero(width)
+            for p, q, r in [(zero, zero, zero)] + [[polynomials(rng, width) for _ in range(3)] for _ in range(34)]:
+                assert p + q == q + p
+                assert (p + q) + r == p + (q + r)
+                assert p * q == q * p
+                assert (p * q) * r == p * (q * r)
+                assert p * (q + r) == p * q + p * r
 
-    @given(st.data())
-    def test_neg_is_additive_inverse(self, data):
-        width = data.draw(st.integers(1, 3))
-        p = data.draw(polynomials(width))
-        assert (p + (-p)).is_zero
+    def test_neg_is_additive_inverse(self):
+        rng = random.Random(2)
+        for width in (1, 2, 3):
+            for p in [Polynomial.zero(width)] + [polynomials(rng, width) for _ in range(34)]:
+                assert (p + (-p)).is_zero, p
 
 
 def naive_product(p, q):
@@ -111,27 +103,30 @@ def naive_sum(p, q):
     return {e: c for e, c in terms.items() if c}
 
 
-def wide_terms(width, max_exponent):
-    exps = st.tuples(*[st.integers(0, max_exponent) for _ in range(width)])
-    coeffs = st.integers(-5, 5) | st.integers(-(2**70), 2**70)
-    return st.dictionaries(exps, coeffs, max_size=5)
+def wide_polynomial(rng, width, max_exponent):
+    """Up to 5 terms, exponents 0..max_exponent, coefficients -5..5 or up to 2**70 in size."""
+    def coeff():
+        return rng.randint(-5, 5) if rng.random() < 0.5 else rng.randint(-(2**70), 2**70)
+
+    return Polynomial(width, {tuple(rng.choices(range(max_exponent + 1), k=width)): coeff()
+                              for _ in range(rng.randint(0, 5))})
 
 
 class TestPairLoop:
-    @given(st.data())
-    def test_matches_naive_reference(self, data):
-        width = data.draw(st.integers(0, 4))
-        max_exponent = data.draw(st.sampled_from((1, 3, 12, 40)))
-        p = Polynomial(width, data.draw(wide_terms(width, max_exponent)))
-        q = Polynomial(width, data.draw(wide_terms(width, max_exponent)))
-        product = p * q
-        assert product == naive_product(p, q)
-        # generic products keep their terms in order of first appearance
-        assert list(product.terms) == list(naive_product(p, q).terms)
-        assert 0 not in product.terms.values()
-        assert all(len(e) == width for e in product.terms)
-        for left, right in ((p, q), (product, p), (p, product)):
-            assert (left + right).terms == naive_sum(left, right), (left, right)
+    def test_matches_naive_reference(self):
+        rng = random.Random(3)
+        for width, max_exponent in itertools.product(range(5), (1, 3, 12, 40)):
+            zero = Polynomial.zero(width)
+            for p, q in [(zero, zero)] + [(wide_polynomial(rng, width, max_exponent),
+                                           wide_polynomial(rng, width, max_exponent)) for _ in range(5)]:
+                product = p * q
+                assert product == naive_product(p, q)
+                # generic products keep their terms in order of first appearance
+                assert list(product.terms) == list(naive_product(p, q).terms)
+                assert 0 not in product.terms.values()
+                assert all(len(e) == width for e in product.terms)
+                for left, right in ((p, q), (product, p), (p, product)):
+                    assert (left + right).terms == naive_sum(left, right), (left, right)
 
     def test_width_zero(self):
         three = Polynomial(0, {(): 3})
@@ -381,25 +376,24 @@ class TestStructure:
         assert ((X1 + X2) * (X1 + X2)).is_symmetric()
         assert not ((X1 + X2) * X1).is_symmetric()
 
-    @given(st.data())
-    def test_symmetry_matches_every_permutation(self, data):
-        width = data.draw(st.integers(0, 4))
-        p = data.draw(polynomials(width))
-        if data.draw(st.booleans()):  # symmetrize, then perhaps break one coefficient
-            terms = {}
-            for exps, coeff in p.terms.items():
-                for perm in permutations(exps):
-                    terms[perm] = coeff
-            if terms and data.draw(st.booleans()):
-                victim = data.draw(st.sampled_from(sorted(terms)))
-                terms[victim] += data.draw(st.sampled_from((-1, 1)))
-            p = Polynomial(width, terms)
-        by_definition = all(
-            p.coefficient(exps[i] for i in perm) == coeff
-            for exps, coeff in p.terms.items()
-            for perm in permutations(range(width))
-        )
-        assert p.is_symmetric() == by_definition
+    def test_symmetry_matches_every_permutation(self):
+        rng = random.Random(4)
+        for width in range(5):
+            for p in [Polynomial.zero(width)] + [polynomials(rng, width) for _ in range(20)]:
+                if rng.random() < 0.5:  # symmetrize, then perhaps break one coefficient
+                    terms = {}
+                    for exps, coeff in p.terms.items():
+                        for perm in permutations(exps):
+                            terms[perm] = coeff
+                    if terms and rng.random() < 0.5:
+                        terms[rng.choice(sorted(terms))] += rng.choice((-1, 1))
+                    p = Polynomial(width, terms)
+                by_definition = all(
+                    p.coefficient(exps[i] for i in perm) == coeff
+                    for exps, coeff in p.terms.items()
+                    for perm in permutations(range(width))
+                )
+                assert p.is_symmetric() == by_definition, p
 
     def test_terms_view_is_read_only(self):
         with pytest.raises(TypeError):

@@ -1,9 +1,10 @@
 import inspect
+import itertools
+import random
 import sys
 from itertools import permutations
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from tableaux import (
     EMPTY,
@@ -209,21 +210,20 @@ class TestSchurExpand:
         poly = schur_polynomial(Partition((2,)), 3) * (-2)
         assert schur_expand(poly) == {Partition((2,)): -2}
 
-    @settings(max_examples=30)
-    @given(st.data())
-    def test_round_trip_of_built_combinations(self, data):
-        degree = data.draw(st.integers(1, 6))
-        shapes = list(partitions_of(degree))
-        coeffs = data.draw(
-            st.lists(st.integers(0, 3), min_size=len(shapes), max_size=len(shapes))
-        )
-        width = degree
-        poly = Polynomial.zero(width)
-        for shape, c in zip(shapes, coeffs):
-            if c:
-                poly = poly + schur_polynomial(shape, width) * c
-        expected = {shape: c for shape, c in zip(shapes, coeffs) if c}
-        assert schur_expand(poly) == expected
+    def test_round_trip_of_built_combinations(self):
+        rng = random.Random(1)
+        for degree in range(1, 7):
+            shapes = list(partitions_of(degree))
+            width = degree
+            # no term, one term and every term at 3, then five seeded draws of coefficients 0..3
+            built = [[0] * len(shapes), [1] + [0] * (len(shapes) - 1), [3] * len(shapes)]
+            for coeffs in built + [rng.choices(range(4), k=len(shapes)) for _ in range(5)]:
+                poly = Polynomial.zero(width)
+                for shape, c in zip(shapes, coeffs):
+                    if c:
+                        poly = poly + schur_polynomial(shape, width) * c
+                expected = {shape: c for shape, c in zip(shapes, coeffs) if c}
+                assert schur_expand(poly) == expected, coeffs
 
     def test_dominant_tables_expand_like_unflagged_copies(self):
         # an unflagged copy takes the symmetry scan and the orbit count; the
@@ -317,33 +317,33 @@ def sorting_expand(poly):
     return result
 
 
-@st.composite
-def small_polynomials(draw):
-    """Widths 0-4, coefficients -2..2; often symmetric, homogeneous or one term off both."""
-    width = draw(st.integers(0, 4))
-    exps = st.tuples(*[st.integers(0, 3) for _ in range(width)])
-    if draw(st.booleans()):
-        degree = draw(st.integers(0, 4))
-        exps = exps.filter(lambda e: sum(e) == degree)
-    terms = draw(st.dictionaries(exps, st.integers(-2, 2), min_size=1, max_size=5))
-    if draw(st.booleans()):
-        terms = {perm: c for e, c in terms.items() for perm in permutations(e)}
-    if terms and draw(st.booleans()):
-        victim = draw(st.sampled_from(sorted(terms)))
-        if draw(st.booleans()):
-            del terms[victim]
+def small_polynomials(count, seed=0):
+    """``count`` polynomials of widths 0-4, coefficients -2..2; often symmetric, homogeneous or one term off both."""
+    rng = random.Random(seed)
+    for k in range(count):
+        width = k % 5
+        exps = list(itertools.product(range(4), repeat=width))
+        if rng.random() < 0.5:
+            degree = rng.randint(0, min(4, 3 * width))
+            exps = [e for e in exps if sum(e) == degree]
+        terms = {rng.choice(exps): rng.randint(-2, 2) for _ in range(rng.randint(1, 5))}
+        if rng.random() < 0.5:
+            terms = {perm: c for e, c in terms.items() for perm in permutations(e)}
+        if terms and rng.random() < 0.5:
+            victim = rng.choice(sorted(terms))
+            if rng.random() < 0.5:
+                del terms[victim]
+            else:
+                terms[victim] += rng.choice((-1, 1))
+        yield Polynomial(width, terms)
+
+
+def test_expand_agrees_with_sorting_reference():
+    for poly in small_polynomials(300):
+        try:
+            expected = sorting_expand(poly)
+        except (NotHomogeneousError, NotSymmetricError) as exc:
+            with pytest.raises(type(exc)):
+                schur_expand(poly)
         else:
-            terms[victim] += draw(st.sampled_from((-1, 1)))
-    return Polynomial(width, terms)
-
-
-@settings(max_examples=300)
-@given(small_polynomials())
-def test_expand_agrees_with_sorting_reference(poly):
-    try:
-        expected = sorting_expand(poly)
-    except (NotHomogeneousError, NotSymmetricError) as exc:
-        with pytest.raises(type(exc)):
-            schur_expand(poly)
-    else:
-        assert schur_expand(poly) == expected
+            assert schur_expand(poly) == expected, poly

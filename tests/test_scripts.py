@@ -48,7 +48,7 @@ def test_each_check_agrees_at_its_tier1_budget(check):
     check.sweep(check.tier1)
 
 
-PLANTED = {"pytest.ini": "[pytest]\naddopts = -p no:hypothesispytest\n", "src/tableaux/__init__.py": "",
+PLANTED = {"src/tableaux/__init__.py": "",
            "src/tableaux/planted.py": "def double(x):\n    return x + x  # x + x\n",
            "tests/test_planted.py": "from tableaux.planted import double\n\n\ndef test_double():\n    assert double(3) == 6"
                                     "\n\n\ndef test_fails():\n    assert False\n"}
@@ -57,7 +57,7 @@ DOUBLE, FAILS = "tests/test_planted.py::test_double", "tests/test_planted.py::te
 
 @pytest.fixture
 def mutants(tmp_path):
-    """``scripts/mutants.py`` on a planted tree: one source file, two tests, no hypothesis plugin (slow to load)."""
+    """``scripts/mutants.py`` on a planted tree: one source file and two tests."""
     for path, text in PLANTED.items():
         (tmp_path / path).parent.mkdir(parents=True, exist_ok=True)
         (tmp_path / path).write_text(text)
