@@ -52,6 +52,9 @@ MUTANTS = (
     Mutant("SSYT caps one too high", "fillings.py", "range(bound + 1, bound + 1 + len(outer))",
            "range(bound + 2, bound + 2 + len(outer))", (SSYT_BRUTE,)),
     Mutant("SYT budget of 2 per value", "fillings.py", "[1] * (n + 1)", "[2] * (n + 1)", (SYT_BRUTE,)),
+    Mutant("24-box guard put back", "fillings.py", "    n, parts = shape.size, shape.parts\n",
+           '    n, parts = shape.size, shape.parts\n    if n > 24:\n        raise ValueError("more than 24 boxes")\n',
+           ("tests/test_fillings.py::TestEnumerateSyt::test_long_row_does_not_recurse",)),
     Mutant("a row out of order reads as semistandard", "fillings.py",
            "row[1:])):\n                return False", "row[1:])):\n                return True", (PER_BOX,)),
     Mutant("column check runs one row past the end", "fillings.py", "_shifts(self.shape.inner, len(rows))",
@@ -60,6 +63,10 @@ MUTANTS = (
            (PER_BOX,)),
     Mutant("standard without 1..n once each", "fillings.py", "return _is_one_to_n(chain.from_iterable(self.rows), "
            "self.shape.size) and self.is_semistandard()", "return self.is_semistandard()", (PER_BOX,)),
+    Mutant("LR witnesses in reverse order", "littlewood_richardson.py",
+           "else _cut(SkewShape._trusted(outer, inner), leaves, reverse=True)",
+           "else iter([*_cut(SkewShape._trusted(outer, inner), leaves, reverse=True)][::-1])",
+           ("tests/test_littlewood_richardson.py::TestEnumeration::test_witnesses_ordered_by_reading_word",)),
     Mutant("recording the value in place of the step", "rsk.py", "recording[r].append(step)",
            "recording[r].append(value)", (EVERY_PERM,)),
     Mutant("a box at a row's end recorded one row down", "rsk.py", "row.append(v)\n            return r\n",

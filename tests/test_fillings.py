@@ -298,9 +298,6 @@ class TestEnumerateSsyt:
 
 
 class TestEnumerateSyt:
-    def test_box_guard(self):
-        assert sum(1 for _ in enumerate_syt(Partition((25,)))) == 1
-
     def test_long_row_does_not_recurse(self):
         rows = [f.rows for f in enumerate_syt(Partition((1200,)))]
         assert rows == [(tuple(range(1, 1201)),)]

@@ -171,10 +171,14 @@ class TestEnumeration:
         assert all(type(w) is Filling and w.shape == SkewShape(NU, LAM) for w in witnesses)
 
     def test_witnesses_ordered_by_reading_word(self):
-        for nu in partitions_of(5):
-            witnesses = list(enumerate_lr_fillings(nu, Partition((2,)), Partition((2, 1))))
-            words = [reverse_reading_word(w) for w in witnesses]
-            assert words == sorted(words)
+        # products with multiplicities, so some ν has two or more words to order
+        most = 0
+        for lam, mu in ((LAM, LAM), (NU, LAM)):
+            for nu in partitions_of(lam.size + mu.size):
+                words = [reverse_reading_word(w) for w in enumerate_lr_fillings(nu, lam, mu)]
+                assert words == sorted(set(words)), (lam, mu, nu)
+                most = max(most, len(words))
+        assert most >= 2
 
     def test_equal_shapes_leave_the_empty_filling(self):
         witnesses = list(enumerate_lr_fillings(LAM, LAM, EMPTY))

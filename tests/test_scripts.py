@@ -81,6 +81,16 @@ def test_a_survivor_ends_the_run_naming_it(mutants, capfd):
     assert err == f"error: comment survives {DOUBLE}\n"
 
 
+def test_a_run_past_the_limit_counts_as_a_kill(mutants, capfd):
+    # a mutant that never returns is killed by the limit, not waited out
+    mutants.LIMIT_S = 3
+    mutants.MUTANTS = (mutants.Mutant("endless", "planted.py", "return x + x", "while True:\n        pass", (DOUBLE,)),)
+    assert mutants.main([]) == 0
+    out, err = capfd.readouterr()
+    assert [(line["name"], line["killed"]) for line in map(json.loads, out.splitlines())] == [("endless", True)]
+    assert err == ""
+
+
 @pytest.mark.parametrize("old, found", [("x * 3", 0), ("x + x", 2)])
 def test_an_old_text_not_found_once_ends_the_run(mutants, capfd, old, found):
     mutants.MUTANTS = (mutants.Mutant("misplaced", "planted.py", old, "x", (DOUBLE,)),)
