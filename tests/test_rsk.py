@@ -21,11 +21,10 @@ from tableaux import (
 SIGMA = Permutation((2, 1, 4, 5, 3))
 
 
-def permutations(max_n=8, seed=0):
+def permutations(max_n=8):
     """Every permutation of n <= 7, then 100 seeded ones of each n from 8 to ``max_n``."""
-    rng = random.Random(seed)
-    every = [Permutation(images) for n in range(min(max_n, 7) + 1) for images in itertools.permutations(range(1, n + 1))]
-    return every + [Permutation(tuple(rng.sample(range(1, n + 1), n))) for n in range(8, max_n + 1) for _ in range(100)]
+    every = [Permutation(images) for n in range(8) for images in itertools.permutations(range(1, n + 1))]
+    return every + seeded_permutations([n for n in range(8, max_n + 1) for _ in range(100)])
 
 
 def brute_force_lis(images):
