@@ -15,12 +15,10 @@ stderr.
 
 Each entry is also a tier-1 test, run at ``tier1``, a budget below
 ``budget`` (``tests/test_scripts.py``). A route pair is written here
-once. Two tier-1 tests repeat some: the acceptance gate
+once. One tier-1 test repeats some: the acceptance gate
 (``tests/test_acceptance.py``) runs ``lr-rule-vs-expansion`` with
 ``product-route-vs-full-width`` through degree 6 (criterion 5) and
-``insertion-bijection`` for n <= 6 (criterion 7), and
-``TestInverse::test_round_trip_random`` (``tests/test_rsk.py``) runs the
-round trip of ``insertion-bijection`` through n = 8.
+``insertion-bijection`` for n <= 6 (criterion 7).
 
 Usage: PYTHONPATH=src python scripts/crosscheck.py   (takes no arguments)
 """

@@ -30,6 +30,9 @@ SSYT_BRUTE = "tests/test_fillings.py::TestEnumerateSsyt::test_matches_brute_forc
 SYT_BRUTE = "tests/test_fillings.py::TestEnumerateSyt::test_matches_brute_force_up_to_seven"
 PER_BOX = "tests/test_fillings.py::TestValidators::test_fixed_examples_match_per_box_reference"
 EVERY_PERM = "tests/test_rsk.py::TestLinearScanReference::test_every_permutation_up_to_seven"
+ROW_INSERT = "tests/test_rsk.py::TestRowInsert::"
+INVERSE = "tests/test_rsk.py::TestInverse::"
+TIER1_CHECK = "tests/test_scripts.py::test_each_check_agrees_at_its_tier1_budget"
 PAIR_LOOP = "tests/test_polynomials.py::TestPairLoop::"
 
 MUTANTS = (
@@ -41,7 +44,7 @@ MUTANTS = (
            "divmod(factorial(shape.size - 1),", (BY_ENUMERATION,)),
     Mutant("columns one too tall", "partitions.py", "heights += [r - floor]", "heights += [r + 1 - floor]",
            ("tests/test_fillings.py::TestEnumerateSyt::test_matches_frozen_search_through_ten_boxes",
-            *(f"tests/test_scripts.py::test_each_check_agrees_at_its_tier1_budget[{name}]" for name in (
+            *(f"{TIER1_CHECK}[{name}]" for name in (
                 "lr-rule-vs-expansion", "kostka-vs-enumeration", "product-route-vs-full-width", "square-4321-vs-rule")))),
     Mutant("search without column strictness", "fillings.py", "v = values[up[k]] + 1", "v = values[up[k]]",
            (SSYT_BRUTE, "tests/test_fillings.py::TestEnumerateLrFillings::test_matches_brute_force_up_to_degree_six")),
@@ -73,9 +76,18 @@ MUTANTS = (
            "row.append(v)\n            return r + 1\n", (EVERY_PERM,)),
     Mutant("steps without the empty first state", "rsk.py", "    yield insertion, recording\n    for step",
            "    for step", (EVERY_PERM,)),
-    Mutant("trace snapshots with their insertion rows reversed", "rsk.py", "tuple(map(tuple, insertion))",
+    Mutant("rsk and trace fillings with their insertion rows reversed", "rsk.py", "tuple(map(tuple, insertion))",
            "tuple(tuple(row[::-1]) for row in insertion)",
-           ("tests/test_rsk.py::TestPlainListSteps::test_trace_snapshots_equal_their_validated_rebuild",)),
+           ("tests/test_rsk.py::TestPlainListSteps::test_trusted_outputs_equal_their_validated_rebuild", EVERY_PERM)),
+    Mutant("row insertion bumps with bisect_left", "rsk.py", "j = bisect_right(row, v)", "j = bisect_left(row, v)",
+           (ROW_INSERT + "test_bumped_entry_goes_after_an_equal_entry",
+            ROW_INSERT + "test_matches_scan_on_tableaux_with_repeated_entries")),
+    Mutant("reverse bump searches from j + 2", "rsk.py", "bisect_left(row, v, j) - 1", "bisect_left(row, v, j + 2) - 1",
+           (f"{TIER1_CHECK}[insertion-bijection]", f"{TIER1_CHECK}[cli-rsk-round-trip]",
+            INVERSE + "test_round_trip_seeded_large", INVERSE + "test_round_trip_from_a_long_column")),
+    Mutant("--invert prints its permutation reversed", "cli.py", "perm = inverse_rsk(args.pair)\n",
+           "perm = inverse_rsk(args.pair)\n        perm = type(perm)(perm.images[::-1])\n",
+           (f"{TIER1_CHECK}[cli-rsk-round-trip]", "tests/test_cli.py::TestRsk::test_output_is_pinned")),
     Mutant("+ overwrites in place of adding", "polynomials.py", "terms[key] = get(key, 0) + coeff",
            "terms[key] = coeff", (PAIR_LOOP + "test_matches_naive_reference",)),
     Mutant("pair loop overwrites in place of adding", "polynomials.py", "terms[key] = get(key, 0) + c1 * c2",

@@ -280,7 +280,8 @@ def bender_knuth(filling: Filling, index: int) -> Filling:
     directly above. Within each row the free small entries form a run
     immediately followed by the free large ones; a run of ``a`` small
     and ``b`` large becomes ``b`` small and ``a`` large. Everything else
-    stays put, so applying the operation twice returns the input.
+    stays put, so applying the operation twice returns the input. The
+    result keeps the shape and stays semistandard, so it is built trusted.
     """
     _typed("filling", filling, Filling)
     _count("index", index, 1)
@@ -301,4 +302,4 @@ def bender_knuth(filling: Filling, index: int) -> Filling:
         for pos, j in enumerate(slots):
             new_row[j] = small if pos < flip else large
         new_rows.append(tuple(new_row))
-    return Filling(filling.shape, tuple(new_rows))
+    return Filling._trusted(filling.shape, tuple(new_rows))

@@ -27,6 +27,13 @@ class Permutation:
         if not _is_one_to_n(images, len(images)):
             raise ValueError(f"{list(images)} is not a permutation of 1..{len(images)}")
 
+    @classmethod
+    def _trusted(cls, images: tuple[int, ...]) -> "Permutation":
+        # internal: images already a tuple of ints that is a permutation of 1..n
+        perm = object.__new__(cls)
+        object.__setattr__(perm, "images", images)
+        return perm
+
     def __repr__(self):
         return f"Permutation({list(self.images)})"
 
@@ -41,7 +48,7 @@ class Permutation:
         inv = [0] * len(self.images)
         for i, v in enumerate(self.images, start=1):
             inv[v - 1] = i
-        return Permutation(tuple(inv))
+        return Permutation._trusted(tuple(inv))
 
 
 def _as_permutation(perm: "Permutation | Sequence[int]") -> Permutation:
@@ -62,6 +69,14 @@ class RskPair:
             raise MalformedPairError("need two straight tableaux of equal shape")
         if not (self.insertion.is_standard() and self.recording.is_standard()):
             raise MalformedPairError("both tableaux must be standard")
+
+    @classmethod
+    def _trusted(cls, insertion: Filling, recording: Filling) -> "RskPair":
+        # internal: two standard fillings of one straight shape
+        pair = object.__new__(cls)
+        object.__setattr__(pair, "insertion", insertion)
+        object.__setattr__(pair, "recording", recording)
+        return pair
 
     @property
     def shape(self) -> Partition:
@@ -114,7 +129,9 @@ def row_insert(tableau: Filling, value: int) -> tuple[Filling, tuple[int, int]]:
         raise ValueError(f"{value} is already an entry of the tableau")
     rows = [list(row) for row in tableau.rows]
     r = _insert(rows, value)
-    return Filling.from_rows(rows), (r, len(rows[r]) - 1)
+    # row insertion keeps a straight tableau semistandard: the grown one is built trusted
+    shape = Partition._trusted(tuple(map(len, rows))).as_skew()
+    return Filling._trusted(shape, tuple(map(tuple, rows))), (r, len(rows[r]) - 1)
 
 
 def _steps(perm: Permutation) -> Iterator[tuple[list[list[int]], list[list[int]]]]:
@@ -134,32 +151,33 @@ def _steps(perm: Permutation) -> Iterator[tuple[list[list[int]], list[list[int]]
         yield insertion, recording
 
 
+def _fillings(insertion: list[list[int]], recording: list[list[int]]) -> tuple[Filling, Filling]:
+    """Copies of the live rows of :func:`_steps` as two trusted fillings, not validated again.
+
+    Row insertion keeps the insertion tableau increasing with distinct
+    entries and the recording tableau standard, on one straight shape.
+    """
+    shape = Partition._trusted(tuple(map(len, insertion))).as_skew()
+    return (Filling._trusted(shape, tuple(map(tuple, insertion))),
+            Filling._trusted(shape, tuple(map(tuple, recording))))
+
+
 def rsk(perm: Permutation | Sequence[int]) -> RskPair:
     """Insert the one-line word left to right; record where each box appears.
 
     Step i row-inserts the i-th value into the insertion tableau and
     writes i into the recording tableau at the coordinate of the box the
     insertion created, so the two always share a shape. The steps run on
-    plain lists; the two tableaux are built and validated once, at the end.
+    plain lists, and the pair is built from them once, at the end,
+    trusted like the snapshots of :func:`rsk_trace`.
     """
     insertion, recording = deque(_steps(_as_permutation(perm)), maxlen=1)[0]
-    return RskPair(Filling.from_rows(insertion), Filling.from_rows(recording))
+    return RskPair._trusted(*_fillings(insertion, recording))
 
 
 def rsk_trace(perm: Permutation | Sequence[int]) -> list[tuple[Filling, Filling]]:
-    """(insertion, recording) snapshots after 0, 1, ..., n insertions.
-
-    Each snapshot copies the live rows into a trusted filling, not
-    validated again: row insertion keeps the insertion tableau
-    increasing with distinct entries and the recording tableau standard,
-    on one straight shape.
-    """
-    trace = []
-    for insertion, recording in _steps(_as_permutation(perm)):
-        shape = Partition._trusted(tuple(map(len, insertion))).as_skew()
-        trace.append((Filling._trusted(shape, tuple(map(tuple, insertion))),
-                      Filling._trusted(shape, tuple(map(tuple, recording)))))
-    return trace
+    """(insertion, recording) snapshots after 0, 1, ..., n insertions, each built trusted."""
+    return [_fillings(insertion, recording) for insertion, recording in _steps(_as_permutation(perm))]
 
 
 def inverse_rsk(pair: RskPair) -> Permutation:
@@ -176,6 +194,8 @@ def inverse_rsk(pair: RskPair) -> Permutation:
     so the rightmost smaller entry sits there or further right, and the
     reverse path moves weakly right going up. Removing a box of row r
     visits r + 1 rows, n(λ) + n in all, as many as the forward insertions.
+    The images of a valid pair are 1..n, so the permutation is built
+    trusted.
     """
     _typed("pair", pair, RskPair)
     t_rows = [list(row) for row in pair.insertion.rows]
@@ -193,7 +213,7 @@ def inverse_rsk(pair: RskPair) -> Permutation:
             j = bisect_left(row, v, j) - 1  # rightmost entry below v; exists in valid pairs
             row[j], v = v, row[j]
         images[step - 1] = v
-    return Permutation(tuple(images))
+    return Permutation._trusted(tuple(images))
 
 
 def lis_length(perm: Permutation | Sequence[int]) -> int:

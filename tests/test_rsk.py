@@ -7,6 +7,8 @@ from tableaux import (
     Filling,
     Permutation,
     RskPair,
+    SkewShape,
+    bender_knuth,
     enumerate_ssyt,
     format_permutation,
     inverse_rsk,
@@ -163,8 +165,14 @@ def seeded_permutations(sizes, seed=0):
     return [Permutation(tuple(rng.sample(range(1, n + 1), n))) for n in sizes]
 
 
+def assert_same(value, rebuilt):
+    """A value built without validation equals, and hashes like, its rebuild through a checking constructor."""
+    assert value == rebuilt and hash(value) == hash(rebuilt)
+
+
 class TestPlainListSteps:
-    """``rsk`` and ``rsk_trace`` run on plain lists; check them against ``row_insert``."""
+    """``rsk`` and ``rsk_trace`` run on plain lists; check them against ``row_insert``, and every
+    result built from plain lists without validation against its validating rebuild."""
 
     def test_rsk_matches_row_insert_exhaustively(self):
         for n in range(8):
@@ -175,14 +183,19 @@ class TestPlainListSteps:
         for perm in seeded_permutations((10, 100, 500, 2000)):
             assert rsk(perm) == fold_row_insert(perm.images)
 
-    def test_trace_snapshots_equal_their_validated_rebuild(self):
-        # snapshots are built without validation; rebuild each through Filling.from_rows
+    def test_trusted_outputs_equal_their_validated_rebuild(self):
+        # rsk, rsk_trace, inverse_rsk, Permutation.inverse, row_insert and bender_knuth build their
+        # results unvalidated; each is rebuilt through the constructors that check their input
+        for perm in permutations() + seeded_permutations((100, 2000)):
+            pair = rsk(perm)
+            assert_same(pair, RskPair(Filling.from_rows(pair.insertion.rows), Filling.from_rows(pair.recording.rows)))
+            for image in (inverse_rsk(pair), perm.inverse()):
+                assert_same(image, Permutation(image.images))
         perms = [Permutation(images) for n in range(7) for images in itertools.permutations(range(1, n + 1))]
         for perm in perms + seeded_permutations((10, 20, 40, 60)):
             for step, (insertion, recording) in enumerate(rsk_trace(perm)):
                 for snapshot in (insertion, recording):
-                    rebuilt = Filling.from_rows(snapshot.rows)
-                    assert snapshot == rebuilt and hash(snapshot) == hash(rebuilt)
+                    assert_same(snapshot, Filling.from_rows(snapshot.rows))
                     assert all(type(v) is int for row in snapshot.rows for v in row)
                 assert recording.is_standard()
                 # the insertion tableau holds the first `step` values: standard after relabelling
@@ -190,6 +203,20 @@ class TestPlainListSteps:
                 rank = {v: i for i, v in enumerate(values, start=1)}
                 assert Filling.from_rows([[rank[v] for v in row] for row in insertion.rows]).is_standard()
             assert insertion.is_standard()
+        for n in range(1, 7):  # the sweep of TestRowInsert::test_matches_scan_on_tableaux_with_repeated_entries
+            for shape in partitions_of(n):
+                for tableau in enumerate_ssyt(shape, 4):
+                    present = set(itertools.chain.from_iterable(tableau.rows))
+                    for value in sorted(set(range(1, 6)) - present):
+                        grown, _ = row_insert(tableau, value)
+                        assert_same(grown, Filling.from_rows(grown.rows))
+        # the sweep of test_fillings.py's TestBenderKnuth: every nu/lambda, |nu| <= 7, at most 6 boxes
+        shapes = [SkewShape(outer, inner) for n in range(8) for outer in partitions_of(n)
+                  for k in range(max(0, n - 6), n + 1) for inner in partitions_of(k) if outer.contains(inner)]
+        images = [bender_knuth(filling, i) for skew in shapes for filling in enumerate_ssyt(skew, 3) for i in (1, 2)]
+        assert (len(shapes), len(images)) == (434, 7860)
+        for image in images:
+            assert_same(image, Filling(image.shape, image.rows))
 
 
 class TestLinearScanReference:
@@ -241,12 +268,9 @@ class TestInverse:
         row = Filling.from_rows([[1, 2, 3]])
         assert inverse_rsk(RskPair(row, row)) == Permutation((1, 2, 3))
 
-    def test_round_trip_random(self):
-        for perm in permutations():
-            assert inverse_rsk(rsk(perm)) == perm
-
     def test_round_trip_seeded_large(self):
-        for perm in seeded_permutations((100, 2000, 5000), seed=1):
+        # the cross-check insertion-bijection holds the round trip for every n <= 7
+        for perm in seeded_permutations([8] * 100) + seeded_permutations((100, 2000, 5000), seed=1):
             assert inverse_rsk(rsk(perm)) == perm
 
     @pytest.mark.parametrize("parts", [
