@@ -26,6 +26,7 @@ Mutant = NamedTuple("Mutant", [("name", str), ("file", str), ("old", str), ("new
 
 IN_ORDER = "tests/test_partitions.py::TestPartitionsOf::test_matches_recursive_generator_in_order"
 BY_ENUMERATION = "tests/test_partitions.py::TestCountStandard::test_matches_enumeration_up_to_ten"
+BY_PER_BOX_PRODUCT = "tests/test_partitions.py::TestCountStandard::test_matches_per_box_product_up_to_twenty"
 SSYT_BRUTE = "tests/test_fillings.py::TestEnumerateSsyt::test_matches_brute_force_small_shapes"
 SYT_BRUTE = "tests/test_fillings.py::TestEnumerateSyt::test_matches_brute_force_up_to_seven"
 PER_BOX = "tests/test_fillings.py::TestValidators::test_fixed_examples_match_per_box_reference"
@@ -40,8 +41,11 @@ MUTANTS = (
            "_walk((n,) if n else (), n - 1))", (IN_ORDER,)),
     Mutant("partitions_of yields list parts", "partitions.py", "Partition._trusted(parts) for parts",
            "Partition._trusted(list(parts)) for parts", (IN_ORDER,)),
-    Mutant("hook-length count from (n - 1)!", "partitions.py", "divmod(factorial(shape.size),",
-           "divmod(factorial(shape.size - 1),", (BY_ENUMERATION,)),
+    Mutant("hook-length count from (n - 1)!", "partitions.py", "divmod(factorial(n), prod(shape.hooks()))",
+           "divmod(factorial(n - 1), prod(shape.hooks()))", (BY_PER_BOX_PRODUCT,)),
+    Mutant("first-column hooks one too long", "partitions.py", "range(len(parts) - 1, -1, -1)",
+           "range(len(parts), 0, -1)", (BY_ENUMERATION,)),
+    Mutant("row bound dropped", "partitions.py", "if len(parts) > 12:", "if False:", (BY_PER_BOX_PRODUCT,)),
     Mutant("columns one too tall", "partitions.py", "heights += [r - floor]", "heights += [r + 1 - floor]",
            ("tests/test_fillings.py::TestEnumerateSyt::test_matches_frozen_search_through_ten_boxes",
             *(f"{TIER1_CHECK}[{name}]" for name in (

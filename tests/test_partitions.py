@@ -189,10 +189,25 @@ class TestCountStandard:
         n = 50
         assert count_standard_tableaux(Partition((n, n))) == math.comb(2 * n, n) // (n + 1)
 
+    def test_matches_per_box_product_up_to_twenty(self):
+        # shapes of 13-20 rows take the per-box route, the rest the first-column one
+        for n in range(21):
+            for shape in partitions_of(n):
+                assert count_standard_tableaux(shape) == math.factorial(n) // math.prod(shape.hooks()), shape
+        # a hook (a, 1^b) has C(a + b - 1, b) fillings, on 12 rows and on 2001
+        for a, b in ((300, 11), (2000, 2000)):
+            assert count_standard_tableaux(Partition((a,) + (1,) * b)) == math.comb(a + b - 1, b)
+
     def test_wrong_hooks_raise(self, monkeypatch):
-        # every hook one too long: 7! = 5040 is no multiple of 7*5*3*2*4*2*2 = 6720
+        # per box, on 13 rows: every hook one too long, 13! is no multiple of 2*3*...*14 = 14!
         true_hooks = Partition.hooks
-        monkeypatch.setattr(Partition, "hooks", lambda self: (h + 1 for h in true_hooks(self)))
+        with monkeypatch.context() as patch:
+            patch.setattr(Partition, "hooks", lambda self: (h + 1 for h in true_hooks(self)))
+            with pytest.raises(ArithmeticError):
+                count_standard_tableaux(Partition((1,) * 13))
+        # from the first column: every first-column hook one too long, (7, 4, 2) for (4, 2, 1),
+        # and 7! * (3 * 5 * 2) = 151,200 is no multiple of 7! * 4! * 2! = 241,920
+        monkeypatch.setattr("tableaux.partitions.add", lambda part, below: part + below + 1)
         with pytest.raises(ArithmeticError):
             count_standard_tableaux(Partition((4, 2, 1)))
 
