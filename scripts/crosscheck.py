@@ -15,8 +15,8 @@ stderr.
 
 Each entry is also a tier-1 test, run at ``tier1``, a budget below
 ``budget`` (``tests/test_scripts.py``). A route pair is written here
-once. One tier-1 test repeats some: the acceptance gate
-(``tests/test_acceptance.py``) runs ``lr-rule-vs-expansion`` with
+once. The acceptance gate (``tests/test_acceptance.py``) runs entries
+of this table, not copies of them: ``lr-rule-vs-expansion`` with
 ``product-route-vs-full-width`` through degree 6 (criterion 5) and
 ``insertion-bijection`` for n <= 6 (criterion 7).
 
@@ -176,12 +176,17 @@ def _row_streams(images: tuple[int, ...]) -> tuple[list[list[int]], list[list[in
     return insertion, recording
 
 
+def _seeded_images(n: int) -> list[int]:
+    """The one permutation of n that both single-permutation checks take: seed 0."""
+    return random.Random(0).sample(range(1, n + 1), n)
+
+
 def insertion_vs_row_streams(n: int) -> Cases:
     """One permutation of n (seed 0): ``rsk`` against the row-by-row pair.
 
     ``cli-rsk-round-trip`` sends the same permutation back through ``rsk --invert``.
     """
-    perm = Permutation(tuple(random.Random(0).sample(range(1, n + 1), n)))
+    perm = Permutation(_seeded_images(n))
     pair = rsk(perm)
     insertion, recording = _row_streams(perm.images)
     yield ("P and Q", f"seed 0, n = {n}"), (pair.insertion.rows, pair.recording.rows) == (
@@ -201,7 +206,7 @@ def cli_rsk_round_trip(n: int) -> Cases:
 
     Both the text and the JSON form are read back, each by its own parse.
     """
-    images = random.Random(0).sample(range(1, n + 1), n)
+    images = _seeded_images(n)
     perm = ",".join(map(str, images))
     # text rows print as "1 3 5" lines under "T:" and "U:"; --invert reads "1,3,5/2,4"
     blocks = _stdout("rsk", perm).rstrip("\n").removeprefix("T:\n").partition("\nU:\n")[::2]

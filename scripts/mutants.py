@@ -75,7 +75,7 @@ MUTANTS = (
            "else iter([*_cut(SkewShape._trusted(outer, inner), leaves, reverse=True)][::-1])",
            ("tests/test_littlewood_richardson.py::TestEnumeration::test_witnesses_ordered_by_reading_word",)),
     Mutant("recording the value in place of the step", "rsk.py", "recording[r].append(step)",
-           "recording[r].append(value)", (EVERY_PERM,)),
+           "recording[r].append(value)", (EVERY_PERM, f"{TIER1_CHECK}[insertion-vs-row-streams]")),
     Mutant("a box at a row's end recorded one row down", "rsk.py", "row.append(v)\n            return r\n",
            "row.append(v)\n            return r + 1\n", (EVERY_PERM,)),
     Mutant("steps without the empty first state", "rsk.py", "    yield insertion, recording\n    for step",
@@ -92,6 +92,9 @@ MUTANTS = (
     Mutant("--invert prints its permutation reversed", "cli.py", "perm = inverse_rsk(args.pair)\n",
            "perm = inverse_rsk(args.pair)\n        perm = type(perm)(perm.images[::-1])\n",
            (f"{TIER1_CHECK}[cli-rsk-round-trip]", "tests/test_cli.py::TestRsk::test_output_is_pinned")),
+    Mutant("expansion keeps the zeros of its dominant exponents", "schur.py", "tuple(filter(None, exps)): coeff",
+           "exps: coeff",
+           (f"{TIER1_CHECK}[power-sum-vs-hooks]", "tests/test_schur.py::test_expand_agrees_with_sorting_reference")),
     Mutant("+ overwrites in place of adding", "polynomials.py", "terms[key] = get(key, 0) + coeff",
            "terms[key] = coeff", (PAIR_LOOP + "test_matches_naive_reference",)),
     Mutant("pair loop overwrites in place of adding", "polynomials.py", "terms[key] = get(key, 0) + c1 * c2",

@@ -116,11 +116,8 @@ class Polynomial:
         return self._filled().get(self._key(exps), 0)
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
-        """Terms in lexicographically descending exponent order."""
-        terms = self._filled()
-        if self._dominant is not None:  # filled from the dominant table, already in this order
-            return list(terms.items())
-        return sorted(terms.items(), key=lambda item: item[0], reverse=True)
+        """Terms in lexicographically descending exponent order; keys are distinct, so they alone decide it."""
+        return sorted(self._filled().items(), reverse=True)
 
     def leading_term(self) -> tuple[tuple[int, ...], int]:
         """Lexicographically greatest exponent vector and its coefficient."""
@@ -265,9 +262,9 @@ def _scalar(value) -> bool:
 class _Terms(Mapping):
     """Read-only view of a polynomial's terms, in stored order.
 
-    Every read but the length goes to the stored dict, filling the orbits
-    of a dominant table first; the length reads the dominant table while
-    it is unfilled.
+    Only what ``Mapping`` requires: a key read and iteration fill the orbits
+    of a dominant table first; the length reads that table while it is
+    unfilled and writes no orbit.
     """
 
     __slots__ = ("_poly",)
@@ -286,12 +283,6 @@ class _Terms(Mapping):
 
     def __iter__(self):
         return iter(self._poly._filled())
-
-    def items(self):
-        return self._poly._filled().items()
-
-    def values(self):
-        return self._poly._filled().values()
 
 
 def _orbit(alpha: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:

@@ -139,7 +139,7 @@ def schur_expand(poly: Polynomial) -> dict[Partition, int]:
             raise NotSymmetricError("polynomial is not invariant under permuting its variables")
         dominant = {
             tuple(filter(None, exps)): coeff
-            for exps, coeff in poly.terms.items()
+            for exps, coeff in poly._filled().items()
             if all(map(ge, exps, exps[1:]))
         }
     if not dominant:

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from tableaux import SkewShape, enumerate_ssyt, partitions_of
+
 ROOT = Path(__file__).resolve().parents[1]
 
 # A test still running after this many seconds ends the run with every thread's
@@ -61,6 +63,17 @@ def pytest_generate_tests(metafunc):
 def pairs():
     """The one walk over (λ, μ) by total degree, ``pairs`` of ``scripts/crosscheck.py``."""
     return _load("crosscheck", "scripts/crosscheck.py").pairs
+
+
+@pytest.fixture(scope="session")
+def bender_knuth_calls():
+    """The one Bender–Knuth sweep: each filling with entries up to 3 of every ν/λ with |ν| <= 7 and at most
+    6 boxes, with each index 1 and 2."""
+    shapes = [SkewShape(outer, inner) for n in range(8) for outer in partitions_of(n)
+              for k in range(max(0, n - 6), n + 1) for inner in partitions_of(k) if outer.contains(inner)]
+    calls = [(filling, i) for skew in shapes for filling in enumerate_ssyt(skew, 3) for i in (1, 2)]
+    assert (len(shapes), len(calls)) == (434, 7860)
+    return calls
 
 
 @pytest.fixture(scope="module")

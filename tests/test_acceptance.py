@@ -18,13 +18,11 @@ from tableaux import (
     enumerate_lr_fillings,
     enumerate_ssyt,
     enumerate_syt,
-    inverse_rsk,
     lis_length,
     lr_coefficient,
     partitions_of,
     rsk,
     rsk_trace,
-    schur_expand,
     schur_polynomial,
 )
 from tableaux.cli import main
@@ -32,6 +30,11 @@ from tableaux.cli import main
 
 def report(number, message):
     print(f"ACCEPTANCE {number} PASS: {message}")
+
+
+def entry(crosscheck, name):
+    """The entry ``name`` of the cross-check table, ``CHECKS`` of ``scripts/crosscheck.py``."""
+    return next(check for check in crosscheck.CHECKS if check.name == name)
 
 
 def test_criterion_1_count_of_4_2_1(capsys):
@@ -104,19 +107,11 @@ def test_criterion_4_coefficient_two_with_witnesses(capsys):
         report(4, "coefficient for ((2,1),(2,1),(3,2,1)) is 2 with exactly the expected witnesses")
 
 
-def test_criterion_5_rule_equals_expansion_up_to_six(capsys):
+def test_criterion_5_rule_equals_expansion_up_to_six(capsys, crosscheck):
+    # the rule equals _product_expansion at every (λ, μ, ν), and that equals the full-width expansion
     start = time.perf_counter()
-    pairs = 0
-    for total in range(7):
-        for a in range(total + 1):
-            for lam in partitions_of(a):
-                for mu in partitions_of(total - a):
-                    product = schur_polynomial(lam, total) * schur_polynomial(mu, total)
-                    expansion = schur_expand(product)
-                    rule = {nu: lr_coefficient(lam, mu, nu) for nu in partitions_of(total)}
-                    full = {nu: expansion.get(nu, 0) for nu in rule}
-                    assert rule == full, (lam, mu)
-                    pairs += 1
+    entry(crosscheck, "lr-rule-vs-expansion").sweep(6)
+    pairs = entry(crosscheck, "product-route-vs-full-width").sweep(6)
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
     with capsys.disabled():
@@ -137,20 +132,11 @@ def test_criterion_6_insertion_trace(capsys):
         report(6, "all six snapshots of the 21453 insertion reproduced exactly")
 
 
-def test_criterion_7_bijection_property_suite(capsys):
+def test_criterion_7_bijection_property_suite(capsys, crosscheck):
     start = time.perf_counter()
 
-    for n in range(7):
-        for images in itertools.permutations(range(1, n + 1)):
-            perm = Permutation(images)
-            assert inverse_rsk(rsk(perm)) == perm
-
-    for n in range(6):
-        for images in itertools.permutations(range(1, n + 1)):
-            perm = Permutation(images)
-            pair = rsk(perm)
-            swapped = rsk(perm.inverse())
-            assert (swapped.insertion, swapped.recording) == (pair.recording, pair.insertion)
+    # the round trip and the pair swap, on every permutation of n <= 6
+    entry(crosscheck, "insertion-bijection").sweep(6)
 
     for n in range(8):
         for images in itertools.permutations(range(1, n + 1)):
@@ -164,7 +150,7 @@ def test_criterion_7_bijection_property_suite(capsys):
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
     with capsys.disabled():
-        report(7, f"roundtrip n<=6, pair swap n<=5, first-row law n<=7, sum f^2 = n! n<=8 ({elapsed:.2f}s)")
+        report(7, f"roundtrip and pair swap n<=6, first-row law n<=7, sum f^2 = n! n<=8 ({elapsed:.2f}s)")
 
 
 def test_criterion_8_involution_and_symmetry(capsys):

@@ -209,7 +209,7 @@ def degree_eight_sweep():
             table = dict(p._dominant)
             terms = list(p.terms.items())
             # the lazy length, lead and zero test survive the fill, which is stored
-            # lex-descending, the order sorted_terms returns, unsorted
+            # lex-descending, the order sorted_terms returns
             if not (
                 unfilled
                 and p._terms is not None

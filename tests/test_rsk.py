@@ -7,7 +7,6 @@ from tableaux import (
     Filling,
     Permutation,
     RskPair,
-    SkewShape,
     bender_knuth,
     enumerate_ssyt,
     format_permutation,
@@ -106,6 +105,16 @@ class TestPermutation:
         assert parse_permutation("2,\u20031") == parse_permutation("2\u20031") == Permutation((2, 1))
 
 
+def repeated_entry_inserts():
+    """Every tableau of 1 to 6 boxes with entries up to 4, with each value up to 5 that it does not hold."""
+    for n in range(1, 7):
+        for shape in partitions_of(n):
+            for tableau in enumerate_ssyt(shape, 4):
+                present = set(itertools.chain.from_iterable(tableau.rows))
+                for value in sorted(set(range(1, 6)) - present):
+                    yield tableau, value
+
+
 class TestRowInsert:
     def test_bump_into_single_row(self):
         grown, box = row_insert(Filling.from_rows([[2]]), 1)
@@ -134,17 +143,13 @@ class TestRowInsert:
         assert box == (1, 1)
 
     def test_matches_scan_on_tableaux_with_repeated_entries(self):
-        for n in range(1, 7):
-            for shape in partitions_of(n):
-                for tableau in enumerate_ssyt(shape, 4):
-                    present = set(itertools.chain.from_iterable(tableau.rows))
-                    for value in sorted(set(range(1, 6)) - present):
-                        rows = [list(row) for row in tableau.rows]
-                        r = scan_insert(rows, value)
-                        grown, box = row_insert(tableau, value)
-                        assert grown.rows == tuple(map(tuple, rows))
-                        assert box == (r, len(rows[r]) - 1)
-                        assert grown.is_semistandard()
+        for tableau, value in repeated_entry_inserts():
+            rows = [list(row) for row in tableau.rows]
+            r = scan_insert(rows, value)
+            grown, box = row_insert(tableau, value)
+            assert grown.rows == tuple(map(tuple, rows))
+            assert box == (r, len(rows[r]) - 1)
+            assert grown.is_semistandard()
 
 
 def fold_row_insert(images):
@@ -183,7 +188,7 @@ class TestPlainListSteps:
         for perm in seeded_permutations((10, 100, 500, 2000)):
             assert rsk(perm) == fold_row_insert(perm.images)
 
-    def test_trusted_outputs_equal_their_validated_rebuild(self):
+    def test_trusted_outputs_equal_their_validated_rebuild(self, bender_knuth_calls):
         # rsk, rsk_trace, inverse_rsk, Permutation.inverse, row_insert and bender_knuth build their
         # results unvalidated; each is rebuilt through the constructors that check their input
         for perm in permutations() + seeded_permutations((100, 2000)):
@@ -203,19 +208,11 @@ class TestPlainListSteps:
                 rank = {v: i for i, v in enumerate(values, start=1)}
                 assert Filling.from_rows([[rank[v] for v in row] for row in insertion.rows]).is_standard()
             assert insertion.is_standard()
-        for n in range(1, 7):  # the sweep of TestRowInsert::test_matches_scan_on_tableaux_with_repeated_entries
-            for shape in partitions_of(n):
-                for tableau in enumerate_ssyt(shape, 4):
-                    present = set(itertools.chain.from_iterable(tableau.rows))
-                    for value in sorted(set(range(1, 6)) - present):
-                        grown, _ = row_insert(tableau, value)
-                        assert_same(grown, Filling.from_rows(grown.rows))
-        # the sweep of test_fillings.py's TestBenderKnuth: every nu/lambda, |nu| <= 7, at most 6 boxes
-        shapes = [SkewShape(outer, inner) for n in range(8) for outer in partitions_of(n)
-                  for k in range(max(0, n - 6), n + 1) for inner in partitions_of(k) if outer.contains(inner)]
-        images = [bender_knuth(filling, i) for skew in shapes for filling in enumerate_ssyt(skew, 3) for i in (1, 2)]
-        assert (len(shapes), len(images)) == (434, 7860)
-        for image in images:
+        for tableau, value in repeated_entry_inserts():
+            grown, _ = row_insert(tableau, value)
+            assert_same(grown, Filling.from_rows(grown.rows))
+        for filling, i in bender_knuth_calls:
+            image = bender_knuth(filling, i)
             assert_same(image, Filling(image.shape, image.rows))
 
 

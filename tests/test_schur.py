@@ -43,7 +43,7 @@ class TestSchurPolynomial:
                 for width in range(9):
                     poly = schur_polynomial(shape, width)
                     assert all(sum(alpha) == n for alpha in poly._dominant), (shape, width)
-                    # sorted_terms returns this stored order as it is, so sort apart from it
+                    # stored in the order sorted_terms returns
                     expected = sorted(poly.terms.items(), reverse=True)
                     assert list(poly.terms.items()) == expected == poly.sorted_terms()
                     # keys and values of the view keep the same order

@@ -48,6 +48,13 @@ def test_each_check_agrees_at_its_tier1_budget(check):
     check.sweep(check.tier1)
 
 
+def test_every_check_is_in_the_kills_of_a_mutant(crosscheck):
+    # a mutant that fails each entry's tier-1 id holds that the entry still finds a fault
+    module = _load("mutants", "scripts/mutants.py")
+    kills = {test for mutant in module.MUTANTS for test in mutant.kills}
+    assert [check.name for check in crosscheck.CHECKS if f"{module.TIER1_CHECK}[{check.name}]" not in kills] == []
+
+
 PLANTED = {"src/tableaux/__init__.py": "",
            "src/tableaux/planted.py": "def double(x):\n    return x + x  # x + x\n",
            "tests/test_planted.py": "from tableaux.planted import double\n\n\ndef test_double():\n    assert double(3) == 6"

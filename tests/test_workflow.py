@@ -154,5 +154,5 @@ def test_every_test_readme_names_exists():
         return True
 
     cited = re.findall(r"`tests/(\w+\.py)::([\w:]+)`", (REPO / "README.md").read_text(encoding="utf-8"))
-    assert len(cited) == 5
+    assert len(cited) == 11
     assert [f"{file}::{name}" for file, name in cited if not defined(file, name)] == []
