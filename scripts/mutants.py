@@ -95,6 +95,16 @@ MUTANTS = (
     Mutant("expansion keeps the zeros of its dominant exponents", "schur.py", "tuple(filter(None, exps)): coeff",
            "exps: coeff",
            (f"{TIER1_CHECK}[power-sum-vs-hooks]", "tests/test_schur.py::test_expand_agrees_with_sorting_reference")),
+    Mutant("conjugate-branch expansion sorted lex-ascending", "schur.py",
+           "key=lambda item: item[0].parts, reverse=True", "key=lambda item: item[0].parts, reverse=False",
+           ("tests/test_cli.py::TestExpand::test_tall_columns_are_quick",
+            "tests/test_cli.py::TestExpand::test_json_matches_full_width_expansion_up_to_six",
+            f"{TIER1_CHECK}[product-route-vs-full-width]",
+            "tests/test_acceptance.py::test_criterion_5_rule_equals_expansion_up_to_six")),
+    Mutant("orbit product lead without the longer factor's tail", "polynomials.py",
+           "lead = tuple(map(add, a, b)) + a[len(b):]", "lead = tuple(map(add, a, b))",
+           ("tests/test_polynomials.py::TestOrbitProduct::test_every_schur_pair_through_degree_eight",
+            f"{TIER1_CHECK}[product-route-vs-full-width]")),
     Mutant("+ overwrites in place of adding", "polynomials.py", "terms[key] = get(key, 0) + coeff",
            "terms[key] = coeff", (PAIR_LOOP + "test_matches_naive_reference",)),
     Mutant("pair loop overwrites in place of adding", "polynomials.py", "terms[key] = get(key, 0) + c1 * c2",

@@ -226,17 +226,27 @@ class Polynomial:
         product keeps only those c_alpha; its orbits are written on first use.
         Each cached table entry holds at most the degree-d monomials in
         len(alpha) variables. An operand's degree is the size of any of its keys.
+
+        The alpha walk starts at the product's lead: lex order is a monomial
+        order, so the lex-greatest exponent of a product is the sum of its
+        factors' lex-greatest ones (each operand's greatest key, as
+        :meth:`leading_term` reads it; the longer key's tail is kept).
+        Every alpha lex-above that lead has c_alpha = 0, so no coefficient
+        is lost.
         """
         if not (self._dominant and other._dominant):
             return Polynomial._symmetric(self._width, {})
-        width, low = self._width, sum(next(iter(self._dominant)))
-        degree = low + sum(next(iter(other._dominant)))
+        width, a, b = self._width, max(self._dominant), max(other._dominant)
+        low = sum(a)
+        if len(a) < len(b):
+            a, b = b, a
+        lead = tuple(map(add, a, b)) + a[len(b):]
         left, right = self._dominant.get, other._dominant.get
         dominant = {
             alpha: sum(
                 m * left(beta, 0) * right(gamma, 0) for beta, gamma, m in _split_keys(alpha, low)
             )
-            for alpha in _partitions_below((degree,) if degree else (), width)
+            for alpha in _partitions_below(lead, width)
         }
         return Polynomial._symmetric(width, dominant)
 

@@ -243,6 +243,21 @@ class TestOrbitProduct:
         # dominant table of its own degree
         assert degree_eight_sweep()["product"] == []
 
+    @pytest.mark.parametrize("lam, mu, width, reads", [
+        ((2, 1), (1, 1), 4, 4),  # lead (3, 2)
+        ((3, 1), (2, 2), 4, 11),  # lead (5, 3)
+        ((1, 1, 1), (1, 1, 1, 1), 7, 4),  # lead (2, 2, 2, 1)
+    ])
+    def test_walk_starts_at_the_product_lead(self, lam, mu, width, reads):
+        # one split-table entry per alpha read: exactly the partitions of at most `width` parts
+        # lex-below lam + mu, in either order of the operands
+        s, t = _schur.__wrapped__(lam, width), _schur.__wrapped__(mu, width)
+        for left, right in ((s, t), (t, s)):
+            _split_keys.cache_clear()
+            product = left * right
+            assert _split_keys.cache_info().misses == reads, (left, right)
+            assert product == unflagged(s) * unflagged(t)
+
     def test_triple_products(self):
         shapes = [shape for n in range(5) for shape in partitions_of(n)]
         for width in range(6):
