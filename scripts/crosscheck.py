@@ -40,6 +40,7 @@ from tableaux import (
     Partition,
     Permutation,
     Polynomial,
+    count_standard_tableaux,
     enumerate_ssyt,
     inverse_rsk,
     lr_coefficient,
@@ -139,6 +140,26 @@ def power_sum_vs_hooks(max_k: int) -> Cases:
             yield (k, width), schur_expand(p) == hooks
 
 
+def hooks_vs_branching(max_n: int) -> Cases:
+    """f^λ by the hook-length formula against f^λ = Σ f^(λ less one corner), every λ ⊢ n <= max_n.
+
+    The largest entry of a standard filling sits in a corner, so the
+    second route reads no hook: it builds each size's counts from the
+    size below, starting from f^∅ = 1.
+    """
+    below: dict[tuple[int, ...], int] = {}
+    for n in range(max_n + 1):
+        counts = {}
+        for shape in partitions_of(n):
+            q = shape.parts
+            corners = [i for i in range(len(q)) if i + 1 == len(q) or q[i] > q[i + 1]]
+            # a corner in a row of one box is in the last row, which goes with it
+            counts[q] = sum(below[q[:i] + (q[i] - 1,) + q[i + 1:] if q[i] > 1 else q[:i]]
+                            for i in corners) if q else 1
+            yield (shape,), count_standard_tableaux(shape) == counts[q]
+        below = counts
+
+
 def insertion_bijection(max_n: int) -> Cases:
     """Per permutation: inverse_rsk undoes rsk, and the inverse swaps the pair."""
     for n in range(max_n + 1):
@@ -225,6 +246,7 @@ CHECKS = (
     Check("product-route-vs-full-width", product_route_vs_full_width, 7, 8, 10),
     Check("square-4321-vs-rule", square_vs_rule, 3, 4, 30),
     Check("power-sum-vs-hooks", power_sum_vs_hooks, 20, 30, 60),
+    Check("hooks-vs-branching", hooks_vs_branching, 20, 40, 30),
     Check("insertion-bijection", insertion_bijection, 6, 7, 30),
     Check("insertion-vs-row-streams", insertion_vs_row_streams, 1_000, 20_000, 30),
     Check("cli-rsk-round-trip", cli_rsk_round_trip, 1_000, 20_000, 40),

@@ -35,17 +35,21 @@ ROW_INSERT = "tests/test_rsk.py::TestRowInsert::"
 INVERSE = "tests/test_rsk.py::TestInverse::"
 TIER1_CHECK = "tests/test_scripts.py::test_each_check_agrees_at_its_tier1_budget"
 PAIR_LOOP = "tests/test_polynomials.py::TestPairLoop::"
+PAIR_TABLE = "tests/test_littlewood_richardson.py::TestPairTable::"
 
 MUTANTS = (
     Mutant("partitions_of walks width n - 1", "partitions.py", "_walk((n,) if n else (), n))",
            "_walk((n,) if n else (), n - 1))", (IN_ORDER,)),
     Mutant("partitions_of yields list parts", "partitions.py", "Partition._trusted(parts) for parts",
            "Partition._trusted(list(parts)) for parts", (IN_ORDER,)),
-    Mutant("hook-length count from (n - 1)!", "partitions.py", "divmod(factorial(n), prod(shape.hooks()))",
-           "divmod(factorial(n - 1), prod(shape.hooks()))", (BY_PER_BOX_PRODUCT,)),
-    Mutant("first-column hooks one too long", "partitions.py", "range(len(parts) - 1, -1, -1)",
-           "range(len(parts), 0, -1)", (BY_ENUMERATION,)),
-    Mutant("row bound dropped", "partitions.py", "if len(parts) > 12:", "if False:", (BY_PER_BOX_PRODUCT,)),
+    Mutant("hook-length count from (n - 1)!", "partitions.py", "divmod(factorial(n), hooks)",
+           "divmod(factorial(n - 1), hooks)", (BY_PER_BOX_PRODUCT,)),
+    Mutant("run hooks one too long", "partitions.py", "top = h - 1 - q[h]", "top = h - q[h]",
+           (BY_ENUMERATION, f"{TIER1_CHECK}[hooks-vs-branching]")),
+    Mutant("bools let through _count", "partitions.py", "if not isinstance(value, int) or isinstance(value, bool):",
+           "if not isinstance(value, int):",
+           ("tests/test_partitions.py::test_refuses[part(True)]",
+            "tests/test_partitions.py::test_refuses[Partition((True,))]")),
     Mutant("columns one too tall", "partitions.py", "heights += [r - floor]", "heights += [r + 1 - floor]",
            ("tests/test_fillings.py::TestEnumerateSyt::test_matches_frozen_search_through_ten_boxes",
             *(f"{TIER1_CHECK}[{name}]" for name in (
@@ -70,6 +74,10 @@ MUTANTS = (
            (PER_BOX,)),
     Mutant("standard without 1..n once each", "fillings.py", "return _is_one_to_n(chain.from_iterable(self.rows), "
            "self.shape.size) and self.is_semistandard()", "return self.is_semistandard()", (PER_BOX,)),
+    Mutant("Weyl's caps with max for min", "littlewood_richardson.py",
+           "caps = tuple(min(map(add", "caps = tuple(max(map(add",
+           (PAIR_TABLE + "test_admissible_matches_frozen_window",
+            PAIR_TABLE + "test_row_caps_refuse_only_zeros_inside_the_window")),
     Mutant("LR witnesses in reverse order", "littlewood_richardson.py",
            "else _cut(SkewShape._trusted(outer, inner), leaves, reverse=True)",
            "else iter([*_cut(SkewShape._trusted(outer, inner), leaves, reverse=True)][::-1])",
