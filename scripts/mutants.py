@@ -100,6 +100,10 @@ MUTANTS = (
     Mutant("--invert prints its permutation reversed", "cli.py", "perm = inverse_rsk(args.pair)\n",
            "perm = inverse_rsk(args.pair)\n        perm = type(perm)(perm.images[::-1])\n",
            (f"{TIER1_CHECK}[cli-rsk-round-trip]", "tests/test_cli.py::TestRsk::test_output_is_pinned")),
+    Mutant("Schur table without its row guard", "schur.py",
+           "alphas = _partitions_below(lam, width) if len(lam) <= width else ()",
+           "alphas = _partitions_below(lam, width)",
+           ("tests/test_schur.py::TestSchurPolynomial::test_too_many_rows_gives_zero",)),
     Mutant("expansion keeps the zeros of its dominant exponents", "schur.py", "tuple(filter(None, exps)): coeff",
            "exps: coeff",
            (f"{TIER1_CHECK}[power-sum-vs-hooks]", "tests/test_schur.py::test_expand_agrees_with_sorting_reference")),

@@ -252,28 +252,26 @@ def partitions_of(n: int) -> Iterator[Partition]:
 def _walk(lead: tuple[int, ...], width: int) -> Iterator[tuple[int, ...]]:
     """Partitions of ``|lead|`` into at most ``width`` parts, lex-descending from ``lead``.
 
-    Each is a tuple without zeros; every partition not lex-greater than
-    ``lead`` and of at most ``width`` parts comes once. Each successor
-    lowers by one the rightmost part whose lost box, with the boxes after
-    it, still fits in the width left, then refills the parts after it as
-    high as they go (the reverse-lexicographic successor; Knuth, TAOCP 4A
-    §7.2.1.4). When ``lead`` has more than ``width`` parts, its parts past
-    ``width`` start out as boxes still to place, so the walk begins at the
-    greatest partition below ``lead`` that fits. Nothing is padded to the
-    width, so the cost of a step follows the parts, not the width.
+    ``lead`` is a partition of at most ``width`` parts; every caller
+    answers a taller shape before it walks. Each yield is a tuple without
+    zeros; every partition not lex-greater than ``lead`` and of at most
+    ``width`` parts comes once. Each successor lowers by one the rightmost
+    part whose lost box, with the boxes after it, still fits in the width
+    left, then refills the parts after it as high as they go (the
+    reverse-lexicographic successor; Knuth, TAOCP 4A §7.2.1.4). Nothing is
+    padded to the width, so the cost of a step follows the parts, not the
+    width.
 
     As in ZS1 (Zoghbi and Stojmenović, 1998), ``h`` indexes the last part
     greater than 1, so the trailing ones are counted, never scanned, and
     a 2 with room after it splits into 1 + 1 in one append.
     """
-    parts = list(lead[:width])
-    rest = sum(lead[width:])  # boxes not yet placed: only a lead taller than the width has any
+    parts = list(lead)
     h = len(parts) - 1  # the last part greater than 1, or -1
     while h >= 0 and parts[h] == 1:
         h -= 1
     while True:
-        if not rest:
-            yield tuple(parts)
+        yield tuple(parts)
         if h < 0:
             return
         if parts[h] == 2 and len(parts) < width:
@@ -281,7 +279,7 @@ def _walk(lead: tuple[int, ...], width: int) -> Iterator[tuple[int, ...]]:
             parts.append(1)
             h -= 1
             continue
-        rest += len(parts) - 1 - h  # the trailing ones
+        rest = len(parts) - 1 - h  # the trailing ones
         i = h
         while rest >= (width - 1 - i) * (parts[i] - 1):
             rest += parts[i]
@@ -297,12 +295,11 @@ def _walk(lead: tuple[int, ...], width: int) -> Iterator[tuple[int, ...]]:
             parts.append(rest)
             if rest > 1:
                 h += 1
-            rest = 0
 
 
 @lru_cache(maxsize=256)
 def _partitions_below(lead: tuple[int, ...], width: int) -> tuple[tuple[int, ...], ...]:
-    """The whole of ``_walk(lead, width)`` as a tuple, in a bounded table.
+    """The whole of ``_walk(lead, width)`` as a tuple, in a bounded table; ``lead`` fits the width.
 
     One entry is shared by every caller, so Schur builds, orbit products
     and expansions that meet the same lead walk it once.

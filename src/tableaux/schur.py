@@ -46,7 +46,11 @@ def schur_polynomial(shape: Partition, width: int) -> Polynomial:
 
 @lru_cache(maxsize=1024)
 def _schur(lam: tuple[int, ...], width: int) -> Polynomial:
-    """The Schur polynomial of the partition ``lam`` in ``width`` variables, arguments checked."""
+    """The Schur polynomial of the partition ``lam`` in ``width`` variables, arguments checked.
+
+    A shape taller than ``width`` becomes the zero table here, before any
+    walk: ``partitions._partitions_below`` takes only leads that fit.
+    """
     alphas = _partitions_below(lam, width) if len(lam) <= width else ()
     return Polynomial._symmetric(width, {alpha: _kostka(lam, alpha) for alpha in alphas})
 
